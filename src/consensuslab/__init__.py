@@ -1,6 +1,9 @@
 """Simulation and verification toolkit for pull-based consensus dynamics
 (Voter, 2-Choices, h-majority) on the complete graph."""
 
+# set before the submodule imports: harness reads it for its output metadata
+__version__ = "0.1.0"
+
 from .core import (
     Configuration,
     InvalidConfiguration,
@@ -24,5 +27,3 @@ from .rules import (
     voter_rule,
 )
 from .sampler import RngStream, sample_multinomial, sample_uniform_node
-
-__version__ = "0.1.0"

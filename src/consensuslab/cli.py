@@ -44,6 +44,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def parse_rule(text: str) -> UpdateRule:
     text = text.strip().lower()
     if text == "voter":
@@ -254,13 +261,7 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_two_phase(args) -> int:
-    report = run_two_phase_check(
-        args.n,
-        args.trials,
-        RngStream(args.seed, ("two-phase",)),
-        k_split=args.k_split,
-        seed=args.seed,
-    )
+    report = run_two_phase_check(args.n, args.trials, k_split=args.k_split, seed=args.seed)
     report["subcommand"] = "two-phase"
     print(json.dumps(report, sort_keys=True))
     if args.out:
@@ -269,15 +270,17 @@ def cmd_two_phase(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="consensuslab")
+    parser = _Parser(prog="consensuslab")
+    # subparsers default to parser_class=type(parser), so they raise UsageError too
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_init=True):
+    def common(p, with_init=True, with_stop=True):
         p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--kappa", type=int, default=1)
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-rounds", type=int, default=10**6)
+        if with_stop:
+            p.add_argument("--kappa", type=int, default=1)
+            p.add_argument("--max-rounds", type=int, default=10**6)
         if with_init:
             p.add_argument("--init", default="ncolor")
         p.add_argument("--out", default=None)
@@ -329,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-bound", help="2-Choices slow-start experiment")
     p.add_argument("--gamma", type=float, default=4.0)
-    common(p)
+    common(p, with_stop=False)
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("two-phase", help="phase-split timing for 3-majority")
     p.add_argument("--k-split", type=int, default=None)
-    common(p, with_init=False)
+    common(p, with_init=False, with_stop=False)
     p.set_defaults(func=cmd_two_phase)
 
     return parser
@@ -345,10 +348,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

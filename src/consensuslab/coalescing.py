@@ -19,7 +19,8 @@ from .sampler import RngStream
 
 
 class CouplingViolation(AssertionError):
-    """The exact duality identity failed: an implementation bug."""
+    """An exact coupling failed (the duality identity here, or the
+    dominating Binomial process in harness): an implementation bug."""
 
 
 class Truncated(RuntimeError):

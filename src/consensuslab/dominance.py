@@ -20,7 +20,7 @@ from .core import (
     StopCondition,
     majorizes,
 )
-from .rules import UpdateRule, process_function, step_rule
+from .rules import UpdateRule, _compositions, process_function, run_until
 from .sampler import RngStream, sample_multinomial
 
 MAX_ENUM_N = 40
@@ -198,15 +198,6 @@ def exact_prefix_expectations(theta: ProbabilityVector, m: int) -> np.ndarray:
     return out
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @dataclass
 class TimeDominanceReport:
     rule_fast: UpdateRule
@@ -251,8 +242,8 @@ def empirical_time_dominance(
     times_slow: list[float] = []
     censored_fast = censored_slow = 0
     for trial in range(trials):
-        t_fast = _run_to_stop(rule_fast, c0, stop, rng.child(trial, "fast"))
-        t_slow = _run_to_stop(
+        t_fast, _ = run_until(rule_fast, c0, stop, rng.child(trial, "fast"))
+        t_slow, _ = run_until(
             rule_slow, c0 if c0_slow is None else c0_slow, stop, rng.child(trial, "slow")
         )
         if t_fast is None:
@@ -285,14 +276,3 @@ def empirical_time_dominance(
         censored_fast=censored_fast,
         censored_slow=censored_slow,
     )
-
-
-def _run_to_stop(rule: UpdateRule, c0: Configuration, stop: StopCondition, rng: RngStream):
-    c = c0
-    if c.number_of_colors() <= stop.kappa:
-        return 0
-    for t in range(1, stop.max_rounds + 1):
-        c = step_rule(rule, c, rng)
-        if c.number_of_colors() <= stop.kappa:
-            return t
-    return None

@@ -18,16 +18,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
+from .coalescing import CouplingViolation
 from .core import Configuration, StopCondition, canonicalize
-from .rules import UpdateRule, step_rule
+from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_round, voter_rule
 from .sampler import RngStream
 
-VERSION = "0.1.0"
-METADATA = {"log_base": "e", "version": VERSION}
-
-
-class CouplingViolation(AssertionError):
-    pass
+METADATA = {"log_base": "e", "version": __version__}
 
 
 @dataclass(frozen=True)
@@ -107,37 +104,38 @@ class TrajectoryRecord:
     rounds: list[int] = field(default_factory=list)
     number_of_colors: list[int] = field(default_factory=list)
     max_support: list[int] = field(default_factory=list)
-    counts: list[tuple[int, ...]] = field(default_factory=list)
+    peak: int = 0  # largest support over every round, recorded or not
 
-    def append(self, t: int, c: Configuration, keep_counts: bool = False):
+    def append(self, t: int, c: Configuration):
         self.rounds.append(t)
         self.number_of_colors.append(c.number_of_colors())
         self.max_support.append(c.counts[0])
-        if keep_counts:
-            self.counts.append(c.counts)
 
 
 def simulate_to_stop(
     rule: UpdateRule, spec: ExperimentSpec, trial: int
 ) -> tuple[Optional[int], TrajectoryRecord]:
-    """One seeded trial; returns (stopping time or None if censored, trajectory)."""
+    """One seeded trial; returns (stopping time or None if censored, trajectory).
+
+    The trajectory holds round 0, every record_every-th round and the last
+    round; its peak covers every round.
+    """
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
     c = spec.initial.build(spec.n)
-    traj = TrajectoryRecord()
+    traj = TrajectoryRecord(peak=c.counts[0])
     traj.append(0, c)
-    if c.number_of_colors() <= spec.stop.kappa:
-        return 0, traj
-    for t in range(1, spec.stop.max_rounds + 1):
-        c = step_rule(rule, c, rng)
-        if spec.record_every and t % spec.record_every == 0:
+    every = spec.record_every
+
+    def on_round(t: int, c: Configuration) -> None:
+        traj.peak = max(traj.peak, c.counts[0])
+        if every and t % every == 0:
             traj.append(t, c)
-        if c.number_of_colors() <= spec.stop.kappa:
-            if not spec.record_every or t % spec.record_every != 0:
-                traj.append(t, c)
-            return t, traj
-    if not spec.record_every or spec.stop.max_rounds % spec.record_every != 0:
-        traj.append(spec.stop.max_rounds, c)
-    return None, traj
+
+    stop_time, c = run_until(rule, c, spec.stop, rng, on_round)
+    last = spec.stop.max_rounds if stop_time is None else stop_time
+    if traj.rounds[-1] != last:
+        traj.append(last, c)
+    return stop_time, traj
 
 
 def _trial_record(args) -> dict:
@@ -152,7 +150,7 @@ def _trial_record(args) -> dict:
         "trial": trial,
         "stop_time": stop_time,
         "censored": stop_time is None,
-        "max_support_peak": max(traj.max_support),
+        "max_support_peak": traj.peak,
         "metadata": METADATA,
     }
 
@@ -193,18 +191,6 @@ class LowerBoundParams:
         return (self.ell_prime / self.n) ** 2
 
 
-def _two_choices_round_slots(
-    slot_colors: np.ndarray, n: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One per-node 2-Choices round on a slot array; returns (new, u1, u2)."""
-    u1 = gen.random(n)
-    u2 = gen.random(n)
-    s1 = slot_colors[(u1 * n).astype(np.int64)]
-    s2 = slot_colors[(u2 * n).astype(np.int64)]
-    new = np.where(s1 == s2, s1, slot_colors)
-    return new, u1, u2
-
-
 def run_lower_bound_experiment(
     params: LowerBoundParams,
     initial: Configuration,
@@ -226,11 +212,11 @@ def run_lower_bound_experiment(
     first_exceedance: list[Optional[int]] = []
     for trial in range(trials):
         gen = rng.child(trial).gen
-        slot_colors = np.repeat(np.arange(len(initial.counts)), initial.counts)
+        node_colors = np.repeat(np.arange(len(initial.counts)), initial.counts)
         hit: Optional[int] = None
         for t in range(1, t0 + 1):
-            slot_colors, _, _ = _two_choices_round_slots(slot_colors, n, gen)
-            if np.bincount(slot_colors).max() > lp:
+            node_colors, _, _ = two_choices_node_round(node_colors, gen)
+            if np.bincount(node_colors).max() > lp:
                 hit = t
                 break
         first_exceedance.append(hit)
@@ -259,9 +245,10 @@ def run_coupled_dominating_process(
 
     Node j's indicator for "both samples show the tracked color" is dominated
     by Bernoulli(p): with slots ordered so the tracked color occupies a
-    prefix, the sample hits it iff u*n < c_color, and c_color <= ell_prime
-    implies u < ell_prime/n. Asserts c_color(t) <= P(t) for every round
-    before c_color first exceeds ell_prime.
+    prefix, a sample hits it iff its slot index i < c_color, and
+    c_color <= ell_prime implies i < ell_prime, an event of probability
+    exactly ell_prime/n. Asserts c_color(t) <= P(t) for every round before
+    c_color first exceeds ell_prime.
     """
     n = params.n
     if initial.n != n:
@@ -270,7 +257,6 @@ def run_coupled_dominating_process(
     if not 0 <= color < k0 + 1:
         raise ValueError("tracked color index out of range")
     lp = params.ell_prime
-    thresh = lp / n
     gen = rng.gen
 
     # relabel so the tracked color is id 0 and occupies the first slots;
@@ -288,8 +274,8 @@ def run_coupled_dominating_process(
     pairs = [(c_col, p_val)]
     exceeded = c_col > lp
     for _ in range(rounds):
-        slot_colors, u1, u2 = _two_choices_round_slots(slot_colors, n, gen)
-        p_val += int(np.count_nonzero((u1 < thresh) & (u2 < thresh)))
+        slot_colors, i1, i2 = two_choices_node_round(slot_colors, gen)
+        p_val += int(np.count_nonzero((i1 < lp) & (i2 < lp)))
         cnts = np.bincount(slot_colors, minlength=k0 + 1)
         c_col = int(cnts[0])
         pairs.append((c_col, p_val))
@@ -308,48 +294,36 @@ def run_coupled_dominating_process(
 def run_two_phase_check(
     n: int,
     trials: int,
-    rng: RngStream,
     k_split: Optional[int] = None,
-    max_rounds: int = 10**6,
     seed: int = 0,
 ) -> dict:
     """Phase-split timing for 3-majority vs Voter from the n-color start.
 
     Phase 1 ends at <= k_split colors (default ceil(n**0.25)); phase 2 runs
-    3-majority on to consensus. Paired seeds per trial.
+    3-majority on to consensus on the same stream. Paired seeds per trial;
+    each phase is capped at the default StopCondition's max_rounds.
     """
     if n < 256:
         raise ValueError("two-phase check needs n >= 256")
-    from .rules import h_majority_rule, voter_rule
-
     k = k_split if k_split is not None else math.ceil(n**0.25)
     hm3, voter = h_majority_rule(3), voter_rule()
+    c0 = Configuration(tuple([1] * n))
+    split = StopCondition(kappa=k)
     rows = []
     for trial in range(trials):
-        row = {"trial": trial}
-        for rule in (hm3, voter):
-            stream = RngStream(seed, ("two-phase", rule.label(), trial))
-            c = Configuration(tuple([1] * n))
-            t = 0
-            phase1 = None
-            while t < max_rounds:
-                if c.number_of_colors() <= k and phase1 is None:
-                    phase1 = t
-                    if rule.kind == "Voter":
-                        break
-                if c.number_of_colors() <= 1:
-                    break
-                c = step_rule(rule, c, stream)
-                t += 1
-            row[f"phase1_{rule.label()}"] = phase1
-            if rule.kind != "Voter":
-                row["total_hmaj:3"] = t if c.number_of_colors() <= 1 else None
-        row["phase2_hmaj:3"] = (
-            row["total_hmaj:3"] - row["phase1_hmaj:3"]
-            if row["total_hmaj:3"] is not None and row["phase1_hmaj:3"] is not None
-            else None
+        stream = RngStream(seed, ("two-phase", hm3.label(), trial))
+        phase1, c = run_until(hm3, c0, split, stream)
+        phase2 = None if phase1 is None else run_until(hm3, c, StopCondition(kappa=1), stream)[0]
+        voter_stream = RngStream(seed, ("two-phase", voter.label(), trial))
+        rows.append(
+            {
+                "trial": trial,
+                "phase1_hmaj:3": phase1,
+                "phase2_hmaj:3": phase2,
+                "total_hmaj:3": None if phase2 is None else phase1 + phase2,
+                "phase1_voter": run_until(voter, c0, split, voter_stream)[0],
+            }
         )
-        rows.append(row)
     paired = [
         r
         for r in rows

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .core import Configuration, ProbabilityVector, canonicalize
-from .sampler import RngStream, sample_multinomial, sample_uniform_node
+from .core import Configuration, ProbabilityVector, StopCondition, canonicalize
+from .sampler import RngStream, sample_multinomial
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
 
@@ -174,20 +174,18 @@ def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Con
     return canonicalize(np.bincount(new_colors, minlength=len(c.counts)))
 
 
-def step_two_choices(c: Configuration, rng: RngStream, mode: str = "auto") -> Configuration:
+def step_two_choices(c: Configuration, rng: RngStream) -> Configuration:
     """One round of 2-Choices: adopt color i iff both samples show i.
 
     Blockwise path: for each source color j, the movers to the other colors
     follow Mult(c_j, ((c_i/n)^2)_i, stay) via one multinomial draw, which is
-    the sequentially conditioned binomial scheme. Per-node path: vectorized
-    literal simulation, cheaper when the color count is large. Both paths
-    realize the same one-step law.
+    the sequentially conditioned binomial scheme. With many colors
+    (k^2 > 8n) the per-node round of step_two_choices_reference is cheaper.
+    Both paths realize the same one-step law.
     """
     k = len(c.counts)
     n = c.n
-    if mode == "auto":
-        mode = "blockwise" if k * k <= 8 * n else "per-node"
-    if mode == "per-node":
+    if k * k > 8 * n:
         return step_two_choices_reference(c, rng)
     counts = np.asarray(c.counts, dtype=np.int64)
     q = (counts / n) ** 2  # prob both samples show color i
@@ -203,14 +201,30 @@ def step_two_choices(c: Configuration, rng: RngStream, mode: str = "auto") -> Co
     return canonicalize(new_counts)
 
 
+def two_choices_node_round(
+    node_colors: np.ndarray, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One 2-Choices round on a node-color array; returns (new, i1, i2).
+
+    Node j samples the nodes i1[j] and i2[j] (uniform, self included) and
+    adopts their color iff the two agree.
+    """
+    n = len(node_colors)
+    i1 = gen.integers(0, n, size=n)
+    i2 = gen.integers(0, n, size=n)
+    s1 = node_colors[i1]
+    s2 = node_colors[i2]
+    return np.where(s1 == s2, s1, node_colors), i1, i2
+
+
 def step_two_choices_reference(c: Configuration, rng: RngStream) -> Configuration:
-    """Vectorized per-node 2-Choices round."""
-    n = c.n
+    """Per-node 2-Choices round: the production path when colors are many.
+
+    step_two_choices takes it for k^2 > 8n; the tests cross-check it in
+    distribution against the blockwise path.
+    """
     node_colors = np.repeat(np.arange(len(c.counts)), c.counts)
-    gen = rng.gen
-    s1 = node_colors[gen.integers(0, n, size=n)]
-    s2 = node_colors[gen.integers(0, n, size=n)]
-    new_colors = np.where(s1 == s2, s1, node_colors)
+    new_colors, _, _ = two_choices_node_round(node_colors, rng.gen)
     return canonicalize(np.bincount(new_colors, minlength=len(c.counts)))
 
 
@@ -219,6 +233,30 @@ def step_rule(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configurati
     if rule.kind == TWO_CHOICES:
         return step_two_choices(c, rng)
     return step_ac(rule, c, rng)
+
+
+def run_until(
+    rule: UpdateRule,
+    c: Configuration,
+    stop: StopCondition,
+    rng: RngStream,
+    on_round: Optional[Callable[[int, Configuration], None]] = None,
+) -> tuple[Optional[int], Configuration]:
+    """Step `rule` from c until at most stop.kappa colors remain.
+
+    Returns (t, c_t): t is the first round with at most kappa colors (0 if
+    c already has them), or None if max_rounds pass first; c_t is the last
+    configuration. on_round(t, c_t) is called after every round.
+    """
+    if c.number_of_colors() <= stop.kappa:
+        return 0, c
+    for t in range(1, stop.max_rounds + 1):
+        c = step_rule(rule, c, rng)
+        if on_round is not None:
+            on_round(t, c)
+        if c.number_of_colors() <= stop.kappa:
+            return t, c
+    return None, c
 
 
 def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> ProbabilityVector:

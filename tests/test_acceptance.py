@@ -43,8 +43,8 @@ from consensuslab.rules import (
     h_majority_rule,
     process_function,
     process_function_exact,
+    run_until,
     step_ac_reference,
-    step_rule,
     two_choices_rule,
     voter_rule,
 )
@@ -168,11 +168,8 @@ def test_07_two_choices_separation_and_coupling():
         counts = {}
         for rule, tag in ((h_majority_rule(3), "hmaj"), (two_choices_rule(), "2ch")):
             rng = RngStream(70, ("sep", trial, tag))
-            c = canonicalize([1] * n)
-            for _ in range(rounds):
-                if c.number_of_colors() == 1:
-                    break
-                c = step_rule(rule, c, rng)
+            stop = StopCondition(kappa=1, max_rounds=rounds)
+            _, c = run_until(rule, canonicalize([1] * n), stop, rng)
             counts[tag] = c.number_of_colors()
         if counts["hmaj"] < counts["2ch"]:
             wins += 1

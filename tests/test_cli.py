@@ -156,6 +156,13 @@ def test_usage_errors_exit_one():
     assert run_cli("simulate", "--rule", "nope").returncode == USAGE_ERROR
     assert run_cli("simulate", "--rule", "voter", "--n", "0").returncode == USAGE_ERROR
     assert run_cli("duality", "--graph", "torus:9").returncode == USAGE_ERROR
+    # argparse's own errors are usage errors too, not VALIDATION_FAILURE
+    assert run_cli("simulate", "--bogus").returncode == USAGE_ERROR
+    assert run_cli("compare", "--slow", "voter").returncode == USAGE_ERROR  # no --fast
+    # lower-bound and two-phase take no stop condition
+    assert run_cli("lower-bound", "--kappa", "2").returncode == USAGE_ERROR
+    assert run_cli("two-phase", "--max-rounds", "9").returncode == USAGE_ERROR
+    assert run_cli("--help").returncode == 0
 
 
 def test_main_callable_in_process(capsys):
