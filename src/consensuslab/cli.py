@@ -131,6 +131,15 @@ def _emit(records: list[dict], args) -> None:
             print(json.dumps(rec, sort_keys=True))
 
 
+def _report(out: dict, args) -> None:
+    """Stamp the subcommand and metadata, print sorted JSON, write --out."""
+    out["subcommand"] = args.command
+    out["metadata"] = METADATA
+    print(json.dumps(out, sort_keys=True))
+    if args.out:
+        write_jsonl([out], args.out)
+
+
 def cmd_simulate(args) -> int:
     if args.spec:
         spec, workers = spec_from_json(args.spec)
@@ -159,7 +168,6 @@ def cmd_compare(args) -> int:
         epsilon=args.epsilon,
     )
     out = {
-        "subcommand": "compare",
         "rule_fast": rule_fast.label(),
         "rule_slow": rule_slow.label(),
         "n": args.n,
@@ -171,23 +179,15 @@ def cmd_compare(args) -> int:
         "passed": report.passed,
         "censored_fast": report.censored_fast,
         "censored_slow": report.censored_slow,
-        "metadata": METADATA,
     }
-    print(json.dumps(out, sort_keys=True))
-    if args.out:
-        write_jsonl([out], args.out)
+    _report(out, args)
     return 0 if report.passed or not args.expect_pass else VALIDATION_FAILURE
 
 
 def cmd_dominance_check(args) -> int:
     report = check_dominance(parse_rule(args.p), parse_rule(args.q), args.n)
-    out = report.to_dict()
-    out["subcommand"] = "dominance-check"
-    out["metadata"] = METADATA
     print(f"{len(report.violations)} violations over {report.pairs_checked} pairs")
-    print(json.dumps(out, sort_keys=True))
-    if args.out:
-        write_jsonl([out], args.out)
+    _report(report.to_dict(), args)
     if args.expect_zero and report.violations:
         return VALIDATION_FAILURE
     return 0
@@ -210,17 +210,13 @@ def cmd_duality(args) -> int:
     for run in range(args.runs):
         duality_check(g, args.t_max, RngStream(args.seed, ("duality", run)))
     out = {
-        "subcommand": "duality",
         "graph": args.graph,
         "t_max": args.t_max,
         "runs": args.runs,
         "seed": args.seed,
         "violations": 0,
-        "metadata": METADATA,
     }
-    print(json.dumps(out, sort_keys=True))
-    if args.out:
-        write_jsonl([out], args.out)
+    _report(out, args)
     return 0
 
 
@@ -234,15 +230,11 @@ def cmd_drift_bound(args) -> int:
         else:
             res = variable_drift_bound_generalized(h, args.m, args.k_prime)
     out = {
-        "subcommand": "drift-bound",
         "form": res.form_used,
         "bound": res.bound,
         "integral_error_estimate": res.integral_error_estimate,
-        "metadata": METADATA,
     }
-    print(json.dumps(out, sort_keys=True))
-    if args.out:
-        write_jsonl([out], args.out)
+    _report(out, args)
     return 0
 
 
@@ -253,19 +245,13 @@ def cmd_lower_bound(args) -> int:
     report = run_lower_bound_experiment(
         params, c0, args.trials, RngStream(args.seed, ("lower-bound",))
     )
-    report["subcommand"] = "lower-bound"
-    print(json.dumps(report, sort_keys=True))
-    if args.out:
-        write_jsonl([report], args.out)
+    _report(report, args)
     return 0
 
 
 def cmd_two_phase(args) -> int:
     report = run_two_phase_check(args.n, args.trials, k_split=args.k_split, seed=args.seed)
-    report["subcommand"] = "two-phase"
-    print(json.dumps(report, sort_keys=True))
-    if args.out:
-        write_jsonl([report], args.out)
+    _report(report, args)
     return 0
 
 

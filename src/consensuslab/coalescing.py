@@ -23,10 +23,6 @@ class CouplingViolation(AssertionError):
     dominating Binomial process in harness): an implementation bug."""
 
 
-class Truncated(RuntimeError):
-    pass
-
-
 @dataclass
 class Graph:
     """Complete graph (adjacency None) or explicit symmetric adjacency."""
@@ -104,22 +100,16 @@ def draw_map_table(g: Graph, t_max: int, rng: RngStream) -> RandomMapTable:
 @dataclass
 class CoalescenceTrajectory:
     walk_counts: list[int]
-    positions: Optional[list[np.ndarray]] = None
 
 
-def run_coalescence(
-    g: Graph, maps: RandomMapTable, keep_positions: bool = False
-) -> CoalescenceTrajectory:
+def run_coalescence(g: Graph, maps: RandomMapTable) -> CoalescenceTrajectory:
     """Deterministically run walks through the map table: X_t = Y_{t-1}(X_{t-1})."""
     pos = np.arange(g.n)
     counts = [g.n]
-    positions = [pos.copy()] if keep_positions else None
     for t in range(maps.rounds):
         pos = maps.maps[t][pos]
         counts.append(int(np.unique(pos).size))
-        if keep_positions:
-            positions.append(pos.copy())
-    return CoalescenceTrajectory(counts, positions)
+    return CoalescenceTrajectory(counts)
 
 
 def run_voter_with_maps(g: Graph, maps: RandomMapTable, tau: int) -> int:

@@ -127,6 +127,19 @@ def _is_integral(x: VectorLike) -> bool:
     return np.issubdtype(arr.dtype, np.integer)
 
 
+def prefix_sums(x: VectorLike, d: int) -> np.ndarray:
+    """Prefix sums of x sorted non-increasingly, truncated or padded to length d.
+
+    Padding repeats the last cumulative sum, which is the total mass: the
+    zero-padded vector has the same prefix sums. Every majorization
+    comparison of the package goes through this one format.
+    """
+    cum = np.cumsum(_sorted_values(x))
+    out = np.full(d, cum[-1] if len(cum) else 0.0)
+    out[: len(cum)] = cum[:d]
+    return out
+
+
 def majorizes(a: VectorLike, b: VectorLike) -> bool:
     """True iff every prefix sum of sorted(a) covers that of sorted(b).
 
@@ -145,18 +158,11 @@ def majorizes(a: VectorLike, b: VectorLike) -> bool:
             raise MassMismatch(f"total mass {ta} != {tb}")
         slack = PREFIX_SLACK
     d = max(len(sa), len(sb))
-    pa = np.zeros(d)
-    pb = np.zeros(d)
-    pa[: len(sa)] = np.cumsum(sa)
-    pa[len(sa):] = ta
-    pb[: len(sb)] = np.cumsum(sb)
-    pb[len(sb):] = tb
-    return bool(np.all(pa >= pb - slack))
+    return bool(np.all(prefix_sums(sa, d) >= prefix_sums(sb, d) - slack))
 
 
 def prefix_functional(x: VectorLike, j: int) -> float:
     """Sum of the j largest components (a Schur-convex test function)."""
     if j < 1:
         raise ValueError("prefix length must be >= 1")
-    s = _sorted_values(x)
-    return float(s[: min(j, len(s))].sum())
+    return float(prefix_sums(x, j)[-1])

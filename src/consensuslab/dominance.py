@@ -19,8 +19,9 @@ from .core import (
     ProbabilityVector,
     StopCondition,
     majorizes,
+    prefix_sums,
 )
-from .rules import UpdateRule, _compositions, process_function, run_until
+from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function, run_until
 from .sampler import RngStream, sample_multinomial
 
 MAX_ENUM_N = 40
@@ -86,39 +87,30 @@ def enumerate_configurations(n: int) -> list[Configuration]:
     return out
 
 
-def _prefix_sums(p: ProbabilityVector, d: int) -> np.ndarray:
-    """Prefix sums of the sorted vector, zero-padded up to length d."""
-    cum = np.cumsum(np.sort(p.as_array())[::-1])
-    out = np.full(d, cum[-1])
-    out[: len(cum)] = cum[:d]
-    return out
-
-
 def check_dominance(rule_p: UpdateRule, rule_q: UpdateRule, n: int) -> DominanceReport:
     """Exhaustively test: c >= c~ implies alpha_p(c) >= alpha_q(c~).
 
     Runs over all ordered pairs of partitions of n; a violation records the
     worst prefix and its margin (how far the majorized side overshoots).
+    Row i of C, Ap and Aq holds the prefix sums of the i-th configuration,
+    of alpha_p and of alpha_q, padded to length n; padding repeats the last
+    entry, so neither the worst prefix nor its margin depends on it.
     """
     configs = enumerate_configurations(n)
-    alphas_p = {c.counts: process_function(rule_p, c) for c in configs}
-    alphas_q = {c.counts: process_function(rule_q, c) for c in configs}
+    C = np.array([prefix_sums(c, n) for c in configs])
+    Ap = np.array([prefix_sums(process_function(rule_p, c), n) for c in configs])
+    Aq = np.array([prefix_sums(process_function(rule_q, c), n) for c in configs])
     report = DominanceReport(n=n, rule_p=rule_p, rule_q=rule_q)
-    for c in configs:
-        for ct in configs:
-            if not majorizes(c, ct):
-                continue
-            report.pairs_checked += 1
-            ap, aq = alphas_p[c.counts], alphas_q[ct.counts]
-            d = max(len(ap), len(aq))
-            pp = _prefix_sums(ap, d)
-            pq = _prefix_sums(aq, d)
-            deficit = pq - pp
-            worst = int(np.argmax(deficit))
-            if deficit[worst] > PREFIX_SLACK:
-                report.violations.append(
-                    Violation(c.counts, ct.counts, worst + 1, float(deficit[worst]))
-                )
+    for i, c in enumerate(configs):
+        below = np.flatnonzero(np.all(C[i] >= C, axis=1))
+        report.pairs_checked += len(below)
+        deficit = Aq[below] - Ap[i]
+        worst = deficit.argmax(axis=1)
+        margin = deficit.max(axis=1)
+        for j in np.flatnonzero(margin > PREFIX_SLACK):
+            report.violations.append(
+                Violation(c.counts, configs[below[j]].counts, int(worst[j]) + 1, float(margin[j]))
+            )
     return report
 
 
@@ -154,12 +146,8 @@ def empirical_stochastic_majorization(
     phi1 = np.zeros((draws, d))
     phi2 = np.zeros((draws, d))
     for t in range(draws):
-        x = np.sort(sample_multinomial(m, theta1, gen1))[::-1]
-        y = np.sort(sample_multinomial(m, theta2, gen2))[::-1]
-        phi1[t, : len(x)] = np.cumsum(x)
-        phi1[t, len(x):] = m
-        phi2[t, : len(y)] = np.cumsum(y)
-        phi2[t, len(y):] = m
+        phi1[t] = prefix_sums(sample_multinomial(m, theta1, gen1), d)
+        phi2[t] = prefix_sums(sample_multinomial(m, theta2, gen2), d)
     mean1 = phi1.mean(axis=0)
     mean2 = phi2.mean(axis=0)
     sigma = np.sqrt(phi1.var(axis=0) / draws + phi2.var(axis=0) / draws)
@@ -183,18 +171,7 @@ def exact_prefix_expectations(theta: ProbabilityVector, m: int) -> np.ndarray:
     k = len(arr)
     out = np.zeros(k)
     for counts in _compositions(m, k):
-        p = math.factorial(m)
-        ok = True
-        for c, t in zip(counts, arr):
-            if c:
-                if t == 0.0:
-                    ok = False
-                    break
-                p = p * t**c / math.factorial(c)
-        if not ok:
-            continue
-        s = np.sort(np.array(counts))[::-1]
-        out += p * np.cumsum(s)
+        out += _multinomial_pmf(counts, arr) * prefix_sums(counts, k)
     return out
 
 

@@ -42,7 +42,6 @@ H_MAJORITY = "HMajority"
 class UpdateRule:
     kind: Literal["Voter", "TwoChoices", "HMajority"]
     h: int = 0
-    sampling_mode: Literal["self-inclusive", "neighbor-only"] = "self-inclusive"
 
     def __post_init__(self):
         if self.kind not in (VOTER, TWO_CHOICES, H_MAJORITY):
@@ -90,14 +89,7 @@ def plurality_enumeration_alpha(x: np.ndarray, h: int) -> np.ndarray:
         raise TooManyColorsForExactH(f"k^h = {k}^{h} exceeds enumeration budget")
     alpha = np.zeros(k)
     for counts in _compositions(h, k):
-        p = math.factorial(h)
-        for c, xi in zip(counts, x):
-            if c:
-                if xi == 0.0:
-                    p = 0.0
-                    break
-                p = p * xi**c / math.factorial(c)
-            # c == 0 contributes factor 1
+        p = _multinomial_pmf(counts, x)
         if p == 0.0:
             continue
         mx = max(counts)
@@ -116,6 +108,17 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
+    """P(Mult(sum(counts), x) = counts); 0 as soon as a sampled x_i is 0."""
+    p = math.factorial(sum(counts))
+    for c, xi in zip(counts, x):
+        if c:  # c == 0 contributes factor 1
+            if xi == 0.0:
+                return 0.0
+            p = p * xi**c / math.factorial(c)
+    return p
 
 
 def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:

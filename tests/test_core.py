@@ -9,6 +9,7 @@ from consensuslab.core import (
     canonicalize,
     majorizes,
     prefix_functional,
+    prefix_sums,
 )
 
 
@@ -83,6 +84,22 @@ def test_majorizes_requires_equal_mass():
 def test_majorizes_float_vectors():
     assert majorizes([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
     assert not majorizes([1 / 3, 1 / 3, 1 / 3], [0.5, 0.5])
+
+
+def test_prefix_sums_truncates_and_pads():
+    x = [1, 3, 2]
+    assert prefix_sums(x, 2).tolist() == [3, 5]
+    assert prefix_sums(x, 3).tolist() == [3, 5, 6]
+    assert prefix_sums(x, 5).tolist() == [3, 5, 6, 6, 6]
+    assert prefix_sums(canonicalize(x), 4).tolist() == [3, 5, 6, 6]
+
+
+def test_prefix_sums_float_input_pads_with_last_cumulative_sum():
+    x = np.array([0.1, 0.7, 0.2])
+    cum = np.cumsum([0.7, 0.2, 0.1])
+    assert prefix_sums(x, 1).tolist() == [0.7]
+    assert prefix_sums(x, 5).tolist() == [cum[0], cum[1], cum[2], cum[2], cum[2]]
+    assert prefix_sums(ProbabilityVector((0.1, 0.7, 0.2)), 3).tolist() == cum.tolist()
 
 
 def test_prefix_functional():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensuslab.core import ProbabilityVector, StopCondition, canonicalize
+from consensuslab.core import PREFIX_SLACK, ProbabilityVector, StopCondition, canonicalize, majorizes
 from consensuslab.dominance import (
     EnumerationBudgetExceeded,
     NotMajorized,
@@ -12,7 +12,7 @@ from consensuslab.dominance import (
     enumerate_configurations,
     exact_prefix_expectations,
 )
-from consensuslab.rules import h_majority_rule, voter_rule
+from consensuslab.rules import h_majority_rule, process_function, voter_rule
 from consensuslab.sampler import RngStream
 
 
@@ -56,6 +56,46 @@ def test_violation_records_prefix_and_margin():
     d = report.to_dict()
     assert d["pairs_checked"] == report.pairs_checked
     assert len(d["violations"]) == len(report.violations)
+
+
+def _padded_cumsum(p, d):
+    cum = np.cumsum(np.sort(p.as_array())[::-1])
+    return np.concatenate([cum, np.full(d - len(cum), cum[-1])])
+
+
+def _dominance_oracle(rule_p, rule_q, n):
+    """Literal per-pair check: (pairs_checked, [(c, c_tilde, prefix, margin)])."""
+    configs = enumerate_configurations(n)
+    pairs, violations = 0, []
+    for c in configs:
+        for ct in configs:
+            if not majorizes(c, ct):
+                continue
+            pairs += 1
+            ap, aq = process_function(rule_p, c), process_function(rule_q, ct)
+            d = max(len(ap), len(aq))
+            deficit = _padded_cumsum(aq, d) - _padded_cumsum(ap, d)
+            worst = int(np.argmax(deficit))
+            if deficit[worst] > PREFIX_SLACK:
+                violations.append((c.counts, ct.counts, worst + 1, float(deficit[worst])))
+    return pairs, violations
+
+
+@pytest.mark.parametrize(
+    "rule_p, rule_q",
+    [
+        (h_majority_rule(3), voter_rule()),
+        (h_majority_rule(4), h_majority_rule(3)),
+        (voter_rule(), h_majority_rule(3)),
+    ],
+)
+def test_check_dominance_matches_per_pair_oracle(rule_p, rule_q):
+    for n in range(2, 10):
+        report = check_dominance(rule_p, rule_q, n)
+        pairs, violations = _dominance_oracle(rule_p, rule_q, n)
+        assert report.pairs_checked == pairs
+        got = [(v.c, v.c_tilde, v.prefix, v.margin) for v in report.violations]
+        assert got == violations
 
 
 def test_exact_prefix_expectations_simple_case():
