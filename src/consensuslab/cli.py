@@ -13,7 +13,13 @@ import json
 import math
 import sys
 
-from .coalescing import complete_graph, cycle_graph, duality_check, graph_from_edge_list
+from .coalescing import (
+    CouplingViolation,
+    complete_graph,
+    cycle_graph,
+    duality_check,
+    graph_from_edge_list,
+)
 from .core import StopCondition, canonicalize
 from .dominance import check_dominance, empirical_time_dominance
 from .drift import (
@@ -207,17 +213,22 @@ def _parse_graph(text: str):
 
 def cmd_duality(args) -> int:
     g = _parse_graph(args.graph)
+    violations = 0
     for run in range(args.runs):
-        duality_check(g, args.t_max, RngStream(args.seed, ("duality", run)))
+        try:
+            duality_check(g, args.t_max, RngStream(args.seed, ("duality", run)))
+        except CouplingViolation as exc:
+            violations += 1
+            print(f"run {run}: {exc}", file=sys.stderr)
     out = {
         "graph": args.graph,
         "t_max": args.t_max,
         "runs": args.runs,
         "seed": args.seed,
-        "violations": 0,
+        "violations": violations,
     }
     _report(out, args)
-    return 0
+    return VALIDATION_FAILURE if violations else 0
 
 
 def cmd_drift_bound(args) -> int:

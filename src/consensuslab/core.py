@@ -18,6 +18,8 @@ import numpy as np
 # floating-point majorization checks.
 MASS_TOL = 1e-9
 PREFIX_SLACK = 1e-12
+# Floats below this magnitude convert to int64 exactly.
+_INT64_LIMIT = 2.0**63
 
 
 class InvalidConfiguration(ValueError):
@@ -34,9 +36,14 @@ class Configuration:
 
     counts: tuple[int, ...]
 
+    def __post_init__(self):
+        # n is read every round; sum the counts once, outside the fields
+        # so that ==, hash and repr still see counts only
+        object.__setattr__(self, "_n", sum(self.counts))
+
     @property
     def n(self) -> int:
-        return sum(self.counts)
+        return self._n
 
     def number_of_colors(self) -> int:
         return len(self.counts)
@@ -94,18 +101,33 @@ VectorLike = Union[Configuration, ProbabilityVector, Sequence[float], np.ndarray
 
 
 def canonicalize(raw_counts: Sequence[int]) -> Configuration:
-    """Sort counts non-increasingly, drop zeros, and wrap as Configuration."""
-    if any(c != int(c) for c in raw_counts):
+    """Sort counts non-increasingly, drop zeros, and wrap as Configuration.
+
+    Accepts any 1-d vector of integer, bool or integral float dtype; every
+    other input raises InvalidConfiguration. The result holds Python ints.
+    """
+    arr = np.array(raw_counts)  # a copy: it is sorted in place below
+    kind = arr.dtype.kind
+    if kind == "b":
+        arr = arr.astype(np.int64)
+    elif kind == "f":
+        # NaN and +-inf fail the range test; the cast below is then exact
+        if not ((np.abs(arr) < _INT64_LIMIT) & (arr == np.trunc(arr))).all():
+            raise InvalidConfiguration(f"non-integer count in {raw_counts}")
+        arr = arr.astype(np.int64)
+    elif kind not in "iu":
         raise InvalidConfiguration(f"non-integer count in {raw_counts}")
-    counts = [int(c) for c in raw_counts]
-    if len(counts) == 0:
+    if arr.ndim != 1:
+        raise InvalidConfiguration(f"count vector must be 1-d, got shape {arr.shape}")
+    if arr.size == 0:
         raise InvalidConfiguration("empty count vector")
-    if any(c < 0 for c in counts):
+    arr.sort()
+    if arr[0] < 0:
         raise InvalidConfiguration(f"negative count in {raw_counts}")
-    counts = sorted((c for c in counts if c > 0), reverse=True)
-    if not counts:
+    positive = np.count_nonzero(arr)
+    if positive == 0:
         raise InvalidConfiguration("all counts are zero")
-    return Configuration(tuple(counts))
+    return Configuration(tuple(arr[::-1][:positive].tolist()))
 
 
 def _sorted_values(x: VectorLike) -> np.ndarray:
@@ -156,7 +178,9 @@ def majorizes(a: VectorLike, b: VectorLike) -> bool:
     else:
         if abs(ta - tb) > MASS_TOL:
             raise MassMismatch(f"total mass {ta} != {tb}")
-        slack = PREFIX_SLACK
+        # the padded tail compares the two totals, which may differ by
+        # up to MASS_TOL; that gap must not decide the answer
+        slack = PREFIX_SLACK + abs(ta - tb)
     d = max(len(sa), len(sb))
     return bool(np.all(prefix_sums(sa, d) >= prefix_sums(sb, d) - slack))
 

@@ -170,3 +170,24 @@ def test_main_callable_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out.strip())["rule"] == "voter"
+
+
+def test_duality_reports_coupling_violation_with_exit_two(monkeypatch, capsys):
+    import consensuslab.cli as cli
+    from consensuslab.coalescing import CouplingViolation
+
+    calls = []
+
+    def flaky_check(g, t_max, rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise CouplingViolation("tau=1: planted")
+        return True
+
+    monkeypatch.setattr(cli, "duality_check", flaky_check)
+    code = main(["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "3"])
+    captured = capsys.readouterr()
+    assert code == VALIDATION_FAILURE
+    assert len(calls) == 3  # the runs after the violation still ran
+    assert json.loads(captured.out.strip())["violations"] == 1
+    assert "run 1: tau=1: planted" in captured.err

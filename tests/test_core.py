@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,14 +24,77 @@ def test_canonicalize_sorts_and_drops_zeros():
 
 
 def test_canonicalize_rejects_bad_input():
-    with pytest.raises(InvalidConfiguration):
-        canonicalize([])
-    with pytest.raises(InvalidConfiguration):
-        canonicalize([0, 0])
-    with pytest.raises(InvalidConfiguration):
-        canonicalize([3, -1])
-    with pytest.raises(InvalidConfiguration):
-        canonicalize([1.5, 2])
+    cases = [
+        ([], "empty"),
+        ([0, 0], "all counts are zero"),
+        ([3, -1], "negative"),
+        (np.array([3, -1], dtype=np.int32), "negative"),
+        ([1.5, 2], "non-integer"),
+        (np.array([2.0, 0.5]), "non-integer"),
+        ([float("nan"), 1.0], "non-integer"),
+        ([float("inf"), 1.0], "non-integer"),
+        ([-float("inf"), 1.0], "non-integer"),
+        ([1e300], "non-integer"),
+        (["3"], "non-integer"),
+        ([[1, 2], [3, 4]], "1-d"),
+    ]
+    for bad, reason in cases:
+        with pytest.raises(InvalidConfiguration, match=reason):
+            canonicalize(bad)
+
+
+def _canonicalize_oracle(raw_counts):
+    """The pure-Python canonicalize the numpy one replaced, kept as the reference."""
+    if any(c != int(c) for c in raw_counts):
+        raise InvalidConfiguration(f"non-integer count in {raw_counts}")
+    counts = [int(c) for c in raw_counts]
+    if len(counts) == 0:
+        raise InvalidConfiguration("empty count vector")
+    if any(c < 0 for c in counts):
+        raise InvalidConfiguration(f"negative count in {raw_counts}")
+    counts = sorted((c for c in counts if c > 0), reverse=True)
+    if not counts:
+        raise InvalidConfiguration("all counts are zero")
+    return Configuration(tuple(counts))
+
+
+def test_canonicalize_matches_python_oracle_on_random_inputs():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        k = int(rng.integers(1, 60))
+        raw = rng.integers(0, 9, size=k)
+        raw[int(rng.integers(0, k))] += 1  # at least one positive count
+        variants = [
+            raw,
+            raw.astype(np.int32),
+            raw.astype(np.uint8),
+            raw.tolist(),
+            tuple(raw.tolist()),
+            list(raw),  # numpy scalars
+            raw.astype(float).tolist(),  # integral floats
+            raw.astype(float),
+            (raw > 3).tolist() + [True],  # bools
+        ]
+        for x in variants:
+            c = canonicalize(x)
+            assert c.counts == _canonicalize_oracle(x).counts
+            assert type(c.counts[0]) is int
+            assert c.n == sum(c.counts)
+            assert json.loads(json.dumps(c.counts)) == list(c.counts)
+
+
+def test_canonicalize_leaves_its_input_unchanged():
+    raw = np.array([1, 0, 3, 2])
+    assert canonicalize(raw).counts == (3, 2, 1)
+    assert raw.tolist() == [1, 0, 3, 2]
+
+
+def test_configuration_n_stays_out_of_equality_hash_and_repr():
+    c = Configuration((3, 2, 1))
+    assert c.n == 6
+    assert c == canonicalize([1, 2, 3])
+    assert hash(c) == hash(canonicalize([1, 2, 3]))
+    assert repr(c) == "Configuration(counts=(3, 2, 1))"
 
 
 def test_fractions_sum_to_one():
@@ -84,6 +149,13 @@ def test_majorizes_requires_equal_mass():
 def test_majorizes_float_vectors():
     assert majorizes([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
     assert not majorizes([1 / 3, 1 / 3, 1 / 3], [0.5, 0.5])
+
+
+def test_majorizes_float_mass_gap_within_tolerance_does_not_decide():
+    # the masses differ by 1e-10 < MASS_TOL; the padded tail compares them
+    assert majorizes([1.0], [0.5, 0.5])
+    assert majorizes([1.0 - 1e-10], [0.5, 0.5])
+    assert not majorizes([0.5, 0.5], [1.0 - 1e-10])
 
 
 def test_prefix_sums_truncates_and_pads():
