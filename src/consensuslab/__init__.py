@@ -26,4 +26,4 @@ from .rules import (
     two_choices_rule,
     voter_rule,
 )
-from .sampler import RngStream, sample_multinomial, sample_uniform_node
+from .sampler import RngStream, sample_multinomial

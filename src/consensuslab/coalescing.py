@@ -39,21 +39,25 @@ class Graph:
             for u, nbrs in enumerate(self.adjacency):
                 if len(nbrs) == 0:
                     raise ValueError(f"node {u} has degree 0")
+            # flat CSR form: the neighbors of u are targets[offsets[u]:offsets[u+1]]
+            self._targets = np.concatenate(self.adjacency)
+            self._offsets = np.concatenate(([0], np.cumsum([len(a) for a in self.adjacency])))
 
     @property
     def is_complete(self) -> bool:
         return self.adjacency is None
 
+    def random_neighbors(self, nodes: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """One independent uniform neighbor of each entry of `nodes`."""
+        if self.is_complete:
+            r = gen.integers(0, self.n - 1, size=nodes.size)
+            return np.where(r >= nodes, r + 1, r)
+        start = self._offsets[nodes]
+        return self._targets[start + gen.integers(0, self._offsets[nodes + 1] - start)]
+
     def neighbor_map_row(self, rng: RngStream) -> np.ndarray:
         """One round of uniform neighbor choices Y(u) for all nodes."""
-        gen = rng.gen
-        if self.is_complete:
-            r = gen.integers(0, self.n - 1, size=self.n)
-            u = np.arange(self.n)
-            return np.where(r >= u, r + 1, r)
-        degrees = np.array([len(a) for a in self.adjacency])
-        picks = gen.integers(0, degrees)
-        return np.array([self.adjacency[u][picks[u]] for u in range(self.n)])
+        return self.random_neighbors(np.arange(self.n), rng.gen)
 
 
 def complete_graph(n: int) -> Graph:
@@ -151,13 +155,6 @@ class StoppingTimeSample:
         return float(np.mean(finite)) if finite else float("inf")
 
 
-def _step_complete_walks(pos: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Move each occupied node's walk to a uniform non-self node; merge."""
-    r = gen.integers(0, n - 1, size=pos.size)
-    moved = np.where(r >= pos, r + 1, r)
-    return np.unique(moved)
-
-
 def coalescence_time_stats(
     g: Graph, k: int, trials: int, rng: RngStream, max_rounds: int = 10**6
 ) -> StoppingTimeSample:
@@ -171,11 +168,7 @@ def coalescence_time_stats(
         pos = np.arange(g.n)
         t = 0
         while pos.size > k and t < max_rounds:
-            if g.is_complete:
-                pos = _step_complete_walks(pos, g.n, gen)
-            else:
-                row = g.neighbor_map_row(rng.child(trial, "maps", t))
-                pos = np.unique(row[pos])
+            pos = np.unique(g.random_neighbors(pos, gen))  # meeting walks merge
             t += 1
         if pos.size > k:
             censored += 1
@@ -208,7 +201,7 @@ def empirical_one_step_drift(
     outcomes = np.empty(samples)
     for s in range(samples):
         pos = gen.permutation(g.n)[:x]
-        outcomes[s] = _step_complete_walks(pos, g.n, gen).size
+        outcomes[s] = np.unique(g.random_neighbors(pos, gen)).size
     mean = float(outcomes.mean())
     sigma = float(outcomes.std(ddof=1) / np.sqrt(samples))
     return DriftEstimate(x=x, mean=mean, sigma=sigma)
@@ -221,10 +214,12 @@ def walk_count_chain(n: int):
     distinct positions.
     """
 
+    g = complete_graph(n)
+
     def step(x: float, rng: RngStream) -> float:
         gen = rng.gen
         pos = gen.permutation(n)[: int(round(x))]
-        return float(_step_complete_walks(pos, n, gen).size)
+        return float(np.unique(g.random_neighbors(pos, gen)).size)
 
     return step
 

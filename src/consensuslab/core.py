@@ -30,6 +30,11 @@ class MassMismatch(ValueError):
     """Raised when comparing vectors of unequal total mass."""
 
 
+class InvalidProbabilityVector(ValueError):
+    """Raised for a probability vector that is not 1-d, empty, has an entry
+    outside [0, 1] (NaN and +-inf included) or a mass away from 1."""
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Canonical color-support vector: sorted non-increasing, no zeros."""
@@ -61,23 +66,36 @@ class Configuration:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """Per-color adoption probabilities aligned with a configuration."""
+    """Per-color adoption probabilities aligned with a configuration.
 
-    probs: tuple[float, ...]
+    The only probability-vector check of the package: the input is copied
+    once into a read-only float64 array and validated, so every consumer,
+    the samplers included, can trust `probs` without checking it again.
+    """
+
+    probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.size == 0:
-            raise ValueError("empty probability vector")
-        if np.any(arr < -PREFIX_SLACK) or np.any(arr > 1 + PREFIX_SLACK):
-            raise ValueError("probability entries must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"probabilities sum to {arr.sum()}, expected 1")
+        arr = np.array(self.probs, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidProbabilityVector(
+                f"probability vector must be non-empty and 1-d, got shape {arr.shape}"
+            )
+        # NaN fails both comparisons and +-inf fails one, so this also
+        # rejects non-finite entries
+        if not (arr.min() >= -PREFIX_SLACK and arr.max() <= 1 + PREFIX_SLACK):
+            raise InvalidProbabilityVector("probability entries must lie in [0, 1]")
+        mass = arr.sum()
+        if abs(mass - 1.0) > MASS_TOL:
+            raise InvalidProbabilityVector(f"probabilities sum to {mass}, expected 1")
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", arr)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        """The stored read-only array (no copy)."""
+        return self.probs
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -134,10 +152,8 @@ def _sorted_values(x: VectorLike) -> np.ndarray:
     if isinstance(x, Configuration):
         return np.asarray(x.counts, dtype=float)  # already sorted
     if isinstance(x, ProbabilityVector):
-        vals = np.asarray(x.probs, dtype=float)
-    else:
-        vals = np.asarray(x, dtype=float)
-    return np.sort(vals)[::-1]
+        return np.sort(x.probs)[::-1]
+    return np.sort(np.asarray(x, dtype=float))[::-1]
 
 
 def _is_integral(x: VectorLike) -> bool:

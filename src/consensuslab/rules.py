@@ -133,7 +133,7 @@ def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
         alpha = _three_majority_alpha(x)
     else:
         alpha = plurality_enumeration_alpha(x, rule.h)
-    return ProbabilityVector(tuple(alpha))
+    return ProbabilityVector(alpha)
 
 
 def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]:
@@ -263,15 +263,12 @@ def run_until(
 
 
 def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
-    """Closed-form expected color fractions after one round.
+    """Expected color fractions after one round.
 
-    Voter: x. 2-Choices and 3-majority share x_i^2 + (1 - sum x_j^2) * x_i,
-    the identical-expectation fact that makes their runtime gap surprising.
+    An AC round is Mult(n, alpha(c)), so its expectation is alpha(c).
+    2-Choices has the 3-majority alpha as its expectation, the
+    identical-expectation fact that makes their runtime gap surprising.
     """
-    x = c.fractions()
-    if rule.kind == VOTER:
-        return ProbabilityVector(tuple(x))
-    if rule.kind == TWO_CHOICES or (rule.kind == H_MAJORITY and rule.h == 3):
-        sq = float(np.dot(x, x))
-        return ProbabilityVector(tuple(x * x + (1.0 - sq) * x))
-    raise NoClosedForm(f"no closed-form expectation for {rule}")
+    if rule.kind == TWO_CHOICES:
+        return ProbabilityVector(_three_majority_alpha(c.fractions()))
+    return process_function(rule, c)

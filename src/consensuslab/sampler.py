@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ProbabilityVector
-
-
-class InvalidProbabilityVector(ValueError):
-    pass
-
-
-class NoNeighbor(ValueError):
-    """Raised when asked for a non-self sample in a 1-node population."""
+# InvalidProbabilityVector is raised by the ProbabilityVector check and
+# stays importable from here, next to the samplers that surface it
+from .core import InvalidProbabilityVector, ProbabilityVector
 
 
 def _id_to_int(part) -> int:
@@ -57,16 +50,16 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + tuple(ids))
 
 
-def _theta_array(theta: Union[ProbabilityVector, Sequence[float], np.ndarray]) -> np.ndarray:
-    if isinstance(theta, ProbabilityVector):
-        arr = theta.as_array()
-    else:
-        arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidProbabilityVector("theta must be a non-empty 1-d vector")
-    if np.any(arr < -1e-12) or abs(arr.sum() - 1.0) > 1e-9:
-        raise InvalidProbabilityVector(f"invalid probability vector (sum={arr.sum()})")
-    return np.clip(arr, 0.0, None)
+def _normalized(theta) -> np.ndarray:
+    """theta clipped at 0 and rescaled to sum 1, for numpy's sum(pvals) <= 1.
+
+    A ProbabilityVector was checked when it was built and is trusted; any
+    other sequence goes through the same check by becoming one.
+    """
+    if not isinstance(theta, ProbabilityVector):
+        theta = ProbabilityVector(theta)
+    arr = np.clip(theta.probs, 0.0, None)
+    return arr / arr.sum()
 
 
 def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
@@ -79,18 +72,14 @@ def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
     """
     if m < 0:
         raise ValueError("trial count must be >= 0")
-    arr = _theta_array(theta)
-    # guard against float drift: numpy requires sum(pvals) <= 1
-    arr = arr / arr.sum()
-    return rng.gen.multinomial(m, arr)
+    return rng.gen.multinomial(m, _normalized(theta))
 
 
 def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
     """Explicit conditional-binomial multinomial, kept for cross-validation."""
     if m < 0:
         raise ValueError("trial count must be >= 0")
-    arr = _theta_array(theta)
-    arr = arr / arr.sum()
+    arr = _normalized(theta)
     counts = np.zeros(len(arr), dtype=np.int64)
     remaining = m
     mass_left = 1.0
@@ -108,19 +97,6 @@ def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
 
 def sample_multinomial_reference(m: int, theta, rng: RngStream) -> np.ndarray:
     """Per-trial categorical reference sampler (O(m), unbiased by construction)."""
-    arr = _theta_array(theta)
-    arr = arr / arr.sum()
+    arr = _normalized(theta)
     draws = rng.gen.choice(len(arr), size=m, p=arr)
     return np.bincount(draws, minlength=len(arr)).astype(np.int64)
-
-
-def sample_uniform_node(n: int, exclude_self: bool, self_index: int, rng: RngStream) -> int:
-    """Uniform node index over [n], or over [n] minus self_index."""
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    if not exclude_self:
-        return int(rng.gen.integers(0, n))
-    if n < 2:
-        raise NoNeighbor("cannot sample a non-self node when n = 1")
-    r = int(rng.gen.integers(0, n - 1))
-    return r + 1 if r >= self_index else r

@@ -5,13 +5,16 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensuslab
 from consensuslab.coalescing import (
     coalescence_time_stats,
     complete_graph,
@@ -325,6 +328,9 @@ def test_11_cli_determinism_across_workers(tmp_path):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    # the child interpreter imports the same package as the tests do
+    src_root = str(Path(consensuslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_root}
     outputs = []
     for workers in ("1", "4", "1"):
         proc = subprocess.run(
@@ -334,6 +340,7 @@ def test_11_cli_determinism_across_workers(tmp_path):
             ],
             capture_output=True,
             timeout=300,
+            env=env,
         )
         assert proc.returncode == 0
         outputs.append(proc.stdout)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import consensuslab
 from consensuslab.cli import (
     USAGE_ERROR,
     VALIDATION_FAILURE,
@@ -14,12 +17,17 @@ from consensuslab.cli import (
 )
 
 
+# the child interpreter imports the same package as the tests do
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(consensuslab.__file__).resolve().parents[1])}
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "consensuslab.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=CLI_ENV,
     )
     return proc
 

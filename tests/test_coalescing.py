@@ -112,6 +112,27 @@ def test_coalescence_time_stats_small():
     assert sample.mean <= 20 * g.n
 
 
+def test_coalescence_time_stats_on_cycles():
+    # an odd cycle is not bipartite, so all walks meet; on an even cycle
+    # walks at odd distance never do, so k = 1 is always censored
+    odd = coalescence_time_stats(cycle_graph(9), k=1, trials=20, rng=RngStream(12))
+    assert odd.censored == 0
+    assert all(1 <= t < 10**4 for t in odd.times)
+    even = coalescence_time_stats(cycle_graph(8), k=1, trials=5, rng=RngStream(12), max_rounds=500)
+    assert even.censored == 5
+    # from 8 walks, neighbor moves keep the two parity classes apart
+    assert coalescence_time_stats(cycle_graph(8), k=2, trials=5, rng=RngStream(13)).censored == 0
+
+
+def test_explicit_graph_random_neighbors_match_adjacency():
+    g = graph_from_edge_list("4 4\n0 1\n0 2\n0 3\n1 2\n")
+    nodes = np.repeat(np.arange(4), 2000)
+    picks = g.random_neighbors(nodes, np.random.default_rng(0))
+    for u in range(4):
+        got = np.bincount(picks[nodes == u], minlength=4)
+        assert set(np.flatnonzero(got)) == set(g.adjacency[u].tolist())
+
+
 def test_coalescence_time_stats_k_equals_n_is_zero():
     g = complete_graph(10)
     sample = coalescence_time_stats(g, k=10, trials=5, rng=RngStream(11))

@@ -1,4 +1,5 @@
 import json
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from consensuslab.core import (
     Configuration,
     InvalidConfiguration,
+    InvalidProbabilityVector,
     ProbabilityVector,
     StopCondition,
     canonicalize,
@@ -113,6 +115,22 @@ def test_probability_vector_validation():
         ProbabilityVector((0.5, 0.6))
     with pytest.raises(ValueError):
         ProbabilityVector((-0.1, 1.1))
+    # NaN fails no comparison and must still be rejected; so must +-inf,
+    # a 2-d input and an empty one
+    for bad in ((nan,), (nan, 1.0), (inf,), (-inf, 1.0), ((0.5, 0.5),), ()):
+        with pytest.raises(InvalidProbabilityVector):
+            ProbabilityVector(bad)
+
+
+def test_probability_vector_stores_a_read_only_copy():
+    src = np.array([0.25, 0.75])
+    p = ProbabilityVector(src)
+    src[0] = 0.9
+    assert p.as_array().tolist() == [0.25, 0.75]
+    assert p.as_array() is p.probs
+    assert p.probs.dtype == np.float64
+    with pytest.raises(ValueError):
+        p.probs[0] = 0.5
 
 
 def test_stop_condition_validation():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,30 @@ def _dominance_oracle(rule_p, rule_q, n):
             if deficit[worst] > PREFIX_SLACK:
                 violations.append((c.counts, ct.counts, worst + 1, float(deficit[worst])))
     return pairs, violations
+
+
+@pytest.mark.parametrize(
+    "rule_p, rule_q, digest",
+    [
+        (
+            h_majority_rule(4),
+            h_majority_rule(3),
+            "b46d312332343a8174f48a7f60ddc9835fe46b023aa51518d44e6a59ca1e78d6",
+        ),
+        (
+            voter_rule(),
+            h_majority_rule(3),
+            "21b560d670bcec73a901301da9edb37426cdd5b29fe41c197522bc8a850b3e26",
+        ),
+    ],
+    ids=["hmaj4-hmaj3", "voter-hmaj3"],
+)
+def test_check_dominance_report_is_bit_stable(rule_p, rule_q, digest):
+    # the margins are differences of alpha floats, so this digest pins every
+    # alpha value (and its path through ProbabilityVector) bit for bit
+    report = check_dominance(rule_p, rule_q, 12).to_dict()
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -169,7 +169,19 @@ def test_two_choices_expected_fractions_match_three_majority():
     c = canonicalize([5, 3, 2])
     a = expected_fraction_after_step(two_choices_rule(), c).as_array()
     b = process_function(h_majority_rule(3), c).as_array()
-    assert np.allclose(a, b, atol=1e-12)
+    assert a.tolist() == b.tolist()
+
+
+def test_ac_expected_fractions_are_the_process_function():
+    # E[Mult(n, alpha) / n] = alpha for every AC rule, h = 2 and h = 4 included
+    c = canonicalize([5, 3, 2])
+    for h in (2, 4):
+        rule = h_majority_rule(h)
+        mu = expected_fraction_after_step(rule, c).as_array()
+        assert mu.tolist() == process_function(rule, c).as_array().tolist()
+    assert expected_fraction_after_step(h_majority_rule(2), c).as_array().tolist() == (
+        c.fractions().tolist()
+    )
 
 
 def test_two_choices_empirical_mean_matches_formula():

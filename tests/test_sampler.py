@@ -4,12 +4,10 @@ from scipy import stats
 
 from consensuslab.sampler import (
     InvalidProbabilityVector,
-    NoNeighbor,
     RngStream,
     sample_multinomial,
     sample_multinomial_conditional,
     sample_multinomial_reference,
-    sample_uniform_node,
 )
 
 
@@ -48,6 +46,8 @@ def test_multinomial_rejects_bad_theta():
         sample_multinomial(10, [0.5, -0.5, 1.0], rng)
     with pytest.raises(InvalidProbabilityVector):
         sample_multinomial_conditional(10, [0.0, 0.0], rng)
+    with pytest.raises(InvalidProbabilityVector):
+        sample_multinomial(10, [float("nan"), 1.0], rng)
 
 
 def test_multinomial_degenerate_theta():
@@ -98,22 +98,3 @@ def test_conditional_and_default_agree_in_distribution():
     pv = stats.chi2_contingency(table).pvalue
     assert pv > 1e-3
 
-
-def test_sample_uniform_node_excludes_self():
-    rng = RngStream(5)
-    hits = np.zeros(4, dtype=int)
-    for t in range(4000):
-        v = sample_uniform_node(4, exclude_self=True, self_index=2, rng=rng.child(t))
-        assert v != 2
-        hits[v] += 1
-    assert hits[2] == 0
-    # remaining three nodes should be roughly uniform
-    pv = stats.chisquare(hits[[0, 1, 3]]).pvalue
-    assert pv > 1e-3
-
-
-def test_sample_uniform_node_degenerate():
-    rng = RngStream(5)
-    with pytest.raises(NoNeighbor):
-        sample_uniform_node(1, exclude_self=True, self_index=0, rng=rng)
-    assert sample_uniform_node(1, exclude_self=False, self_index=0, rng=rng) == 0
