@@ -155,12 +155,34 @@ class StoppingTimeSample:
         return float(np.mean(finite)) if finite else float("inf")
 
 
+def _walk_classes(g: Graph) -> int:
+    """Classes of walks that never meet: per connected component, 2 if it is
+    bipartite (each move flips every walk's side), else 1."""
+    if g.is_complete:
+        return 2 if g.n == 2 else 1
+    side, classes = [-1] * g.n, 0
+    for root in range(g.n):
+        if side[root] < 0:
+            side[root], stack, bipartite = 0, [root], True
+            while stack:
+                u = stack.pop()
+                for v in g.adjacency[u].tolist():
+                    if side[v] < 0:
+                        side[v] = 1 - side[u]
+                        stack.append(v)
+                    bipartite = bipartite and side[v] != side[u]
+            classes += 2 if bipartite else 1
+    return classes
+
+
 def coalescence_time_stats(
     g: Graph, k: int, trials: int, rng: RngStream, max_rounds: int = 10**6
 ) -> StoppingTimeSample:
     """Empirical samples of the time for the walk count to drop to <= k."""
     if not 1 <= k <= g.n:
         raise ValueError("need 1 <= k <= n")
+    if k < _walk_classes(g):  # no trial can finish: report all censored unrun
+        return StoppingTimeSample(target=k, times=[float("inf")] * trials, censored=trials)
     times: list[float] = []
     censored = 0
     for trial in range(trials):

@@ -79,17 +79,7 @@ class ProbabilityVector:
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidProbabilityVector(
-                f"probability vector must be non-empty and 1-d, got shape {arr.shape}"
-            )
-        # NaN fails both comparisons and +-inf fails one, so this also
-        # rejects non-finite entries
-        if not (arr.min() >= -PREFIX_SLACK and arr.max() <= 1 + PREFIX_SLACK):
-            raise InvalidProbabilityVector("probability entries must lie in [0, 1]")
-        mass = arr.sum()
-        if abs(mass - 1.0) > MASS_TOL:
-            raise InvalidProbabilityVector(f"probabilities sum to {mass}, expected 1")
+        multinomial_pvals(arr)  # the check; the pvals are not kept
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -99,6 +89,28 @@ class ProbabilityVector:
 
     def __len__(self) -> int:
         return len(self.probs)
+
+
+def multinomial_pvals(probs) -> np.ndarray:
+    """The probability-vector check, then probs (a ProbabilityVector or a
+    sequence) clipped at 0 and rescaled to sum 1, for numpy's multinomial."""
+    arr = np.asarray(probs.probs if isinstance(probs, ProbabilityVector) else probs, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidProbabilityVector(
+            f"probability vector must be non-empty and 1-d, got shape {arr.shape}"
+        )
+    lo = arr.min()
+    # NaN fails both comparisons and +-inf fails one, so this also
+    # rejects non-finite entries
+    if not (lo >= -PREFIX_SLACK and arr.max() <= 1 + PREFIX_SLACK):
+        raise InvalidProbabilityVector("probability entries must lie in [0, 1]")
+    mass = arr.sum()
+    if abs(mass - 1.0) > MASS_TOL:
+        raise InvalidProbabilityVector(f"probabilities sum to {mass}, expected 1")
+    if lo >= 0:
+        return arr / mass  # the clip is the identity
+    arr = np.clip(arr, 0.0, None)
+    return arr / arr.sum()
 
 
 @dataclass(frozen=True)
@@ -139,13 +151,21 @@ def canonicalize(raw_counts: Sequence[int]) -> Configuration:
         raise InvalidConfiguration(f"count vector must be 1-d, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidConfiguration("empty count vector")
+    return Configuration(tuple(canonical_counts(arr).tolist()))
+
+
+def canonical_counts(arr: np.ndarray) -> np.ndarray:
+    """Sort a non-empty 1-d integer array in place and return its positive
+    part, non-increasing, as a read-only view: the canonical counts."""
     arr.sort()
     if arr[0] < 0:
-        raise InvalidConfiguration(f"negative count in {raw_counts}")
+        raise InvalidConfiguration(f"negative count {arr[0]}")
     positive = np.count_nonzero(arr)
     if positive == 0:
         raise InvalidConfiguration("all counts are zero")
-    return Configuration(tuple(arr[::-1][:positive].tolist()))
+    out = arr[::-1][:positive]
+    out.flags.writeable = False
+    return out
 
 
 def _sorted_values(x: VectorLike) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,10 +106,10 @@ class TrajectoryRecord:
     max_support: list[int] = field(default_factory=list)
     peak: int = 0  # largest support over every round, recorded or not
 
-    def append(self, t: int, c: Configuration):
+    def append(self, t: int, counts: Sequence[int]) -> None:  # a tuple or an int64 array
         self.rounds.append(t)
-        self.number_of_colors.append(c.number_of_colors())
-        self.max_support.append(c.counts[0])
+        self.number_of_colors.append(len(counts))
+        self.max_support.append(int(counts[0]))
 
 
 def simulate_to_stop(
@@ -123,18 +123,18 @@ def simulate_to_stop(
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
     c = spec.initial.build(spec.n)
     traj = TrajectoryRecord(peak=c.counts[0])
-    traj.append(0, c)
+    traj.append(0, c.counts)
     every = spec.record_every
 
-    def on_round(t: int, c: Configuration) -> None:
-        traj.peak = max(traj.peak, c.counts[0])
+    def on_round(t: int, counts: np.ndarray) -> None:
+        traj.peak = max(traj.peak, int(counts[0]))
         if every and t % every == 0:
-            traj.append(t, c)
+            traj.append(t, counts)
 
     stop_time, c = run_until(rule, c, spec.stop, rng, on_round)
     last = spec.stop.max_rounds if stop_time is None else stop_time
     if traj.rounds[-1] != last:
-        traj.append(last, c)
+        traj.append(last, c.counts)
     return stop_time, traj
 
 

@@ -15,8 +15,9 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .core import Configuration, ProbabilityVector, StopCondition, canonicalize
-from .sampler import RngStream, sample_multinomial
+from .core import Configuration, ProbabilityVector, StopCondition, canonical_counts, canonicalize
+from .core import multinomial_pvals
+from .sampler import RngStream
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
 
@@ -121,19 +122,21 @@ def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
     return p
 
 
-def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
-    """Adoption-probability vector alpha(c) for an AC rule."""
+def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
+    """Unchecked alpha at fractions x; process_function and the AC round share it."""
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
-    x = c.fractions()
-    if rule.kind == VOTER or (rule.kind == H_MAJORITY and rule.h <= 2):
+    if rule.kind == VOTER or rule.h <= 2:
         # sampling 1 node, or 2 with a uniform tie-break, is plain Voter
-        alpha = x
-    elif rule.kind == H_MAJORITY and rule.h == 3:
-        alpha = _three_majority_alpha(x)
-    else:
-        alpha = plurality_enumeration_alpha(x, rule.h)
-    return ProbabilityVector(alpha)
+        return x
+    if rule.h == 3:
+        return _three_majority_alpha(x)
+    return plurality_enumeration_alpha(x, rule.h)
+
+
+def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
+    """Adoption-probability vector alpha(c) for an AC rule."""
+    return ProbabilityVector(_alpha(rule, c.fractions()))
 
 
 def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]:
@@ -149,11 +152,51 @@ def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]
     raise NoClosedForm(f"no rational closed form for h = {rule.h}")
 
 
+def _counts(c: Configuration) -> np.ndarray:
+    return np.array(c.counts, dtype=np.int64)
+
+
+def _configuration(counts: np.ndarray) -> Configuration:
+    return Configuration(tuple(counts.tolist()))
+
+
+def _ac_round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One synchronous round of an AC process: Mult(n, alpha(counts / n))."""
+    return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
+
+
+def _two_choices_per_node(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    node_colors = np.repeat(np.arange(len(counts)), counts)
+    new_colors, _, _ = two_choices_node_round(node_colors, gen)
+    return canonical_counts(np.bincount(new_colors, minlength=len(counts)))
+
+
+def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One 2-Choices round, blockwise, or per node when k^2 > 8n."""
+    k = len(counts)
+    if k * k > 8 * n:
+        return _two_choices_per_node(counts, gen)
+    q = (counts / n) ** 2  # prob both samples show color i
+    new_counts = np.zeros(k, dtype=np.int64)
+    for j in range(k):
+        theta = q.copy()
+        theta[j] = 0.0  # moving to own color is just keeping it
+        stay = 1.0 - theta.sum()
+        movers = gen.multinomial(counts[j], np.append(theta, stay))
+        new_counts += movers[:k]
+        new_counts[j] += movers[k]
+    return canonical_counts(new_counts)
+
+
+def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    if rule.kind == TWO_CHOICES:
+        return _two_choices_round(counts, n, gen)
+    return _ac_round(rule, counts, n, gen)
+
+
 def step_ac(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
     """One synchronous round of an AC process: Mult(n, alpha(c))."""
-    alpha = process_function(rule, c)
-    counts = sample_multinomial(c.n, alpha, rng)
-    return canonicalize(counts)
+    return _configuration(_ac_round(rule, _counts(c), c.n, rng.gen))
 
 
 def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
@@ -178,30 +221,15 @@ def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Con
 
 
 def step_two_choices(c: Configuration, rng: RngStream) -> Configuration:
-    """One round of 2-Choices: adopt color i iff both samples show i.
+    """One 2-Choices round: adopt color i iff both samples show i.
 
     Blockwise path: for each source color j, the movers to the other colors
     follow Mult(c_j, ((c_i/n)^2)_i, stay) via one multinomial draw, which is
     the sequentially conditioned binomial scheme. With many colors
-    (k^2 > 8n) the per-node round of step_two_choices_reference is cheaper.
+    (k^2 > 8n) the per-node round of step_two_choices_per_node is cheaper.
     Both paths realize the same one-step law.
     """
-    k = len(c.counts)
-    n = c.n
-    if k * k > 8 * n:
-        return step_two_choices_reference(c, rng)
-    counts = np.asarray(c.counts, dtype=np.int64)
-    q = (counts / n) ** 2  # prob both samples show color i
-    new_counts = np.zeros(k, dtype=np.int64)
-    gen = rng.gen
-    for j in range(k):
-        theta = q.copy()
-        theta[j] = 0.0  # moving to own color is just keeping it
-        stay = 1.0 - theta.sum()
-        movers = gen.multinomial(counts[j], np.append(theta, stay))
-        new_counts += movers[:k]
-        new_counts[j] += movers[k]
-    return canonicalize(new_counts)
+    return _configuration(_two_choices_round(_counts(c), c.n, rng.gen))
 
 
 def two_choices_node_round(
@@ -220,22 +248,19 @@ def two_choices_node_round(
     return np.where(s1 == s2, s1, node_colors), i1, i2
 
 
-def step_two_choices_reference(c: Configuration, rng: RngStream) -> Configuration:
-    """Per-node 2-Choices round: the production path when colors are many.
+def step_two_choices_per_node(c: Configuration, rng: RngStream) -> Configuration:
+    """Per-node 2-Choices round, the production path for k^2 > 8n; the
+    tests cross-check it in distribution against the blockwise path."""
+    return _configuration(_two_choices_per_node(_counts(c), rng.gen))
 
-    step_two_choices takes it for k^2 > 8n; the tests cross-check it in
-    distribution against the blockwise path.
-    """
-    node_colors = np.repeat(np.arange(len(c.counts)), c.counts)
-    new_colors, _, _ = two_choices_node_round(node_colors, rng.gen)
-    return canonicalize(np.bincount(new_colors, minlength=len(c.counts)))
+
+# the per-node round's former name
+step_two_choices_reference = step_two_choices_per_node
 
 
 def step_rule(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
     """Dispatch one round for any implemented rule."""
-    if rule.kind == TWO_CHOICES:
-        return step_two_choices(c, rng)
-    return step_ac(rule, c, rng)
+    return _configuration(_round(rule, _counts(c), c.n, rng.gen))
 
 
 def run_until(
@@ -243,23 +268,26 @@ def run_until(
     c: Configuration,
     stop: StopCondition,
     rng: RngStream,
-    on_round: Optional[Callable[[int, Configuration], None]] = None,
+    on_round: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[Optional[int], Configuration]:
     """Step `rule` from c until at most stop.kappa colors remain.
 
     Returns (t, c_t): t is the first round with at most kappa colors (0 if
     c already has them), or None if max_rounds pass first; c_t is the last
-    configuration. on_round(t, c_t) is called after every round.
+    configuration. on_round(t, counts) is called after every round with the
+    round's canonical counts: a read-only int64 array, non-increasing, no
+    zeros. The state stays such an array; the draws are step_rule's.
     """
     if c.number_of_colors() <= stop.kappa:
         return 0, c
+    counts, n, gen = _counts(c), c.n, rng.gen
     for t in range(1, stop.max_rounds + 1):
-        c = step_rule(rule, c, rng)
+        counts = _round(rule, counts, n, gen)
         if on_round is not None:
-            on_round(t, c)
-        if c.number_of_colors() <= stop.kappa:
-            return t, c
-    return None, c
+            on_round(t, counts)
+        if len(counts) <= stop.kappa:
+            return t, _configuration(counts)
+    return None, _configuration(counts)
 
 
 def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> ProbabilityVector:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# InvalidProbabilityVector is raised by the ProbabilityVector check and
+# InvalidProbabilityVector is raised by the probability-vector check and
 # stays importable from here, next to the samplers that surface it
-from .core import InvalidProbabilityVector, ProbabilityVector
+from .core import InvalidProbabilityVector, multinomial_pvals
 
 
 def _id_to_int(part) -> int:
@@ -50,18 +50,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + tuple(ids))
 
 
-def _normalized(theta) -> np.ndarray:
-    """theta clipped at 0 and rescaled to sum 1, for numpy's sum(pvals) <= 1.
-
-    A ProbabilityVector was checked when it was built and is trusted; any
-    other sequence goes through the same check by becoming one.
-    """
-    if not isinstance(theta, ProbabilityVector):
-        theta = ProbabilityVector(theta)
-    arr = np.clip(theta.probs, 0.0, None)
-    return arr / arr.sum()
-
-
 def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
     """Draw counts ~ Mult(m, theta); counts always sum to m.
 
@@ -72,14 +60,14 @@ def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
     """
     if m < 0:
         raise ValueError("trial count must be >= 0")
-    return rng.gen.multinomial(m, _normalized(theta))
+    return rng.gen.multinomial(m, multinomial_pvals(theta))
 
 
 def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
     """Explicit conditional-binomial multinomial, kept for cross-validation."""
     if m < 0:
         raise ValueError("trial count must be >= 0")
-    arr = _normalized(theta)
+    arr = multinomial_pvals(theta)
     counts = np.zeros(len(arr), dtype=np.int64)
     remaining = m
     mass_left = 1.0
@@ -97,6 +85,6 @@ def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
 
 def sample_multinomial_reference(m: int, theta, rng: RngStream) -> np.ndarray:
     """Per-trial categorical reference sampler (O(m), unbiased by construction)."""
-    arr = _normalized(theta)
+    arr = multinomial_pvals(theta)
     draws = rng.gen.choice(len(arr), size=m, p=arr)
     return np.bincount(draws, minlength=len(arr)).astype(np.int64)

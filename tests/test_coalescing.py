@@ -124,6 +124,27 @@ def test_coalescence_time_stats_on_cycles():
     assert coalescence_time_stats(cycle_graph(8), k=2, trials=5, rng=RngStream(13)).censored == 0
 
 
+def test_coalescence_time_stats_censors_unreachable_k_without_stepping(monkeypatch):
+    # walks in different components, or on opposite sides of a bipartite
+    # one, never meet; at the default max_rounds of 10**6 each such trial
+    # would run for about 20 s, so none may take a step
+    square_and_triangle = graph_from_edge_list("7 7\n0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 4\n")
+    two_triangles = graph_from_edge_list("6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+
+    def no_step(self, nodes, gen):
+        raise AssertionError("stepped a trial that cannot finish")
+
+    monkeypatch.setattr(Graph, "random_neighbors", no_step)
+    for g, k in ((cycle_graph(8), 1), (complete_graph(2), 1), (two_triangles, 1), (square_and_triangle, 2)):
+        sample = coalescence_time_stats(g, k, trials=3, rng=RngStream(14))
+        assert sample.censored == 3
+        assert sample.times == [float("inf")] * 3
+    monkeypatch.undo()
+    # one walk class per triangle, two on the square: these k are reachable
+    for g, k in ((two_triangles, 2), (square_and_triangle, 3)):
+        assert coalescence_time_stats(g, k, trials=3, rng=RngStream(14)).censored == 0
+
+
 def test_explicit_graph_random_neighbors_match_adjacency():
     g = graph_from_edge_list("4 4\n0 1\n0 2\n0 3\n1 2\n")
     nodes = np.repeat(np.arange(4), 2000)

@@ -12,6 +12,7 @@ from consensuslab.core import (
     StopCondition,
     canonicalize,
     majorizes,
+    multinomial_pvals,
     prefix_functional,
     prefix_sums,
 )
@@ -131,6 +132,18 @@ def test_probability_vector_stores_a_read_only_copy():
     assert p.probs.dtype == np.float64
     with pytest.raises(ValueError):
         p.probs[0] = 0.5
+
+
+def test_multinomial_pvals_match_clip_then_normalize():
+    # without a negative entry the clip is the identity, so alpha / mass must
+    # equal clip-then-normalize bit for bit
+    gen = np.random.default_rng(3)
+    for _ in range(2000):
+        counts = np.sort(gen.integers(1, 50, size=gen.integers(1, 40)))[::-1]
+        x = counts / counts.sum()
+        for alpha in (x, x * (1.0 + x - float(np.dot(x, x)))):
+            clipped = np.clip(alpha, 0.0, None)
+            assert multinomial_pvals(alpha).tolist() == (clipped / clipped.sum()).tolist()
 
 
 def test_stop_condition_validation():

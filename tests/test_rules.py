@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from consensuslab.core import canonicalize
+from consensuslab import rules
+from consensuslab.core import PREFIX_SLACK, InvalidProbabilityVector, StopCondition, canonicalize
+from consensuslab.harness import InitialCondition
 from consensuslab.rules import (
     NotAnACProcess,
     TooManyColorsForExactH,
@@ -14,11 +16,12 @@ from consensuslab.rules import (
     plurality_enumeration_alpha,
     process_function,
     process_function_exact,
+    run_until,
     step_ac,
     step_ac_reference,
     step_rule,
     step_two_choices,
-    step_two_choices_reference,
+    step_two_choices_per_node,
     two_choices_rule,
     voter_rule,
 )
@@ -154,7 +157,7 @@ def test_two_choices_modes_agree_in_distribution():
         outs = {
             # k^2 <= 8n, so step_two_choices takes the blockwise path
             "block": step_two_choices(c, rng.child("block", t)),
-            "ref": step_two_choices_reference(c, rng.child("ref", t)),
+            "ref": step_two_choices_per_node(c, rng.child("ref", t)),
         }
         for k, cfg in outs.items():
             tallies[k][cfg.counts] = tallies[k].get(cfg.counts, 0) + 1
@@ -163,6 +166,8 @@ def test_two_choices_modes_agree_in_distribution():
     table = table[:, table.sum(axis=0) >= 15]
     pv = stats.chi2_contingency(table).pvalue
     assert pv > 1e-3
+    # the per-node round's former name stays importable
+    assert rules.step_two_choices_reference is step_two_choices_per_node
 
 
 def test_two_choices_expected_fractions_match_three_majority():
@@ -212,3 +217,105 @@ def test_absorbing_consensus():
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3)):
         out = step_rule(rule, c, rng.child(rule.label()))
         assert out.counts == (10,)
+
+
+def _stepper_loop(rule, c, stop, rng):
+    """run_until written as a literal step_rule loop: its oracle."""
+    seen = []
+    if c.number_of_colors() <= stop.kappa:
+        return 0, c, seen
+    for t in range(1, stop.max_rounds + 1):
+        c = step_rule(rule, c, rng)
+        seen.append((t, c.counts))
+        if c.number_of_colors() <= stop.kappa:
+            return t, c, seen
+    return None, c, seen
+
+
+BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor")
+
+
+@pytest.mark.parametrize(
+    "rule, init, n, stop, per_node",
+    [
+        (voter_rule(), BALANCED6, 120, StopCondition(), None),
+        (h_majority_rule(2), BALANCED6, 120, StopCondition(), None),
+        (h_majority_rule(3), BALANCED6, 120, StopCondition(), None),
+        (h_majority_rule(4), BALANCED6, 120, StopCondition(), None),
+        (two_choices_rule(), InitialCondition("balanced", k=4), 2000, StopCondition(), {False}),
+        (two_choices_rule(), NCOLOR, 3000, StopCondition(kappa=200), {True}),
+        (two_choices_rule(), NCOLOR, 400, StopCondition(), {True, False}),
+        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=3), None),
+    ],
+    ids=["voter", "hmaj2", "hmaj3", "hmaj4", "2choices-blockwise", "2choices-per-node",
+         "2choices-mixed", "censored"],
+)
+def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
+    c0 = init.build(n)
+    seen = []
+
+    def on_round(t, counts):
+        # the on_round contract: read-only canonical int64 counts summing to n
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        assert counts[-1] > 0 and np.all(counts[:-1] >= counts[1:]) and counts.sum() == n
+        seen.append((t, tuple(counts.tolist())))
+
+    stream = ("oracle", rule.label(), init.label(), n)
+    t, c = run_until(rule, c0, stop, RngStream(5, stream), on_round)
+    t_ref, c_ref, seen_ref = _stepper_loop(rule, c0, stop, RngStream(5, stream))
+    assert t == t_ref
+    assert c == c_ref
+    assert seen == seen_ref
+    assert (t is None) == (stop.max_rounds == 3)
+    if per_node is not None:
+        # the 2-Choices round takes the per-node path iff k^2 > 8n
+        stepped_from = [c0.counts] + [counts for _, counts in seen_ref[:-1]]
+        assert {len(x) ** 2 > 8 * n for x in stepped_from} == per_node
+
+
+def _patch_alpha(monkeypatch, edit):
+    real = rules._alpha
+    monkeypatch.setattr(rules, "_alpha", lambda rule, x: edit(real(rule, x).copy()))
+
+
+def _last_entry(value):
+    """An alpha edit: the last entry becomes value, the first keeps the mass."""
+
+    def edit(a):
+        a[0] += a[-1] - value
+        a[-1] = value
+        return a
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda a: np.where(np.arange(len(a)) == 1, np.nan, a),
+        _last_entry(-2 * PREFIX_SLACK),
+        lambda a: 0.9 * a,
+    ],
+    ids=["nan", "below-slack", "mass-0.9"],
+)
+def test_run_until_rejects_a_bad_alpha(monkeypatch, edit):
+    _patch_alpha(monkeypatch, edit)
+    with pytest.raises(InvalidProbabilityVector):
+        run_until(h_majority_rule(3), canonicalize([5, 3, 2]), StopCondition(), RngStream(0))
+
+
+def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
+    # -1e-13 lies within PREFIX_SLACK: the check accepts it and the clip zeroes it
+    _patch_alpha(monkeypatch, _last_entry(-1e-13))
+    pvals = []
+    real = rules.multinomial_pvals
+
+    def recording(a):
+        pvals.append(real(a))
+        return pvals[-1]
+
+    monkeypatch.setattr(rules, "multinomial_pvals", recording)
+    run_until(h_majority_rule(3), canonicalize([5, 3, 2]), StopCondition(max_rounds=1), RngStream(0))
+    (p,) = pvals
+    assert p.min() == 0.0 and p[-1] == 0.0
+    assert abs(p.sum() - 1.0) <= 4 * np.finfo(float).eps
