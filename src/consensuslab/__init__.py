@@ -20,9 +20,7 @@ from .rules import (
     h_majority_rule,
     process_function,
     process_function_exact,
-    step_ac,
     step_rule,
-    step_two_choices,
     two_choices_rule,
     voter_rule,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .coalescing import (
@@ -20,7 +19,7 @@ from .coalescing import (
     duality_check,
     graph_from_edge_list,
 )
-from .core import StopCondition, canonicalize
+from .core import StopCondition
 from .dominance import check_dominance, empirical_time_dominance
 from .drift import (
     additive_drift_bound,
@@ -130,11 +129,11 @@ def _spec_from_args(args, rules) -> ExperimentSpec:
 def _emit(records: list[dict], args) -> None:
     if args.out:
         write_jsonl(records, args.out)
-        if getattr(args, "summary", None):
-            write_csv_summary(records, args.summary)
     else:
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
+    if args.summary:
+        write_csv_summary(records, args.summary)
 
 
 def _report(out: dict, args) -> None:

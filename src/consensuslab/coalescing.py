@@ -200,6 +200,13 @@ def coalescence_time_stats(
     return StoppingTimeSample(target=k, times=times, censored=censored)
 
 
+def _one_walk_step(g: Graph, x: int, gen: np.random.Generator) -> int:
+    """Place x walks on distinct uniform nodes, move each once, count the
+    distinct positions: one step of the walk-count chain."""
+    pos = gen.permutation(g.n)[:x]
+    return int(np.unique(g.random_neighbors(pos, gen)).size)
+
+
 @dataclass
 class DriftEstimate:
     x: int
@@ -222,8 +229,7 @@ def empirical_one_step_drift(
     gen = rng.gen
     outcomes = np.empty(samples)
     for s in range(samples):
-        pos = gen.permutation(g.n)[:x]
-        outcomes[s] = np.unique(g.random_neighbors(pos, gen)).size
+        outcomes[s] = _one_walk_step(g, x, gen)
     mean = float(outcomes.mean())
     sigma = float(outcomes.std(ddof=1) / np.sqrt(samples))
     return DriftEstimate(x=x, mean=mean, sigma=sigma)
@@ -239,9 +245,7 @@ def walk_count_chain(n: int):
     g = complete_graph(n)
 
     def step(x: float, rng: RngStream) -> float:
-        gen = rng.gen
-        pos = gen.permutation(n)[: int(round(x))]
-        return float(np.unique(g.random_neighbors(pos, gen)).size)
+        return float(_one_walk_step(g, int(round(x)), rng.gen))
 
     return step
 

@@ -30,10 +30,6 @@ class TooManyColorsForExactH(ValueError):
     pass
 
 
-class NoClosedForm(ValueError):
-    pass
-
-
 VOTER = "Voter"
 TWO_CHOICES = "TwoChoices"
 H_MAJORITY = "HMajority"
@@ -73,9 +69,9 @@ def h_majority_rule(h: int) -> UpdateRule:
 
 
 def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
-    # alpha_i = x_i * (1 + x_i - ||x||_2^2)
-    sq = float(np.dot(x, x))
-    return x * (1.0 + x - sq)
+    # alpha_i = x_i * (1 + x_i - ||x||_2^2); exact on an object array of Fractions
+    sq = x.dot(x)
+    return x * (1 + x - sq)
 
 
 def plurality_enumeration_alpha(x: np.ndarray, h: int) -> np.ndarray:
@@ -83,12 +79,13 @@ def plurality_enumeration_alpha(x: np.ndarray, h: int) -> np.ndarray:
 
     Iterates over all count vectors of the h samples (multinomial support);
     a color attaining the maximum multiplicity wins, ties split uniformly
-    among the tied sampled colors.
+    among the tied sampled colors. Accumulates in x's dtype, so an object
+    array of Fractions gives the exact rational alpha.
     """
     k = len(x)
     if k**h > ENUM_BUDGET:
         raise TooManyColorsForExactH(f"k^h = {k}^{h} exceeds enumeration budget")
-    alpha = np.zeros(k)
+    alpha = np.zeros(k, dtype=x.dtype)
     for counts in _compositions(h, k):
         p = _multinomial_pmf(counts, x)
         if p == 0.0:
@@ -123,7 +120,8 @@ def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
 
 
 def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
-    """Unchecked alpha at fractions x; process_function and the AC round share it."""
+    """Unchecked alpha at fractions x (floats, or Fractions in an object array);
+    process_function, process_function_exact and the AC round share it."""
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
     if rule.kind == VOTER or rule.h <= 2:
@@ -140,16 +138,9 @@ def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
 
 
 def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]:
-    """Process function over exact rationals (Voter and HMajority(h<=3))."""
-    if not rule.is_ac:
-        raise NotAnACProcess("2-Choices is not an AC process")
-    x = c.exact_fractions()
-    if rule.kind == VOTER or (rule.kind == H_MAJORITY and rule.h <= 2):
-        return x
-    if rule.kind == H_MAJORITY and rule.h == 3:
-        sq = sum(xi * xi for xi in x)
-        return [xi * (1 + xi - sq) for xi in x]
-    raise NoClosedForm(f"no rational closed form for h = {rule.h}")
+    """Process function over exact rationals, for every AC rule (h >= 4
+    within the enumeration's k^h guard)."""
+    return _alpha(rule, np.array(c.exact_fractions(), dtype=object)).tolist()
 
 
 def _counts(c: Configuration) -> np.ndarray:
@@ -165,27 +156,28 @@ def _ac_round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Gener
     return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
 
 
-def _two_choices_per_node(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    node_colors = np.repeat(np.arange(len(counts)), counts)
-    new_colors, _, _ = two_choices_node_round(node_colors, gen)
-    return canonical_counts(np.bincount(new_colors, minlength=len(counts)))
-
-
 def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """One 2-Choices round, blockwise, or per node when k^2 > 8n."""
+    """One 2-Choices round: a node adopts color i iff both its samples show i.
+
+    That event has probability q_i = (c_i/n)^2 whatever the node's own
+    color. So each node leaves, independently, with probability
+    s = sum(q), and a leaver lands on i with probability q_i / s,
+    independently of the color it left (landing on its own color keeps
+    it). Hence left_j ~ Bin(c_j, s) per color, and the landing colors of
+    all leavers together are Mult(sum(left), q / s): the exact one-step
+    law in two draws. With many colors (k^2 > 8n) the per-node round is
+    cheaper.
+    """
     k = len(counts)
     if k * k > 8 * n:
-        return _two_choices_per_node(counts, gen)
-    q = (counts / n) ** 2  # prob both samples show color i
-    new_counts = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        theta = q.copy()
-        theta[j] = 0.0  # moving to own color is just keeping it
-        stay = 1.0 - theta.sum()
-        movers = gen.multinomial(counts[j], np.append(theta, stay))
-        new_counts += movers[:k]
-        new_counts[j] += movers[k]
-    return canonical_counts(new_counts)
+        node_colors = np.repeat(np.arange(k), counts)
+        new_colors, _, _ = two_choices_node_round(node_colors, gen)
+        return canonical_counts(np.bincount(new_colors, minlength=k))
+    q = (counts / n) ** 2
+    s = q.sum()
+    left = gen.binomial(counts, s)
+    arrived = gen.multinomial(left.sum(), q / s)
+    return canonical_counts(counts - left + arrived)
 
 
 def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -194,15 +186,10 @@ def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generato
     return _ac_round(rule, counts, n, gen)
 
 
-def step_ac(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
-    """One synchronous round of an AC process: Mult(n, alpha(c))."""
-    return _configuration(_ac_round(rule, _counts(c), c.n, rng.gen))
-
-
 def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
     """Literal per-node stepper: every node samples h nodes and applies the rule.
 
-    Used to cross-validate the multinomial fast path; O(n*h) per round.
+    The labelled oracle of the multinomial AC round; O(n*h) per round.
     """
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
@@ -218,18 +205,6 @@ def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Con
         winners = vals[cnts == mx]
         new_colors[u] = winners[gen.integers(0, len(winners))]
     return canonicalize(np.bincount(new_colors, minlength=len(c.counts)))
-
-
-def step_two_choices(c: Configuration, rng: RngStream) -> Configuration:
-    """One 2-Choices round: adopt color i iff both samples show i.
-
-    Blockwise path: for each source color j, the movers to the other colors
-    follow Mult(c_j, ((c_i/n)^2)_i, stay) via one multinomial draw, which is
-    the sequentially conditioned binomial scheme. With many colors
-    (k^2 > 8n) the per-node round of step_two_choices_per_node is cheaper.
-    Both paths realize the same one-step law.
-    """
-    return _configuration(_two_choices_round(_counts(c), c.n, rng.gen))
 
 
 def two_choices_node_round(
@@ -248,18 +223,9 @@ def two_choices_node_round(
     return np.where(s1 == s2, s1, node_colors), i1, i2
 
 
-def step_two_choices_per_node(c: Configuration, rng: RngStream) -> Configuration:
-    """Per-node 2-Choices round, the production path for k^2 > 8n; the
-    tests cross-check it in distribution against the blockwise path."""
-    return _configuration(_two_choices_per_node(_counts(c), rng.gen))
-
-
-# the per-node round's former name
-step_two_choices_reference = step_two_choices_per_node
-
-
 def step_rule(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
-    """Dispatch one round for any implemented rule."""
+    """One round of any rule: Mult(n, alpha(c)) for an AC rule, the
+    2-Choices round otherwise. The one public single-round stepper."""
     return _configuration(_round(rule, _counts(c), c.n, rng.gen))
 
 

@@ -64,7 +64,8 @@ def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
 
 
 def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
-    """Explicit conditional-binomial multinomial, kept for cross-validation."""
+    """Explicit conditional-binomial multinomial: the labelled oracle of
+    sample_multinomial, kept for cross-validation."""
     if m < 0:
         raise ValueError("trial count must be >= 0")
     arr = multinomial_pvals(theta)
@@ -81,10 +82,3 @@ def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
         mass_left -= arr[i]
     counts[len(arr) - 1] += remaining
     return counts
-
-
-def sample_multinomial_reference(m: int, theta, rng: RngStream) -> np.ndarray:
-    """Per-trial categorical reference sampler (O(m), unbiased by construction)."""
-    arr = multinomial_pvals(theta)
-    draws = rng.gen.choice(len(arr), size=m, p=arr)
-    return np.bincount(draws, minlength=len(arr)).astype(np.int64)

@@ -145,7 +145,9 @@ def test_05_coalescence_time_and_drift_bounds():
 
 def test_06_stopping_time_cdf_dominance():
     c0 = canonicalize([1] * 1024)
-    stop = StopCondition(kappa=1, max_rounds=10**6)
+    # about 3x the longest of these seeds' runs (7,522 rounds): a stop check
+    # that never fires fails here instead of running 10^6 rounds per trial
+    stop = StopCondition(kappa=1, max_rounds=20_000)
     report = empirical_time_dominance(
         h_majority_rule(3),
         voter_rule(),
@@ -322,7 +324,7 @@ def test_11_cli_determinism_across_workers(tmp_path):
         "n": 128,
         "initial": "ncolor",
         "kappa": 1,
-        "max_rounds": 100000,
+        "max_rounds": 1_100,  # about 3x the longest run, 387 rounds
         "trials": 10,
         "seed": 7,
     }

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -54,7 +55,8 @@ def test_parse_initial():
 
 def test_simulate_emits_one_json_line_per_trial():
     proc = run_cli(
-        "simulate", "--rule", "voter", "--n", "32", "--trials", "3", "--seed", "1"
+        "simulate", "--rule", "voter", "--n", "32", "--trials", "3", "--seed", "1",
+        "--max-rounds", "300",
     )
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
@@ -66,7 +68,8 @@ def test_simulate_emits_one_json_line_per_trial():
 
 
 def test_simulate_deterministic_across_worker_counts():
-    args = ["simulate", "--rule", "voter", "--n", "32", "--trials", "8", "--seed", "3"]
+    args = ["simulate", "--rule", "voter", "--n", "32", "--trials", "8", "--seed", "3",
+            "--max-rounds", "190"]
     out1 = run_cli(*args, "--workers", "1").stdout
     out4 = run_cli(*args, "--workers", "4").stdout
     assert out1 == out4
@@ -78,7 +81,7 @@ def test_simulate_spec_file(tmp_path):
         "n": 32,
         "initial": "ncolor",
         "kappa": 1,
-        "max_rounds": 100000,
+        "max_rounds": 130,
         "trials": 2,
         "seed": 9,
     }
@@ -97,17 +100,30 @@ def test_simulate_writes_files(tmp_path):
     summary = tmp_path / "summary.csv"
     proc = run_cli(
         "simulate", "--rule", "voter", "--n", "32", "--trials", "2", "--seed", "1",
-        "--out", str(out), "--summary", str(summary),
+        "--max-rounds", "180", "--out", str(out), "--summary", str(summary),
     )
     assert proc.returncode == 0
     assert len(out.read_text().strip().splitlines()) == 2
     assert summary.read_text().startswith("rule,")
 
 
+def test_simulate_summary_without_out(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    code = main(["simulate", "--rule", "voter", "--n", "32", "--trials", "2", "--seed", "1",
+                 "--max-rounds", "180", "--summary", str(summary)])
+    assert code == 0
+    # the records still go to stdout, and the summary is written as well
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    with open(summary) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["rule"], row["trials"], row["censored"]) == ("voter", "2", "0")
+
+
 def test_compare_subcommand():
     proc = run_cli(
         "compare", "--fast", "3maj", "--slow", "voter", "--n", "128",
         "--trials", "100", "--seed", "2", "--epsilon", "0.2", "--expect-pass",
+        "--max-rounds", "1900",
     )
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -174,7 +190,8 @@ def test_usage_errors_exit_one():
 
 
 def test_main_callable_in_process(capsys):
-    code = main(["simulate", "--rule", "voter", "--n", "16", "--trials", "1", "--seed", "0"])
+    code = main(["simulate", "--rule", "voter", "--n", "16", "--trials", "1", "--seed", "0",
+                 "--max-rounds", "50"])
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out.strip())["rule"] == "voter"

@@ -173,7 +173,8 @@ def test_dkw_epsilon_shrinks_with_trials():
 
 def test_empirical_time_dominance_same_rule_passes():
     c0 = canonicalize([1] * 64)
-    stop = StopCondition(kappa=1, max_rounds=10**5)
+    # each cap is about 3x the longest run its seed gives (here 457 rounds)
+    stop = StopCondition(kappa=1, max_rounds=1_300)
     report = empirical_time_dominance(
         voter_rule(), voter_rule(), c0, stop, trials=100, rng=RngStream(7)
     )
@@ -187,7 +188,7 @@ def test_empirical_time_dominance_detects_clear_gap():
     # the slow side should not appear faster
     c_fast = canonicalize([63, 1])
     c_slow = canonicalize([1] * 64)
-    stop = StopCondition(kappa=1, max_rounds=10**5)
+    stop = StopCondition(kappa=1, max_rounds=1_400)  # longest run 490 rounds
     report = empirical_time_dominance(
         voter_rule(),
         voter_rule(),
@@ -205,7 +206,7 @@ def test_empirical_time_dominance_flags_reversed_order():
     # start; the CDF deficit should blow past any reasonable epsilon
     c_fast = canonicalize([1] * 64)
     c_slow = canonicalize([63, 1])
-    stop = StopCondition(kappa=1, max_rounds=10**5)
+    stop = StopCondition(kappa=1, max_rounds=900)  # longest run 305 rounds
     report = empirical_time_dominance(
         voter_rule(),
         voter_rule(),

@@ -56,7 +56,7 @@ def test_simulate_to_stop_reaches_consensus():
         rules=(voter_rule(),),
         n=32,
         initial=InitialCondition("ncolor"),
-        stop=StopCondition(kappa=1, max_rounds=10**5),
+        stop=StopCondition(kappa=1, max_rounds=200),  # longest run 73 rounds
         trials=1,
         seed=5,
         record_every=0,
@@ -88,7 +88,7 @@ def test_max_support_peak_covers_unrecorded_rounds():
         rules=(voter_rule(),),
         n=200,
         initial=InitialCondition("balanced", k=4),
-        stop=StopCondition(kappa=2, max_rounds=10**5),
+        stop=StopCondition(kappa=2, max_rounds=1_000),  # longest run 353 rounds
         trials=50,
         seed=0,
         record_every=0,
@@ -105,7 +105,7 @@ def test_run_experiment_record_shape():
         rules=(voter_rule(), h_majority_rule(3)),
         n=32,
         initial=InitialCondition("ncolor"),
-        stop=StopCondition(kappa=1, max_rounds=10**5),
+        stop=StopCondition(kappa=1, max_rounds=300),  # longest run 104 rounds
         trials=3,
         seed=1,
         record_every=0,
@@ -122,7 +122,7 @@ def test_run_experiment_worker_count_invariance():
         rules=(voter_rule(),),
         n=32,
         initial=InitialCondition("ncolor"),
-        stop=StopCondition(kappa=1, max_rounds=10**5),
+        stop=StopCondition(kappa=1, max_rounds=350),  # longest run 120 rounds
         trials=8,
         seed=2,
         record_every=0,

@@ -17,11 +17,9 @@ from consensuslab.rules import (
     process_function,
     process_function_exact,
     run_until,
-    step_ac,
     step_ac_reference,
     step_rule,
-    step_two_choices,
-    step_two_choices_per_node,
+    two_choices_node_round,
     two_choices_rule,
     voter_rule,
 )
@@ -76,6 +74,17 @@ def test_three_majority_exact_value():
     assert sum(exact) == 1
 
 
+def test_exact_plurality_alpha_sums_to_one_and_matches_floats():
+    for counts in ([5, 3, 2], [6, 2, 2, 2], [4, 4, 3, 1]):
+        c = canonicalize(counts)
+        for h in (4, 5):
+            exact = process_function_exact(h_majority_rule(h), c)
+            assert all(isinstance(a, Fraction) for a in exact)
+            assert sum(exact) == 1
+            approx = process_function(h_majority_rule(h), c).as_array()
+            assert np.max(np.abs(np.array(exact, dtype=float) - approx)) <= 1e-12
+
+
 def test_plurality_alpha_is_probability_vector():
     x = np.array([0.4, 0.3, 0.2, 0.1])
     for h in (3, 4, 5):
@@ -113,18 +122,15 @@ def test_h_majority_alpha_matches_per_node_simulation():
     assert np.all(np.abs(freq - alpha) <= 5 * sigma + 1e-9)
 
 
-def test_step_ac_preserves_population_size():
-    rng = RngStream(3)
-    c = canonicalize([10, 6, 4])
-    for rule in (voter_rule(), h_majority_rule(3), h_majority_rule(4)):
-        out = step_ac(rule, c, rng.child(rule.label()))
-        assert out.n == c.n
-
-
-def test_step_ac_rejects_two_choices():
-    rng = RngStream(3)
-    with pytest.raises(NotAnACProcess):
-        step_ac(two_choices_rule(), canonicalize([3, 3]), rng)
+def test_ac_only_entry_points_reject_two_choices():
+    c = canonicalize([3, 3])
+    for ac_only in (
+        lambda: process_function(two_choices_rule(), c),
+        lambda: process_function_exact(two_choices_rule(), c),
+        lambda: step_ac_reference(two_choices_rule(), c, RngStream(3)),
+    ):
+        with pytest.raises(NotAnACProcess):
+            ac_only()
 
 
 def test_step_ac_reference_agrees_in_distribution():
@@ -135,7 +141,7 @@ def test_step_ac_reference_agrees_in_distribution():
     seen_fast = {}
     seen_ref = {}
     for t in range(draws):
-        a = step_ac(rule, c, rng.child("fast", t)).counts
+        a = step_rule(rule, c, rng.child("fast", t)).counts
         b = step_ac_reference(rule, c, rng.child("ref", t)).counts
         seen_fast[a] = seen_fast.get(a, 0) + 1
         seen_ref[b] = seen_ref.get(b, 0) + 1
@@ -148,26 +154,66 @@ def test_step_ac_reference_agrees_in_distribution():
     assert pv > 1e-3
 
 
+def _two_choices_exact_law(counts):
+    """Exact law of the sorted counts after one 2-Choices round.
+
+    Each node independently moves to color i != own with probability
+    (c_i/n)^2, else keeps its color; the nodes are convolved one by one
+    in Fractions.
+    """
+    n, k = sum(counts), len(counts)
+    q = [Fraction(ci, n) ** 2 for ci in counts]
+    law = {(0,) * k: Fraction(1)}
+    for own, c_own in enumerate(counts):
+        move = [q[i] if i != own else 1 - sum(q) + q[own] for i in range(k)]
+        for _ in range(c_own):
+            step = {}
+            for state, p in law.items():
+                for i, p_i in enumerate(move):
+                    nxt = state[:i] + (state[i] + 1,) + state[i + 1 :]
+                    step[nxt] = step.get(nxt, 0) + p * p_i
+            law = step
+    exact = {}
+    for state, p in law.items():
+        key = canonicalize(state).counts
+        exact[key] = exact.get(key, 0) + p
+    assert sum(exact.values()) == 1
+    return exact
+
+
+def _closed_form_round(c, rng):
+    return step_rule(two_choices_rule(), c, rng).counts
+
+
+def _per_node_round(c, rng):
+    node_colors = np.repeat(np.arange(len(c.counts)), c.counts)
+    new_colors, _, _ = two_choices_node_round(node_colors, rng.gen)
+    return canonicalize(np.bincount(new_colors, minlength=len(c.counts))).counts
+
+
 def test_two_choices_modes_agree_in_distribution():
-    c = canonicalize([4, 2])
-    rng = RngStream(31)
-    draws = 6000
-    tallies = {"block": {}, "ref": {}}
-    for t in range(draws):
-        outs = {
-            # k^2 <= 8n, so step_two_choices takes the blockwise path
-            "block": step_two_choices(c, rng.child("block", t)),
-            "ref": step_two_choices_per_node(c, rng.child("ref", t)),
-        }
-        for k, cfg in outs.items():
-            tallies[k][cfg.counts] = tallies[k].get(cfg.counts, 0) + 1
-    keys = sorted(set().union(*[set(t) for t in tallies.values()]))
-    table = np.array([[tallies[k].get(key, 0) for key in keys] for k in tallies])
-    table = table[:, table.sum(axis=0) >= 15]
-    pv = stats.chi2_contingency(table).pvalue
-    assert pv > 1e-3
-    # the per-node round's former name stays importable
-    assert rules.step_two_choices_reference is step_two_choices_per_node
+    # both 2-Choices rounds, the closed-form counts draw step_rule takes at
+    # k^2 <= 8n and the per-node round, against the exact one-step law
+    draws = 4000
+    for counts in ([4, 2], [3, 2, 1], [2, 2, 1, 1]):
+        c = canonicalize(counts)
+        assert len(c.counts) ** 2 <= 8 * c.n  # step_rule takes the closed form
+        exact = _two_choices_exact_law(c.counts)
+        outcomes = sorted(exact)
+        for round_fn in (_closed_form_round, _per_node_round):
+            rng = RngStream(31, ("exact-law", round_fn.__name__) + c.counts)
+            tally = dict.fromkeys(outcomes, 0)
+            for _ in range(draws):
+                tally[round_fn(c, rng)] += 1  # a KeyError is an impossible outcome
+            observed = np.array([tally[o] for o in outcomes], dtype=float)
+            expected = np.array([float(exact[o]) for o in outcomes]) * draws
+            # pool the outcomes expected fewer than 5 times into one cell
+            rare = expected < 5
+            if rare.any():
+                observed = np.append(observed[~rare], observed[rare].sum())
+                expected = np.append(expected[~rare], expected[rare].sum())
+            pv = stats.chisquare(observed, expected).pvalue
+            assert pv > 1e-3, (counts, round_fn.__name__, pv)
 
 
 def test_two_choices_expected_fractions_match_three_majority():
@@ -198,17 +244,18 @@ def test_two_choices_empirical_mean_matches_formula():
     draws = 20000
     vals = np.empty(draws)
     for t in range(draws):
-        out = step_two_choices(c, rng.child(t))
+        out = step_rule(two_choices_rule(), c, rng.child(t))
         vals[t] = out.counts[0] / c.n
     assert abs(vals.mean() - mu) < 0.005
 
 
 def test_step_rule_dispatch():
     rng = RngStream(1)
-    c = canonicalize([4, 4])
-    for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3)):
-        out = step_rule(rule, c, rng.child(rule.label()))
-        assert out.n == 8
+    for counts in ([4, 4], [10, 6, 4]):
+        c = canonicalize(counts)
+        for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
+            out = step_rule(rule, c, rng.child(rule.label(), *counts))
+            assert out.n == c.n
 
 
 def test_absorbing_consensus():
@@ -238,13 +285,16 @@ BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor"
 @pytest.mark.parametrize(
     "rule, init, n, stop, per_node",
     [
-        (voter_rule(), BALANCED6, 120, StopCondition(), None),
-        (h_majority_rule(2), BALANCED6, 120, StopCondition(), None),
-        (h_majority_rule(3), BALANCED6, 120, StopCondition(), None),
-        (h_majority_rule(4), BALANCED6, 120, StopCondition(), None),
-        (two_choices_rule(), InitialCondition("balanced", k=4), 2000, StopCondition(), {False}),
+        # the caps are about 3x the longest run these seeds give, so a stop
+        # check that never fires fails fast instead of running 10^6 rounds
+        (voter_rule(), BALANCED6, 120, StopCondition(max_rounds=900), None),
+        (h_majority_rule(2), BALANCED6, 120, StopCondition(max_rounds=500), None),
+        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=39), None),
+        (h_majority_rule(4), BALANCED6, 120, StopCondition(max_rounds=36), None),
+        (two_choices_rule(), InitialCondition("balanced", k=4), 2000, StopCondition(max_rounds=60),
+         {False}),
         (two_choices_rule(), NCOLOR, 3000, StopCondition(kappa=200), {True}),
-        (two_choices_rule(), NCOLOR, 400, StopCondition(), {True, False}),
+        (two_choices_rule(), NCOLOR, 400, StopCondition(max_rounds=360), {True, False}),
         (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=3), None),
     ],
     ids=["voter", "hmaj2", "hmaj3", "hmaj4", "2choices-blockwise", "2choices-per-node",

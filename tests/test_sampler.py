@@ -7,7 +7,6 @@ from consensuslab.sampler import (
     RngStream,
     sample_multinomial,
     sample_multinomial_conditional,
-    sample_multinomial_reference,
 )
 
 
@@ -34,7 +33,7 @@ def test_child_stream_is_stable_across_string_and_int_ids():
 
 def test_multinomial_counts_sum_to_m():
     rng = RngStream(0)
-    for sampler in (sample_multinomial, sample_multinomial_conditional, sample_multinomial_reference):
+    for sampler in (sample_multinomial, sample_multinomial_conditional):
         x = sampler(50, [0.2, 0.3, 0.5], rng.child(sampler.__name__))
         assert x.sum() == 50
         assert (x >= 0).all()
@@ -64,7 +63,7 @@ def _gof_pvalue(counts_by_outcome, probs_by_outcome, total):
 
 @pytest.mark.parametrize(
     "sampler",
-    [sample_multinomial, sample_multinomial_conditional, sample_multinomial_reference],
+    [sample_multinomial, sample_multinomial_conditional],
 )
 def test_multinomial_matches_enumerated_law(sampler):
     # m=2 over 2 categories: outcomes (2,0),(1,1),(0,2) with probs p^2, 2pq, q^2
