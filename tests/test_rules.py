@@ -133,6 +133,15 @@ def test_ac_only_entry_points_reject_two_choices():
             ac_only()
 
 
+def test_step_ac_preserves_population_size():
+    """The AC rules' step (through step_rule) keeps n fixed."""
+    rng = RngStream(3)
+    c = canonicalize([10, 6, 4])
+    for rule in (voter_rule(), h_majority_rule(3), h_majority_rule(4)):
+        out = step_rule(rule, c, rng.child(rule.label()))
+        assert out.n == c.n
+
+
 def test_step_ac_reference_agrees_in_distribution():
     c = canonicalize([3, 2, 1])
     rule = h_majority_rule(3)
