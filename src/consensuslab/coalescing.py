@@ -95,10 +95,19 @@ class RandomMapTable:
 
 
 def draw_map_table(g: Graph, t_max: int, rng: RngStream) -> RandomMapTable:
-    rows = np.empty((t_max, g.n), dtype=np.int64)
-    for t in range(t_max):
-        rows[t] = g.neighbor_map_row(rng)
-    return RandomMapTable(rows)
+    """All t_max rounds of neighbor choices in one draw, row t = round t.
+
+    Same stream as t_max successive `neighbor_map_row` calls: the neighbor
+    draw takes one bounded integer per entry, in order.
+    """
+    nodes = np.tile(np.arange(g.n), t_max)
+    return RandomMapTable(g.random_neighbors(nodes, rng.gen).reshape(t_max, g.n))
+
+
+def _distinct_per_row(a: np.ndarray) -> np.ndarray:
+    """Number of distinct values in each row of a 2-d int array."""
+    s = np.sort(a, axis=1)
+    return 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
 
 
 @dataclass
@@ -108,19 +117,19 @@ class CoalescenceTrajectory:
 
 def run_coalescence(g: Graph, maps: RandomMapTable) -> CoalescenceTrajectory:
     """Deterministically run walks through the map table: X_t = Y_{t-1}(X_{t-1})."""
-    pos = np.arange(g.n)
-    counts = [g.n]
+    pos = np.empty((maps.rounds + 1, g.n), dtype=np.int64)
+    pos[0] = np.arange(g.n)
     for t in range(maps.rounds):
-        pos = maps.maps[t][pos]
-        counts.append(int(np.unique(pos).size))
-    return CoalescenceTrajectory(counts)
+        pos[t + 1] = maps.maps[t][pos[t]]
+    return CoalescenceTrajectory(_distinct_per_row(pos).tolist())
 
 
 def run_voter_with_maps(g: Graph, maps: RandomMapTable, tau: int) -> int:
     """Opinion count after tau Voter rounds run through the reversed maps.
 
-    Every node starts with its own color; round r pulls through map row
-    Y_{tau-r}. Returns the number of distinct surviving opinions.
+    The literal per-tau oracle of `_voter_counts_all_horizons`. Every node
+    starts with its own color; round r pulls through map row Y_{tau-r}.
+    Returns the number of distinct surviving opinions.
     """
     if tau > maps.rounds:
         raise ValueError("tau exceeds available map rounds")
@@ -130,12 +139,36 @@ def run_voter_with_maps(g: Graph, maps: RandomMapTable, tau: int) -> int:
     return int(np.unique(opinions).size)
 
 
+def _voter_counts_all_horizons(g: Graph, maps: RandomMapTable) -> np.ndarray:
+    """`run_voter_with_maps(g, maps, tau)` for every tau in 0..rounds at once.
+
+    Binary lifting: horizon tau pulls through one window of 2^j rounds per
+    set bit j of tau, lowest bit first, so the windows run from round tau-1
+    down to round 0. Row s of `window` pulls through rounds s..s+2^j-1
+    (latest first); two adjacent windows compose into the next level's.
+    """
+    t_max = maps.rounds
+    taus = np.arange(t_max + 1)
+    opinions = np.tile(np.arange(g.n), (t_max + 1, 1))
+    window = maps.maps
+    length = 1
+    while length <= t_max:
+        rows = taus[(taus & length) != 0]
+        end = rows & ~(length - 1)  # the windows of the lower bits are pulled already
+        opinions[rows] = np.take_along_axis(opinions[rows], window[end - length], axis=1)
+        if 2 * length <= t_max:
+            window = np.take_along_axis(window[length:], window[:-length], axis=1)
+        length *= 2
+    return _distinct_per_row(opinions)
+
+
 def duality_check(g: Graph, t_max: int, rng: RngStream) -> bool:
     """Assert the exact duality: voter opinions == walk count at every tau."""
     maps = draw_map_table(g, t_max, rng)
     traj = run_coalescence(g, maps)
+    voter_counts = _voter_counts_all_horizons(g, maps).tolist()
     for tau in range(t_max + 1):
-        voter = run_voter_with_maps(g, maps, tau)
+        voter = voter_counts[tau]
         if voter != traj.walk_counts[tau]:
             raise CouplingViolation(
                 f"tau={tau}: voter has {voter} opinions, walks number {traj.walk_counts[tau]}"

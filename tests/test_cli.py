@@ -73,6 +73,10 @@ def test_simulate_deterministic_across_worker_counts():
     out1 = run_cli(*args, "--workers", "1").stdout
     out4 = run_cli(*args, "--workers", "4").stdout
     assert out1 == out4
+    # all-censored runs would be equal too: every trial must have stopped
+    records = [json.loads(ln) for ln in out1.splitlines()]
+    assert len(records) == 8
+    assert all(r["stop_time"] is not None for r in records)
 
 
 def test_simulate_spec_file(tmp_path):

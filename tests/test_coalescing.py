@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from consensuslab import coalescing
 from consensuslab.coalescing import (
+    CouplingViolation,
     Graph,
     complete_graph,
     coalescence_time_stats,
@@ -63,6 +65,50 @@ def test_voter_with_maps_tau_zero_keeps_all_opinions():
     g = complete_graph(16)
     maps = draw_map_table(g, 10, RngStream(2))
     assert run_voter_with_maps(g, maps, 0) == 16
+
+
+# unequal degrees: 4, 2, 2, 1, 2, 1
+IRREGULAR = "6 6\n0 1\n0 2\n0 3\n0 4\n1 2\n4 5\n"
+
+
+def test_lifted_voter_replay_matches_per_tau_oracle():
+    # powers of two and their neighbours add a level, use the top bit alone, or both
+    for g in (complete_graph(9), cycle_graph(7), graph_from_edge_list(IRREGULAR)):
+        for t_max in (0, 1, 2, 3, 7, 8, 9, 64):
+            maps = draw_map_table(g, t_max, RngStream(20, (g.n, t_max)))
+            lifted = coalescing._voter_counts_all_horizons(g, maps).tolist()
+            assert lifted == [run_voter_with_maps(g, maps, tau) for tau in range(t_max + 1)]
+
+
+def _forward_voter_counts(g, maps):
+    """The wrong composition order: round r pulls through Y_{r-1}, Y_0 first."""
+    counts = []
+    for tau in range(maps.rounds + 1):
+        opinions = np.arange(g.n)
+        for row in maps.maps[:tau]:
+            opinions = opinions[row]
+        counts.append(np.unique(opinions).size)
+    return np.array(counts)
+
+
+def test_duality_check_fails_on_forward_order_replay(monkeypatch):
+    g, t_max = complete_graph(16), 30
+    maps = draw_map_table(g, t_max, RngStream(21))
+    forward = _forward_voter_counts(g, maps)
+    assert forward.tolist() != run_coalescence(g, maps).walk_counts
+    monkeypatch.setattr(coalescing, "_voter_counts_all_horizons", _forward_voter_counts)
+    with pytest.raises(CouplingViolation, match="voter has"):
+        duality_check(g, t_max, RngStream(21))
+
+
+def test_draw_map_table_matches_row_by_row_draws():
+    for g in (graph_from_edge_list(IRREGULAR), complete_graph(7)):
+        for t_max in (0, 1, 5, 33):
+            rng = RngStream(22, (g.n, t_max))
+            rows = [g.neighbor_map_row(rng) for _ in range(t_max)]
+            table = draw_map_table(g, t_max, RngStream(22, (g.n, t_max))).maps
+            assert table.shape == (t_max, g.n)
+            assert np.array_equal(table, np.array(rows, dtype=np.int64).reshape(t_max, g.n))
 
 
 def test_duality_identity_small_graphs():

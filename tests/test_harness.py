@@ -130,6 +130,9 @@ def test_run_experiment_worker_count_invariance():
     serial = run_experiment(spec, workers=1)
     parallel = run_experiment(spec, workers=4)
     assert serial == parallel
+    # all-censored runs would be equal too: every trial must have stopped
+    assert len(serial) == 8
+    assert all(r["stop_time"] is not None for r in serial)
 
 
 def test_lower_bound_params_derived_quantities():
@@ -176,6 +179,10 @@ def test_coupled_process_monotone_dominating_side():
 def test_two_phase_check_runs():
     out = run_two_phase_check(256, trials=3, seed=4)
     assert len(out["rows"]) == 3
+    for row in out["rows"]:
+        assert row["phase1_hmaj:3"] is not None
+        assert row["phase2_hmaj:3"] is not None
+        assert row["phase1_voter"] is not None
     assert 0.0 <= out["hmaj_not_slower_fraction"] <= 1.0
     assert out["voter_phase1_mean"] > 0
 
