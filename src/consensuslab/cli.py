@@ -88,9 +88,17 @@ def parse_initial(text: str) -> InitialCondition:
     raise UsageError(f"init: cannot parse {text!r}")
 
 
+SPEC_KEYS = ("rules", "n", "initial", "kappa", "max_rounds", "trials", "seed", "workers")
+
+
 def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise UsageError("spec: want a JSON object")
+    unknown = sorted(set(raw) - set(SPEC_KEYS))
+    if unknown:
+        raise UsageError(f"spec: unknown field {unknown[0]!r} (want {', '.join(SPEC_KEYS)})")
     try:
         rules = tuple(parse_rule(r) for r in raw["rules"])
         spec = ExperimentSpec(
@@ -103,7 +111,6 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
             ),
             trials=int(raw["trials"]),
             seed=int(raw["seed"]),
-            record_every=int(raw.get("record_every", 0)),
         )
     except KeyError as exc:
         raise UsageError(f"spec: missing field {exc.args[0]!r}")
@@ -113,8 +120,6 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
 
 
 def _spec_from_args(args, rules) -> ExperimentSpec:
-    if args.n < 1:
-        raise UsageError("n: must be >= 1")
     return ExperimentSpec(
         rules=tuple(rules),
         n=args.n,
@@ -122,7 +127,6 @@ def _spec_from_args(args, rules) -> ExperimentSpec:
         stop=StopCondition(kappa=args.kappa, max_rounds=args.max_rounds),
         trials=args.trials,
         seed=args.seed,
-        record_every=0,
     )
 
 
@@ -152,7 +156,7 @@ def cmd_simulate(args) -> int:
     else:
         spec = _spec_from_args(args, [parse_rule(args.rule)])
         workers = args.workers or 1
-    records = run_experiment(spec, workers=workers, subcommand="simulate")
+    records = run_experiment(spec, workers=workers)
     _emit(records, args)
     return 0
 
@@ -196,6 +200,17 @@ def cmd_dominance_check(args) -> int:
     if args.expect_zero and report.violations:
         return VALIDATION_FAILURE
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must do work: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_graph(text: str):
@@ -272,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_init=True, with_stop=True):
         p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--trials", type=_positive_int, default=100)
         p.add_argument("--seed", type=int, default=0)
         if with_stop:
             p.add_argument("--kappa", type=int, default=1)
@@ -308,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="exact voter/coalescence duality check")
     p.add_argument("--graph", default="complete:64")
     p.add_argument("--t-max", type=int, default=200)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_duality)

@@ -83,25 +83,15 @@ def graph_from_edge_list(text: str) -> Graph:
     return Graph(n, [np.array(sorted(s)) for s in nbrs])
 
 
-@dataclass
-class RandomMapTable:
-    """maps[t][u] = the uniformly chosen neighbor of u in round t."""
-
-    maps: np.ndarray  # shape (t_max, n)
-
-    @property
-    def rounds(self) -> int:
-        return self.maps.shape[0]
-
-
-def draw_map_table(g: Graph, t_max: int, rng: RngStream) -> RandomMapTable:
-    """All t_max rounds of neighbor choices in one draw, row t = round t.
+def draw_map_table(g: Graph, t_max: int, rng: RngStream) -> np.ndarray:
+    """All t_max rounds of neighbor choices in one draw: a (t_max, n) int64
+    array whose entry [t, u] is the neighbor u chose in round t.
 
     Same stream as t_max successive `neighbor_map_row` calls: the neighbor
     draw takes one bounded integer per entry, in order.
     """
     nodes = np.tile(np.arange(g.n), t_max)
-    return RandomMapTable(g.random_neighbors(nodes, rng.gen).reshape(t_max, g.n))
+    return g.random_neighbors(nodes, rng.gen).reshape(t_max, g.n)
 
 
 def _distinct_per_row(a: np.ndarray) -> np.ndarray:
@@ -110,47 +100,43 @@ def _distinct_per_row(a: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
 
 
-@dataclass
-class CoalescenceTrajectory:
-    walk_counts: list[int]
-
-
-def run_coalescence(g: Graph, maps: RandomMapTable) -> CoalescenceTrajectory:
-    """Deterministically run walks through the map table: X_t = Y_{t-1}(X_{t-1})."""
-    pos = np.empty((maps.rounds + 1, g.n), dtype=np.int64)
+def run_coalescence(g: Graph, maps: np.ndarray) -> np.ndarray:
+    """Walk count at every t in 0..t_max of walks run through the map table:
+    X_t = Y_{t-1}(X_{t-1})."""
+    pos = np.empty((len(maps) + 1, g.n), dtype=np.int64)
     pos[0] = np.arange(g.n)
-    for t in range(maps.rounds):
-        pos[t + 1] = maps.maps[t][pos[t]]
-    return CoalescenceTrajectory(_distinct_per_row(pos).tolist())
+    for t, row in enumerate(maps):
+        pos[t + 1] = row[pos[t]]
+    return _distinct_per_row(pos)
 
 
-def run_voter_with_maps(g: Graph, maps: RandomMapTable, tau: int) -> int:
+def run_voter_with_maps(g: Graph, maps: np.ndarray, tau: int) -> int:
     """Opinion count after tau Voter rounds run through the reversed maps.
 
     The literal per-tau oracle of `_voter_counts_all_horizons`. Every node
     starts with its own color; round r pulls through map row Y_{tau-r}.
     Returns the number of distinct surviving opinions.
     """
-    if tau > maps.rounds:
+    if tau > len(maps):
         raise ValueError("tau exceeds available map rounds")
     opinions = np.arange(g.n)
     for r in range(1, tau + 1):
-        opinions = opinions[maps.maps[tau - r]]
+        opinions = opinions[maps[tau - r]]
     return int(np.unique(opinions).size)
 
 
-def _voter_counts_all_horizons(g: Graph, maps: RandomMapTable) -> np.ndarray:
-    """`run_voter_with_maps(g, maps, tau)` for every tau in 0..rounds at once.
+def _voter_counts_all_horizons(g: Graph, maps: np.ndarray) -> np.ndarray:
+    """`run_voter_with_maps(g, maps, tau)` for every tau in 0..t_max at once.
 
     Binary lifting: horizon tau pulls through one window of 2^j rounds per
     set bit j of tau, lowest bit first, so the windows run from round tau-1
     down to round 0. Row s of `window` pulls through rounds s..s+2^j-1
     (latest first); two adjacent windows compose into the next level's.
     """
-    t_max = maps.rounds
+    t_max = len(maps)
     taus = np.arange(t_max + 1)
     opinions = np.tile(np.arange(g.n), (t_max + 1, 1))
-    window = maps.maps
+    window = maps
     length = 1
     while length <= t_max:
         rows = taus[(taus & length) != 0]
@@ -165,14 +151,14 @@ def _voter_counts_all_horizons(g: Graph, maps: RandomMapTable) -> np.ndarray:
 def duality_check(g: Graph, t_max: int, rng: RngStream) -> bool:
     """Assert the exact duality: voter opinions == walk count at every tau."""
     maps = draw_map_table(g, t_max, rng)
-    traj = run_coalescence(g, maps)
-    voter_counts = _voter_counts_all_horizons(g, maps).tolist()
-    for tau in range(t_max + 1):
-        voter = voter_counts[tau]
-        if voter != traj.walk_counts[tau]:
-            raise CouplingViolation(
-                f"tau={tau}: voter has {voter} opinions, walks number {traj.walk_counts[tau]}"
-            )
+    walks = run_coalescence(g, maps)
+    voter = _voter_counts_all_horizons(g, maps)
+    bad = np.flatnonzero(voter != walks)
+    if bad.size:
+        tau = int(bad[0])
+        raise CouplingViolation(
+            f"tau={tau}: voter has {voter[tau]} opinions, walks number {walks[tau]}"
+        )
     return True
 
 

@@ -11,7 +11,7 @@ bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -229,17 +229,7 @@ def validate_bound(
         raise HypothesisFailed(f"empirical drift below h at {drift_points}")
 
     # (b) hitting-time bound
-    bound = variable_drift_bound_lw14(
-        DriftFunction(
-            x_min=max(k, h.x_min),
-            x_max=h.x_max,
-            a=h.a,
-            b=h.b,
-            grid_x=h.grid_x,
-            grid_h=h.grid_h,
-        ),
-        x0,
-    ).bound
+    bound = variable_drift_bound_lw14(replace(h, x_min=max(k, h.x_min)), x0).bound
     times = np.empty(trials)
     for trial in range(trials):
         stream = rng.child("time", trial)

@@ -13,8 +13,8 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class InitialCondition:
     counts: tuple[int, ...] = ()
 
     def build(self, n: int) -> Configuration:
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if self.kind == "ncolor":
             return Configuration(tuple([1] * n))
         if self.kind == "balanced":
@@ -90,7 +92,6 @@ class ExperimentSpec:
     stop: StopCondition
     trials: int
     seed: int
-    record_every: int = 0  # 0 => summary only
 
     def __post_init__(self):
         if self.trials < 1:
@@ -99,50 +100,28 @@ class ExperimentSpec:
             raise ValueError("n must be >= 1")
 
 
-@dataclass
-class TrajectoryRecord:
-    rounds: list[int] = field(default_factory=list)
-    number_of_colors: list[int] = field(default_factory=list)
-    max_support: list[int] = field(default_factory=list)
-    peak: int = 0  # largest support over every round, recorded or not
-
-    def append(self, t: int, counts: Sequence[int]) -> None:  # a tuple or an int64 array
-        self.rounds.append(t)
-        self.number_of_colors.append(len(counts))
-        self.max_support.append(int(counts[0]))
-
-
 def simulate_to_stop(
     rule: UpdateRule, spec: ExperimentSpec, trial: int
-) -> tuple[Optional[int], TrajectoryRecord]:
-    """One seeded trial; returns (stopping time or None if censored, trajectory).
-
-    The trajectory holds round 0, every record_every-th round and the last
-    round; its peak covers every round.
-    """
+) -> tuple[Optional[int], int]:
+    """One seeded trial; returns (stopping time or None if censored, peak),
+    where peak is the largest support over every round, round 0 included."""
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
     c = spec.initial.build(spec.n)
-    traj = TrajectoryRecord(peak=c.counts[0])
-    traj.append(0, c.counts)
-    every = spec.record_every
+    peak = c.counts[0]
 
     def on_round(t: int, counts: np.ndarray) -> None:
-        traj.peak = max(traj.peak, int(counts[0]))
-        if every and t % every == 0:
-            traj.append(t, counts)
+        nonlocal peak
+        peak = max(peak, int(counts[0]))
 
-    stop_time, c = run_until(rule, c, spec.stop, rng, on_round)
-    last = spec.stop.max_rounds if stop_time is None else stop_time
-    if traj.rounds[-1] != last:
-        traj.append(last, c.counts)
-    return stop_time, traj
+    stop_time, _ = run_until(rule, c, spec.stop, rng, on_round)
+    return stop_time, peak
 
 
 def _trial_record(args) -> dict:
-    spec, rule, trial, subcommand = args
-    stop_time, traj = simulate_to_stop(rule, spec, trial)
+    spec, rule, trial = args
+    stop_time, peak = simulate_to_stop(rule, spec, trial)
     return {
-        "subcommand": subcommand,
+        "subcommand": "simulate",
         "rule": rule.label(),
         "n": spec.n,
         "kappa": spec.stop.kappa,
@@ -150,16 +129,14 @@ def _trial_record(args) -> dict:
         "trial": trial,
         "stop_time": stop_time,
         "censored": stop_time is None,
-        "max_support_peak": traj.peak,
+        "max_support_peak": peak,
         "metadata": METADATA,
     }
 
 
-def run_experiment(
-    spec: ExperimentSpec, workers: int = 1, subcommand: str = "simulate"
-) -> list[dict]:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """Run all (rule, trial) pairs; output order is scheduling-independent."""
-    jobs = [(spec, rule, trial, subcommand) for rule in spec.rules for trial in range(spec.trials)]
+    jobs = [(spec, rule, trial) for rule in spec.rules for trial in range(spec.trials)]
     if workers <= 1:
         return [_trial_record(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -99,6 +99,27 @@ def test_simulate_spec_file(tmp_path):
     assert rules == {"voter", "hmaj:3"}
 
 
+SPEC = {"rules": ["voter"], "n": 32, "initial": "ncolor", "trials": 1, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # typos would otherwise run silently to the default kappa
+        ({**SPEC, "kapa": 64, "max_round": 3}, "unknown field 'kapa'"),
+        ({**SPEC, "record_every": 1}, "unknown field 'record_every'"),
+        ([SPEC], "want a JSON object"),
+    ],
+)
+def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--spec", str(path)]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_simulate_writes_files(tmp_path):
     out = tmp_path / "runs.jsonl"
     summary = tmp_path / "summary.csv"
@@ -180,7 +201,7 @@ def test_drift_bound_subcommand():
     assert rec["bound"] == 50.0
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     assert run_cli("simulate", "--rule", "nope").returncode == USAGE_ERROR
     assert run_cli("simulate", "--rule", "voter", "--n", "0").returncode == USAGE_ERROR
     assert run_cli("duality", "--graph", "torus:9").returncode == USAGE_ERROR
@@ -191,6 +212,19 @@ def test_usage_errors_exit_one():
     assert run_cli("lower-bound", "--kappa", "2").returncode == USAGE_ERROR
     assert run_cli("two-phase", "--max-rounds", "9").returncode == USAGE_ERROR
     assert run_cli("--help").returncode == 0
+    # counts that would do no work, or a run from an empty configuration
+    for argv in (
+        ["duality", "--runs", "-3"],
+        ["duality", "--runs", "0"],
+        ["lower-bound", "--trials", "-2"],
+        ["two-phase", "--trials", "-1"],
+        ["simulate", "--trials", "0"],
+        ["compare", "--fast", "3maj", "--slow", "voter", "--n", "0"],
+        ["lower-bound", "--n", "0"],
+    ):
+        assert main(argv) == USAGE_ERROR, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_main_callable_in_process(capsys):

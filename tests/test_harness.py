@@ -1,11 +1,11 @@
 import csv
-import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from consensuslab import harness
 from consensuslab.core import Configuration, StopCondition, canonicalize
 from consensuslab.harness import (
     CouplingViolation,
@@ -21,7 +21,7 @@ from consensuslab.harness import (
     write_csv_summary,
     write_jsonl,
 )
-from consensuslab.rules import h_majority_rule, two_choices_rule, voter_rule
+from consensuslab.rules import h_majority_rule, run_until, two_choices_rule, voter_rule
 from consensuslab.sampler import RngStream
 
 
@@ -59,12 +59,23 @@ def test_simulate_to_stop_reaches_consensus():
         stop=StopCondition(kappa=1, max_rounds=200),  # longest run 73 rounds
         trials=1,
         seed=5,
-        record_every=0,
     )
-    t, traj = simulate_to_stop(voter_rule(), spec, trial=0)
+    t, peak = simulate_to_stop(voter_rule(), spec, trial=0)
     assert t is not None and t >= 1
-    assert traj.number_of_colors[-1] == 1
-    assert traj.max_support[-1] == 32
+    assert peak == 32  # consensus: one colour holds every node
+
+
+def test_simulate_to_stop_peak_counts_round_zero():
+    # a start already at kappa colours stops before any round is drawn
+    spec = ExperimentSpec(
+        rules=(voter_rule(),),
+        n=32,
+        initial=InitialCondition("explicit", counts=(20, 12)),
+        stop=StopCondition(kappa=2, max_rounds=10),
+        trials=1,
+        seed=5,
+    )
+    assert simulate_to_stop(voter_rule(), spec, trial=0) == (0, 20)
 
 
 def test_simulate_to_stop_censors():
@@ -75,13 +86,12 @@ def test_simulate_to_stop_censors():
         stop=StopCondition(kappa=1, max_rounds=2),
         trials=1,
         seed=5,
-        record_every=0,
     )
     t, _ = simulate_to_stop(voter_rule(), spec, trial=0)
     assert t is None
 
 
-def test_max_support_peak_covers_unrecorded_rounds():
+def test_max_support_peak_covers_unrecorded_rounds(monkeypatch):
     # Voter from 4 balanced colors often peaks above both its start and its
     # stop; the summary record must report that peak, not max(start, stop)
     spec = ExperimentSpec(
@@ -91,13 +101,28 @@ def test_max_support_peak_covers_unrecorded_rounds():
         stop=StopCondition(kappa=2, max_rounds=1_000),  # longest run 353 rounds
         trials=50,
         seed=0,
-        record_every=0,
     )
-    every_round = dataclasses.replace(spec, record_every=1)
-    for rec in run_experiment(spec):
-        t, traj = simulate_to_stop(voter_rule(), every_round, rec["trial"])
-        assert t == rec["stop_time"] and traj.rounds == list(range(t + 1))
-        assert rec["max_support_peak"] == max(traj.max_support)
+    runs = []  # per trial: the largest support of round 0 and of every round after it
+
+    def spy(rule, c, stop, rng, on_round):
+        supports = [c.counts[0]]
+        runs.append(supports)
+
+        def record(t, counts):
+            supports.append(int(counts[0]))
+            on_round(t, counts)
+
+        return run_until(rule, c, stop, rng, record)
+
+    monkeypatch.setattr(harness, "run_until", spy)
+    records = run_experiment(spec)
+    assert len(runs) == len(records) == 50
+    interior_peaks = 0
+    for rec, supports in zip(records, runs):
+        assert len(supports) == rec["stop_time"] + 1
+        assert rec["max_support_peak"] == max(supports)
+        interior_peaks += max(supports) > max(supports[0], supports[-1])
+    assert interior_peaks > 0
 
 
 def test_run_experiment_record_shape():
@@ -108,7 +133,6 @@ def test_run_experiment_record_shape():
         stop=StopCondition(kappa=1, max_rounds=300),  # longest run 104 rounds
         trials=3,
         seed=1,
-        record_every=0,
     )
     records = run_experiment(spec, workers=1)
     assert len(records) == 6
@@ -125,7 +149,6 @@ def test_run_experiment_worker_count_invariance():
         stop=StopCondition(kappa=1, max_rounds=350),  # longest run 120 rounds
         trials=8,
         seed=2,
-        record_every=0,
     )
     serial = run_experiment(spec, workers=1)
     parallel = run_experiment(spec, workers=4)
