@@ -1,14 +1,13 @@
 """Simulation and verification toolkit for pull-based consensus dynamics
 (Voter, 2-Choices, h-majority) on the complete graph."""
 
-# set before the submodule imports: harness reads it for its output metadata
+# set before the submodule imports: cli reads it for its output metadata
 __version__ = "0.1.0"
 
 from .core import (
     Configuration,
     InvalidConfiguration,
     MassMismatch,
-    ProbabilityVector,
     StopCondition,
     canonicalize,
     majorizes,

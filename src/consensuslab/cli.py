@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .coalescing import (
     CouplingViolation,
     complete_graph,
@@ -28,7 +29,6 @@ from .drift import (
     variable_drift_bound_lw14,
 )
 from .harness import (
-    METADATA,
     ExperimentSpec,
     InitialCondition,
     LowerBoundParams,
@@ -43,6 +43,7 @@ from .sampler import RngStream
 
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
+METADATA = {"log_base": "e", "version": __version__}
 
 
 class UsageError(ValueError):
@@ -131,6 +132,10 @@ def _spec_from_args(args, rules) -> ExperimentSpec:
 
 
 def _emit(records: list[dict], args) -> None:
+    """Stamp each simulate record like _report does, then print or write it."""
+    for rec in records:
+        rec["subcommand"] = args.command
+        rec["metadata"] = METADATA
     if args.out:
         write_jsonl(records, args.out)
     else:
@@ -202,15 +207,20 @@ def cmd_dominance_check(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must do work: an int >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type for an int >= lo: 1 for counts that must do work, 0 for
+    a round budget or a worker count."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_graph(text: str):
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_init=True, with_stop=True):
         p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--trials", type=_positive_int, default=100)
+        p.add_argument("--trials", type=_int_at_least(1), default=100)
         p.add_argument("--seed", type=int, default=0)
         if with_stop:
             p.add_argument("--kappa", type=int, default=1)
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="stopping-time runs for one rule")
     p.add_argument("--rule", default="voter")
     p.add_argument("--spec", default=None, help="JSON ExperimentSpec file")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_int_at_least(0), default=0)
     p.add_argument("--summary", default=None, help="CSV summary path")
     common(p)
     p.set_defaults(func=cmd_simulate)
@@ -322,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality", help="exact voter/coalescence duality check")
     p.add_argument("--graph", default="complete:64")
-    p.add_argument("--t-max", type=int, default=200)
-    p.add_argument("--runs", type=_positive_int, default=10)
+    p.add_argument("--t-max", type=_int_at_least(0), default=200)
+    p.add_argument("--runs", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_duality)

@@ -1,9 +1,11 @@
-"""Configurations, probability vectors, and majorization utilities.
+"""Configurations, the probability-vector check, and majorization utilities.
 
 Shared vocabulary of the whole package: a system state is an integer vector
 of per-color supports summing to n, kept in canonical form (sorted
 non-increasing, trailing zeros trimmed). All comparisons here are
-permutation-invariant, so the canonical form loses nothing.
+permutation-invariant, so the canonical form loses nothing. A probability
+vector, such as the process function alpha(c), is a plain float64 array
+that passes multinomial_pvals' check.
 """
 
 from __future__ import annotations
@@ -66,35 +68,10 @@ class Configuration:
         return len(self.counts)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
-    """Per-color adoption probabilities aligned with a configuration.
-
-    The only probability-vector check of the package: the input is copied
-    once into a read-only float64 array and validated, so every consumer,
-    the samplers included, can trust `probs` without checking it again.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        multinomial_pvals(arr)  # the check; the pvals are not kept
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    def as_array(self) -> np.ndarray:
-        """The stored read-only array (no copy)."""
-        return self.probs
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
 def multinomial_pvals(probs) -> np.ndarray:
-    """The probability-vector check, then probs (a ProbabilityVector or a
-    sequence) clipped at 0 and rescaled to sum 1, for numpy's multinomial."""
-    arr = np.asarray(probs.probs if isinstance(probs, ProbabilityVector) else probs, dtype=float)
+    """The probability-vector check, then probs (any array-like) clipped at 0
+    and rescaled to sum 1, for numpy's multinomial."""
+    arr = np.asarray(probs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidProbabilityVector(
             f"probability vector must be non-empty and 1-d, got shape {arr.shape}"
@@ -127,7 +104,7 @@ class StopCondition:
             raise ValueError("max_rounds must be >= 1")
 
 
-VectorLike = Union[Configuration, ProbabilityVector, Sequence[float], np.ndarray]
+VectorLike = Union[Configuration, Sequence[float], np.ndarray]
 
 
 def canonicalize(raw_counts: Sequence[int]) -> Configuration:
@@ -171,16 +148,12 @@ def canonical_counts(arr: np.ndarray) -> np.ndarray:
 def _sorted_values(x: VectorLike) -> np.ndarray:
     if isinstance(x, Configuration):
         return np.asarray(x.counts, dtype=float)  # already sorted
-    if isinstance(x, ProbabilityVector):
-        return np.sort(x.probs)[::-1]
     return np.sort(np.asarray(x, dtype=float))[::-1]
 
 
 def _is_integral(x: VectorLike) -> bool:
     if isinstance(x, Configuration):
         return True
-    if isinstance(x, ProbabilityVector):
-        return False
     arr = np.asarray(x)
     return np.issubdtype(arr.dtype, np.integer)
 

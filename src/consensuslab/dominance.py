@@ -16,9 +16,9 @@ import numpy as np
 from .core import (
     PREFIX_SLACK,
     Configuration,
-    ProbabilityVector,
     StopCondition,
     majorizes,
+    multinomial_pvals,
     prefix_sums,
 )
 from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function, run_until
@@ -125,8 +125,8 @@ class StochasticMajorizationReport:
 
 
 def empirical_stochastic_majorization(
-    theta1: ProbabilityVector,
-    theta2: ProbabilityVector,
+    theta1,
+    theta2,
     m: int,
     draws: int,
     rng: RngStream,
@@ -135,7 +135,10 @@ def empirical_stochastic_majorization(
 
     Estimates E[phi_j] for every prefix functional phi_j; passes iff the
     theta1 mean is below the theta2 mean plus 3 standard errors for all j.
+    Both thetas are probability vectors (array-likes), checked on entry.
     """
+    multinomial_pvals(theta1)  # the check; the samplers rescale on their own
+    multinomial_pvals(theta2)
     if not majorizes(theta2, theta1):
         raise NotMajorized("theta2 must majorize theta1")
     if draws < 1000:
@@ -162,12 +165,13 @@ def empirical_stochastic_majorization(
     )
 
 
-def exact_prefix_expectations(theta: ProbabilityVector, m: int) -> np.ndarray:
+def exact_prefix_expectations(theta, m: int) -> np.ndarray:
     """E[phi_j(Mult(m, theta))] for all j, by enumerating the full support.
 
     Oracle for the Monte-Carlo path; feasible for small m and few categories.
+    theta is checked and rescaled exactly as sample_multinomial does.
     """
-    arr = theta.as_array()
+    arr = multinomial_pvals(theta)
     k = len(arr)
     out = np.zeros(k)
     for counts in _compositions(m, k):
@@ -214,6 +218,8 @@ def empirical_time_dominance(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     eps = dkw_epsilon(trials) if epsilon is None else epsilon
     times_fast: list[float] = []
     times_slow: list[float] = []
@@ -234,13 +240,13 @@ def empirical_time_dominance(
         else:
             times_slow.append(float(t_slow))
     fast = np.sort(np.array(times_fast))
-    slow = np.array(times_slow)
+    slow = np.sort(np.array(times_slow))
     grid = np.unique(np.concatenate([fast, slow[np.isfinite(slow)]]))
-    deficit = 0.0
-    for t in grid:
-        f_fast = np.count_nonzero(fast <= t) / trials
-        f_slow = np.count_nonzero(slow <= t) / trials
-        deficit = max(deficit, f_slow - f_fast)
+    # both empirical CDFs at every grid point; a censored slow time (+inf)
+    # is never <= t
+    f_fast = np.searchsorted(fast, grid, side="right") / trials
+    f_slow = np.searchsorted(slow, grid, side="right") / trials
+    deficit = max(0.0, float((f_slow - f_fast).max()))
     return TimeDominanceReport(
         rule_fast=rule_fast,
         rule_slow=rule_slow,

@@ -4,7 +4,7 @@ timing check, and JSON-lines/CSV output.
 
 All Monte-Carlo entry points derive one RngStream per (seed, trial,
 purpose), so results are independent of worker count and scheduling. Logs
-use natural log throughout (recorded in output metadata).
+use natural log throughout (the CLI records this in its output metadata).
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
 from .coalescing import CouplingViolation
 from .core import Configuration, StopCondition, canonicalize
 from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_round, voter_rule
 from .sampler import RngStream
-
-METADATA = {"log_base": "e", "version": __version__}
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,6 @@ def _trial_record(args) -> dict:
     spec, rule, trial = args
     stop_time, peak = simulate_to_stop(rule, spec, trial)
     return {
-        "subcommand": "simulate",
         "rule": rule.label(),
         "n": spec.n,
         "kappa": spec.stop.kappa,
@@ -130,7 +126,6 @@ def _trial_record(args) -> dict:
         "stop_time": stop_time,
         "censored": stop_time is None,
         "max_support_peak": peak,
-        "metadata": METADATA,
     }
 
 
@@ -154,6 +149,11 @@ class LowerBoundParams:
     gamma: float
     ell: int
     n: int
+
+    def __post_init__(self):
+        # t0 divides by gamma; `not >` also rejects NaN
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
     @property
     def ell_prime(self) -> int:
@@ -207,7 +207,6 @@ def run_lower_bound_experiment(
         "trials": trials,
         "exceedance_fraction": exceeded / trials if trials else 0.0,
         "first_exceedance_times": first_exceedance,
-        "metadata": METADATA,
     }
 
 
@@ -316,7 +315,6 @@ def run_two_phase_check(
         "hmaj_not_slower_fraction": wins / len(paired) if paired else None,
         "voter_phase1_mean": float(np.mean(voter_means)) if voter_means else None,
         "voter_phase1_budget_20n_over_k": 20.0 * n / k,
-        "metadata": METADATA,
     }
 
 

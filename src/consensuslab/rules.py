@@ -15,8 +15,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .core import Configuration, ProbabilityVector, StopCondition, canonical_counts, canonicalize
-from .core import multinomial_pvals
+from .core import Configuration, StopCondition, canonical_counts, canonicalize, multinomial_pvals
 from .sampler import RngStream
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
@@ -132,9 +131,17 @@ def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
     return plurality_enumeration_alpha(x, rule.h)
 
 
-def process_function(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
-    """Adoption-probability vector alpha(c) for an AC rule."""
-    return ProbabilityVector(_alpha(rule, c.fractions()))
+def _checked(alpha: np.ndarray) -> np.ndarray:
+    """alpha, a fresh float64 array, made read-only once it passes the
+    probability-vector check."""
+    multinomial_pvals(alpha)  # the check; the pvals are not kept
+    alpha.flags.writeable = False
+    return alpha
+
+
+def process_function(rule: UpdateRule, c: Configuration) -> np.ndarray:
+    """Adoption-probability vector alpha(c) for an AC rule, read-only."""
+    return _checked(_alpha(rule, c.fractions()))
 
 
 def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]:
@@ -256,7 +263,7 @@ def run_until(
     return None, _configuration(counts)
 
 
-def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> ProbabilityVector:
+def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> np.ndarray:
     """Expected color fractions after one round.
 
     An AC round is Mult(n, alpha(c)), so its expectation is alpha(c).
@@ -264,5 +271,5 @@ def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> Probabil
     identical-expectation fact that makes their runtime gap surprising.
     """
     if rule.kind == TWO_CHOICES:
-        return ProbabilityVector(_three_majority_alpha(c.fractions()))
+        return _checked(_three_majority_alpha(c.fractions()))
     return process_function(rule, c)

@@ -23,7 +23,7 @@ from consensuslab.coalescing import (
     empirical_one_step_drift,
     walk_count_chain,
 )
-from consensuslab.core import ProbabilityVector, StopCondition, canonicalize, majorizes
+from consensuslab.core import StopCondition, canonicalize, majorizes
 from consensuslab.dominance import (
     check_dominance,
     empirical_stochastic_majorization,
@@ -68,7 +68,7 @@ def _verdict(label: str, ok: bool, detail: str = ""):
 def test_01_three_majority_exact_leading_probability():
     c = canonicalize([6, 2, 2, 2])
     exact = process_function_exact(h_majority_rule(3), c)[0]
-    approx = process_function(h_majority_rule(3), c).as_array()[0]
+    approx = process_function(h_majority_rule(3), c)[0]
     ok = exact == Fraction(7, 12) and abs(approx - 7 / 12) < 1e-12
     _verdict("01 exact leading adoption probability 7/12", ok, f"got {exact}")
 
@@ -251,14 +251,12 @@ def test_09_stochastic_majorization_random_pairs():
         theta1 = np.sort(gen.dirichlet(np.ones(k)))[::-1]
         t = float(gen.uniform(0.05, 0.6))
         theta2 = (1 - t) * theta1 + t * np.eye(k)[0]
-        p1 = ProbabilityVector(tuple(theta1))
-        p2 = ProbabilityVector(tuple(theta2))
-        assert majorizes(p2.as_array(), p1.as_array())
-        e1 = exact_prefix_expectations(p1, m)
-        e2 = exact_prefix_expectations(p2, m)
+        assert majorizes(theta2, theta1)
+        e1 = exact_prefix_expectations(theta1, m)
+        e2 = exact_prefix_expectations(theta2, m)
         ok = ok and bool(np.all(e1 <= e2 + 1e-12))
         report = empirical_stochastic_majorization(
-            p1, p2, m, draws=3000, rng=RngStream(91, ("sm", pair))
+            theta1, theta2, m, draws=3000, rng=RngStream(91, ("sm", pair))
         )
         ok = ok and report.passed
         for j in range(k):

@@ -65,6 +65,11 @@ def test_simulate_emits_one_json_line_per_trial():
     assert rec["rule"] == "voter"
     assert rec["n"] == 32
     assert rec["stop_time"] >= 1
+    # the CLI, not the harness, stamps every record
+    for line in lines:
+        rec = json.loads(line)
+        assert rec["subcommand"] == "simulate"
+        assert rec["metadata"] == {"log_base": "e", "version": consensuslab.__version__}
 
 
 def test_simulate_deterministic_across_worker_counts():
@@ -176,6 +181,8 @@ def test_duality_subcommand():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rec["violations"] == 0
+    assert rec["subcommand"] == "duality"
+    assert rec["metadata"]["version"] == consensuslab.__version__
 
 
 def test_duality_cycle_and_file_graphs(tmp_path):
@@ -225,6 +232,19 @@ def test_usage_errors_exit_one(capsys):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+    # out-of-range numbers: each error names its flag or parameter
+    for argv, name in (
+        (["lower-bound", "--gamma", "0"], "gamma"),
+        (["lower-bound", "--gamma", "-1"], "gamma"),
+        (["duality", "--t-max", "-3"], "--t-max"),
+        (["simulate", "--workers", "-2"], "--workers"),
+        (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "-1", "--expect-pass"],
+         "epsilon"),
+    ):
+        assert main(argv) == USAGE_ERROR, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert name in captured.err, (argv, captured.err)
 
 
 def test_main_callable_in_process(capsys):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from consensuslab.core import PREFIX_SLACK, ProbabilityVector, StopCondition, canonicalize, majorizes
+from consensuslab import dominance
+from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes
 from consensuslab.dominance import (
     EnumerationBudgetExceeded,
     NotMajorized,
@@ -62,7 +64,7 @@ def test_violation_records_prefix_and_margin():
 
 
 def _padded_cumsum(p, d):
-    cum = np.cumsum(np.sort(p.as_array())[::-1])
+    cum = np.cumsum(np.sort(p)[::-1])
     return np.concatenate([cum, np.full(d - len(cum), cum[-1])])
 
 
@@ -102,7 +104,7 @@ def _dominance_oracle(rule_p, rule_q, n):
 )
 def test_check_dominance_report_is_bit_stable(rule_p, rule_q, digest):
     # the margins are differences of alpha floats, so this digest pins every
-    # alpha value (and its path through ProbabilityVector) bit for bit
+    # alpha value (and its path through the probability-vector check) bit for bit
     report = check_dominance(rule_p, rule_q, 12).to_dict()
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
@@ -127,21 +129,21 @@ def test_check_dominance_matches_per_pair_oracle(rule_p, rule_q):
 
 def test_exact_prefix_expectations_simple_case():
     # two symmetric categories, m=2: sorted counts are (2,0) w.p. 1/2, (1,1) w.p. 1/2
-    theta = ProbabilityVector((0.5, 0.5))
+    theta = np.array((0.5, 0.5))
     e = exact_prefix_expectations(theta, 2)
     assert np.isclose(e[0], 1.5)
     assert np.isclose(e[1], 2.0)
 
 
 def test_exact_prefix_expectations_degenerate():
-    theta = ProbabilityVector((1.0, 0.0))
+    theta = np.array((1.0, 0.0))
     e = exact_prefix_expectations(theta, 4)
     assert np.allclose(e, [4.0, 4.0])
 
 
 def test_empirical_stochastic_majorization_agrees_with_exact():
-    theta1 = ProbabilityVector((0.4, 0.35, 0.25))
-    theta2 = ProbabilityVector((0.6, 0.3, 0.1))
+    theta1 = np.array((0.4, 0.35, 0.25))
+    theta2 = np.array((0.6, 0.3, 0.1))
     m = 6
     report = empirical_stochastic_majorization(
         theta1, theta2, m, draws=4000, rng=RngStream(13)
@@ -158,8 +160,8 @@ def test_empirical_stochastic_majorization_agrees_with_exact():
 def test_empirical_stochastic_majorization_requires_majorization():
     with pytest.raises(NotMajorized):
         empirical_stochastic_majorization(
-            ProbabilityVector((0.6, 0.4)),
-            ProbabilityVector((0.5, 0.5)),
+            np.array((0.6, 0.4)),
+            np.array((0.5, 0.5)),
             4,
             draws=1000,
             rng=RngStream(0),
@@ -199,6 +201,48 @@ def test_empirical_time_dominance_detects_clear_gap():
         c0_slow=c_slow,
     )
     assert report.passed
+
+
+def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
+    # scripted stopping times (None = censored) in place of real runs; the
+    # deficit must equal a literal loop over every observed t, bit for bit
+    gen = np.random.default_rng(21)
+    stop = StopCondition(kappa=1, max_rounds=40)
+    trials = 100
+    c0 = canonicalize([1] * 8)
+    deficits, censored = [], 0
+    for case in range(12):
+        shift = 4 * (6 - case)  # slow times from well above to well below the fast ones
+        script = {}
+        for trial in range(trials):
+            for side, offset in (("fast", 0), ("slow", shift)):
+                t = int(gen.integers(0, 46)) + offset
+                script[trial, side] = None if t > stop.max_rounds else max(t, 0)
+
+        def scripted(rule, c, stop, rng):
+            return script[rng.stream_id], c
+
+        monkeypatch.setattr(dominance, "run_until", scripted)
+        report = empirical_time_dominance(
+            voter_rule(), voter_rule(), c0, stop, trials=trials, rng=RngStream(0)
+        )
+        fast = [float(stop.max_rounds) if script[i, "fast"] is None else float(script[i, "fast"])
+                for i in range(trials)]
+        slow = [math.inf if script[i, "slow"] is None else float(script[i, "slow"])
+                for i in range(trials)]
+        assert report.times_fast == fast and report.times_slow == slow
+        assert report.censored_slow == slow.count(math.inf)
+        deficit = 0.0
+        for t in sorted(set(fast) | (set(slow) - {math.inf})):
+            f_fast = sum(1 for x in fast if x <= t) / trials
+            f_slow = sum(1 for x in slow if x <= t) / trials
+            deficit = max(deficit, f_slow - f_fast)
+        assert type(report.max_cdf_deficit) is float
+        assert report.max_cdf_deficit.hex() == deficit.hex(), case
+        deficits.append(deficit)
+        censored += report.censored_slow
+    # the cases span no deficit, a large one, and censored slow trials
+    assert min(deficits) == 0.0 and max(deficits) > 0.3 and censored > 0
 
 
 def test_empirical_time_dominance_flags_reversed_order():

@@ -42,17 +42,32 @@ def test_rule_validation():
         UpdateRule(kind="Nope", h=None)
 
 
+def test_process_function_returns_a_read_only_float64_array():
+    c = canonicalize([5, 3, 2])
+    rules_ac = (voter_rule(), h_majority_rule(3), h_majority_rule(4))
+    alphas = [process_function(rule, c) for rule in rules_ac]
+    alphas.append(expected_fraction_after_step(two_choices_rule(), c))
+    for alpha in alphas:
+        assert type(alpha) is np.ndarray
+        assert alpha.dtype == np.float64
+        assert alpha.shape == (3,)
+        with pytest.raises(ValueError):
+            alpha[0] = 0.5
+    # each call returns its own array, not one shared with c or another call
+    assert not np.shares_memory(alphas[0], process_function(voter_rule(), c))
+
+
 def test_voter_alpha_is_identity_on_fractions():
     c = canonicalize([5, 3, 2])
     alpha = process_function(voter_rule(), c)
-    assert np.allclose(alpha.as_array(), c.fractions())
+    assert np.allclose(alpha, c.fractions())
 
 
 def test_h1_and_h2_majority_equal_voter_exactly():
     c = canonicalize([7, 4, 2, 1])
-    base = process_function(voter_rule(), c).as_array()
+    base = process_function(voter_rule(), c)
     for h in (1, 2):
-        alpha = process_function(h_majority_rule(h), c).as_array()
+        alpha = process_function(h_majority_rule(h), c)
         assert np.array_equal(alpha, base)
         exact = process_function_exact(h_majority_rule(h), c)
         assert exact == c.exact_fractions()
@@ -62,7 +77,7 @@ def test_three_majority_closed_form_matches_enumeration():
     for counts in ([5, 3, 2], [6, 2, 2, 2], [1, 1, 1, 1], [9, 1]):
         c = canonicalize(counts)
         x = c.fractions()
-        closed = process_function(h_majority_rule(3), c).as_array()
+        closed = process_function(h_majority_rule(3), c)
         enum = plurality_enumeration_alpha(x, 3)
         assert np.allclose(closed, enum, atol=1e-12)
 
@@ -81,7 +96,7 @@ def test_exact_plurality_alpha_sums_to_one_and_matches_floats():
             exact = process_function_exact(h_majority_rule(h), c)
             assert all(isinstance(a, Fraction) for a in exact)
             assert sum(exact) == 1
-            approx = process_function(h_majority_rule(h), c).as_array()
+            approx = process_function(h_majority_rule(h), c)
             assert np.max(np.abs(np.array(exact, dtype=float) - approx)) <= 1e-12
 
 
@@ -105,7 +120,7 @@ def test_h_majority_alpha_matches_per_node_simulation():
     # empirical adoption frequencies of the literal h-sample plurality rule
     c = canonicalize([3, 2, 1])
     rule = h_majority_rule(4)
-    alpha = process_function(rule, c).as_array()
+    alpha = process_function(rule, c)
     draws = 20000
     rng = RngStream(9)
     tally = np.zeros(len(c) , dtype=float)
@@ -227,8 +242,8 @@ def test_two_choices_modes_agree_in_distribution():
 
 def test_two_choices_expected_fractions_match_three_majority():
     c = canonicalize([5, 3, 2])
-    a = expected_fraction_after_step(two_choices_rule(), c).as_array()
-    b = process_function(h_majority_rule(3), c).as_array()
+    a = expected_fraction_after_step(two_choices_rule(), c)
+    b = process_function(h_majority_rule(3), c)
     assert a.tolist() == b.tolist()
 
 
@@ -237,9 +252,9 @@ def test_ac_expected_fractions_are_the_process_function():
     c = canonicalize([5, 3, 2])
     for h in (2, 4):
         rule = h_majority_rule(h)
-        mu = expected_fraction_after_step(rule, c).as_array()
-        assert mu.tolist() == process_function(rule, c).as_array().tolist()
-    assert expected_fraction_after_step(h_majority_rule(2), c).as_array().tolist() == (
+        mu = expected_fraction_after_step(rule, c)
+        assert mu.tolist() == process_function(rule, c).tolist()
+    assert expected_fraction_after_step(h_majority_rule(2), c).tolist() == (
         c.fractions().tolist()
     )
 
@@ -248,7 +263,7 @@ def test_two_choices_empirical_mean_matches_formula():
     # start lopsided enough that the heavy color stays on top, so the sorted
     # leading count identifies it and its mean tracks the one-step expectation
     c = canonicalize([9, 1])
-    mu = expected_fraction_after_step(two_choices_rule(), c).as_array()[0]
+    mu = expected_fraction_after_step(two_choices_rule(), c)[0]
     rng = RngStream(17)
     draws = 20000
     vals = np.empty(draws)
@@ -359,8 +374,12 @@ def _last_entry(value):
 )
 def test_run_until_rejects_a_bad_alpha(monkeypatch, edit):
     _patch_alpha(monkeypatch, edit)
+    c = canonicalize([5, 3, 2])
     with pytest.raises(InvalidProbabilityVector):
-        run_until(h_majority_rule(3), canonicalize([5, 3, 2]), StopCondition(), RngStream(0))
+        run_until(h_majority_rule(3), c, StopCondition(), RngStream(0))
+    # process_function runs the same check on the alpha it returns
+    with pytest.raises(InvalidProbabilityVector):
+        process_function(h_majority_rule(3), c)
 
 
 def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
