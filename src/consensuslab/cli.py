@@ -90,6 +90,10 @@ def parse_initial(text: str) -> InitialCondition:
 
 
 SPEC_KEYS = ("rules", "n", "initial", "kappa", "max_rounds", "trials", "seed", "workers")
+# every run flag's default; simulate applies them in _spec_from_args, so --spec sees a given flag
+RUN_DEFAULTS = dict(
+    rule="voter", n=1024, init="ncolor", kappa=1, max_rounds=10**6, trials=100, seed=0
+)
 
 
 def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
@@ -107,27 +111,32 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
             n=int(raw["n"]),
             initial=parse_initial(raw["initial"]),
             stop=StopCondition(
-                kappa=int(raw.get("kappa", 1)),
-                max_rounds=int(raw.get("max_rounds", 10**6)),
+                kappa=int(raw.get("kappa", RUN_DEFAULTS["kappa"])),
+                max_rounds=int(raw.get("max_rounds", RUN_DEFAULTS["max_rounds"])),
             ),
             trials=int(raw["trials"]),
             seed=int(raw["seed"]),
         )
+        workers = int(raw.get("workers", 1))
     except KeyError as exc:
         raise UsageError(f"spec: missing field {exc.args[0]!r}")
     except ValueError as exc:
         raise UsageError(f"spec: {exc}")
-    return spec, int(raw.get("workers", 1))
+    if workers < 0:
+        raise UsageError(f"spec: workers must be >= 0, got {workers}")
+    return spec, workers
 
 
-def _spec_from_args(args, rules) -> ExperimentSpec:
+def _spec_from_args(args) -> ExperimentSpec:
+    """simulate's spec from its run flags; an absent flag takes its default."""
+    v = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in RUN_DEFAULTS.items()}
     return ExperimentSpec(
-        rules=tuple(rules),
-        n=args.n,
-        initial=parse_initial(args.init),
-        stop=StopCondition(kappa=args.kappa, max_rounds=args.max_rounds),
-        trials=args.trials,
-        seed=args.seed,
+        rules=(parse_rule(v["rule"]),),
+        n=v["n"],
+        initial=parse_initial(v["init"]),
+        stop=StopCondition(kappa=v["kappa"], max_rounds=v["max_rounds"]),
+        trials=v["trials"],
+        seed=v["seed"],
     )
 
 
@@ -155,14 +164,12 @@ def _report(out: dict, args) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.spec:
-        spec, workers = spec_from_json(args.spec)
-        workers = args.workers or workers
-    else:
-        spec = _spec_from_args(args, [parse_rule(args.rule)])
-        workers = args.workers or 1
-    records = run_experiment(spec, workers=workers)
-    _emit(records, args)
+    given = [key for key in RUN_DEFAULTS if getattr(args, key) is not None]
+    if args.spec and given:
+        flag = "--" + given[0].replace("_", "-")
+        raise UsageError(f"simulate: {flag} cannot be combined with --spec")
+    spec, workers = spec_from_json(args.spec) if args.spec else (_spec_from_args(args), 1)
+    _emit(run_experiment(spec, workers=args.workers or workers), args)
     return 0
 
 
@@ -276,7 +283,7 @@ def cmd_drift_bound(args) -> int:
 def cmd_lower_bound(args) -> int:
     init = parse_initial(args.init)
     c0 = init.build(args.n)
-    params = LowerBoundParams(gamma=args.gamma, ell=c0.counts[0], n=args.n)
+    params = LowerBoundParams(gamma=args.gamma, ell=int(c0[0]), n=args.n)
     report = run_lower_bound_experiment(
         params, c0, args.trials, RngStream(args.seed, ("lower-bound",))
     )
@@ -296,23 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_init=True, with_stop=True):
-        p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--trials", type=_int_at_least(1), default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n", type=int, default=RUN_DEFAULTS["n"])
+        p.add_argument("--trials", type=_int_at_least(1), default=RUN_DEFAULTS["trials"])
+        p.add_argument("--seed", type=int, default=RUN_DEFAULTS["seed"])
         if with_stop:
-            p.add_argument("--kappa", type=int, default=1)
-            p.add_argument("--max-rounds", type=int, default=10**6)
+            p.add_argument("--kappa", type=int, default=RUN_DEFAULTS["kappa"])
+            p.add_argument("--max-rounds", type=int, default=RUN_DEFAULTS["max_rounds"])
         if with_init:
-            p.add_argument("--init", default="ncolor")
+            p.add_argument("--init", default=RUN_DEFAULTS["init"])
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="stopping-time runs for one rule")
-    p.add_argument("--rule", default="voter")
+    p.add_argument("--rule")
     p.add_argument("--spec", default=None, help="JSON ExperimentSpec file")
     p.add_argument("--workers", type=_int_at_least(0), default=0)
     p.add_argument("--summary", default=None, help="CSV summary path")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    # None marks a run flag not given: --spec rejects it, _spec_from_args defaults it
+    p.set_defaults(func=cmd_simulate, **dict.fromkeys(RUN_DEFAULTS))
 
     p = sub.add_parser("compare", help="paired stopping-time CDF dominance")
     p.add_argument("--fast", required=True)

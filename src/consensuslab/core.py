@@ -1,9 +1,10 @@
-"""Configurations, the probability-vector check, and majorization utilities.
+"""Canonical counts, the probability-vector check, and majorization utilities.
 
-Shared vocabulary of the whole package: a system state is an integer vector
-of per-color supports summing to n, kept in canonical form (sorted
-non-increasing, trailing zeros trimmed). All comparisons here are
-permutation-invariant, so the canonical form loses nothing. A probability
+Shared vocabulary of the whole package: a system state is the vector of
+per-color supports summing to n, kept as canonical counts: a read-only
+int64 array, sorted non-increasing, zeros trimmed (canonical_counts makes
+it). All comparisons here are permutation-invariant, so the canonical form
+loses nothing. A probability
 vector, such as the process function alpha(c), is a plain float64 array
 that passes multinomial_pvals' check.
 """
@@ -11,7 +12,6 @@ that passes multinomial_pvals' check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -35,37 +35,6 @@ class MassMismatch(ValueError):
 class InvalidProbabilityVector(ValueError):
     """Raised for a probability vector that is not 1-d, empty, has an entry
     outside [0, 1] (NaN and +-inf included) or a mass away from 1."""
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Canonical color-support vector: sorted non-increasing, no zeros."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        # n is read every round; sum the counts once, outside the fields
-        # so that ==, hash and repr still see counts only
-        object.__setattr__(self, "_n", sum(self.counts))
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def number_of_colors(self) -> int:
-        return len(self.counts)
-
-    def fractions(self) -> np.ndarray:
-        """Per-color fractions c_i / n as a float array."""
-        n = self.n
-        return np.asarray(self.counts, dtype=float) / n
-
-    def exact_fractions(self) -> list[Fraction]:
-        n = self.n
-        return [Fraction(c, n) for c in self.counts]
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 def multinomial_pvals(probs) -> np.ndarray:
@@ -104,31 +73,38 @@ class StopCondition:
             raise ValueError("max_rounds must be >= 1")
 
 
-VectorLike = Union[Configuration, Sequence[float], np.ndarray]
+VectorLike = Union[Sequence[float], np.ndarray]
 
 
-def canonicalize(raw_counts: Sequence[int]) -> Configuration:
-    """Sort counts non-increasingly, drop zeros, and wrap as Configuration.
+def canonicalize(raw_counts: Sequence[int]) -> np.ndarray:
+    """The canonical counts of raw_counts: sorted non-increasingly, zeros
+    dropped, as a read-only int64 array.
 
-    Accepts any 1-d vector of integer, bool or integral float dtype; every
-    other input raises InvalidConfiguration. The result holds Python ints.
+    Accepts any 1-d integer, bool or integral float vector whose values and
+    their sum fit int64; other input raises InvalidConfiguration.
     """
-    arr = np.array(raw_counts)  # a copy: it is sorted in place below
+    arr = np.array(raw_counts)
     kind = arr.dtype.kind
-    if kind == "b":
-        arr = arr.astype(np.int64)
-    elif kind == "f":
+    if kind == "f":
         # NaN and +-inf fail the range test; the cast below is then exact
         if not ((np.abs(arr) < _INT64_LIMIT) & (arr == np.trunc(arr))).all():
             raise InvalidConfiguration(f"non-integer count in {raw_counts}")
-        arr = arr.astype(np.int64)
-    elif kind not in "iu":
+    elif kind == "u":
+        # the cast below would wrap a uint64 count >= 2^63 to a negative one
+        if (arr > np.iinfo(np.int64).max).any():
+            raise InvalidConfiguration(f"count above the int64 range in {raw_counts}")
+    elif kind not in "bi":
         raise InvalidConfiguration(f"non-integer count in {raw_counts}")
     if arr.ndim != 1:
         raise InvalidConfiguration(f"count vector must be 1-d, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidConfiguration("empty count vector")
-    return Configuration(tuple(canonical_counts(arr).tolist()))
+    # np.array copied the input, so canonical_counts may sort arr in place
+    out = canonical_counts(arr.astype(np.int64, copy=False))
+    # every count fits int64 now, but their sum n must too
+    if sum(out.tolist()) > np.iinfo(np.int64).max:
+        raise InvalidConfiguration(f"counts sum above the int64 range in {raw_counts}")
+    return out
 
 
 def canonical_counts(arr: np.ndarray) -> np.ndarray:
@@ -146,16 +122,7 @@ def canonical_counts(arr: np.ndarray) -> np.ndarray:
 
 
 def _sorted_values(x: VectorLike) -> np.ndarray:
-    if isinstance(x, Configuration):
-        return np.asarray(x.counts, dtype=float)  # already sorted
     return np.sort(np.asarray(x, dtype=float))[::-1]
-
-
-def _is_integral(x: VectorLike) -> bool:
-    if isinstance(x, Configuration):
-        return True
-    arr = np.asarray(x)
-    return np.issubdtype(arr.dtype, np.integer)
 
 
 def prefix_sums(x: VectorLike, d: int) -> np.ndarray:
@@ -178,7 +145,7 @@ def majorizes(a: VectorLike, b: VectorLike) -> bool:
     otherwise. Vectors of different lengths are compared as if zero-padded.
     """
     sa, sb = _sorted_values(a), _sorted_values(b)
-    exact = _is_integral(a) and _is_integral(b)
+    exact = all(np.issubdtype(np.asarray(x).dtype, np.integer) for x in (a, b))
     ta, tb = sa.sum(), sb.sum()
     if exact:
         if int(round(ta)) != int(round(tb)):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (
     PREFIX_SLACK,
-    Configuration,
     StopCondition,
+    canonical_counts,
     majorizes,
     multinomial_pvals,
     prefix_sums,
@@ -68,15 +68,16 @@ class DominanceReport:
         }
 
 
-def enumerate_configurations(n: int) -> list[Configuration]:
-    """All canonical configurations of n nodes (integer partitions of n)."""
+def enumerate_configurations(n: int) -> list[np.ndarray]:
+    """The canonical counts of every configuration of n nodes (integer
+    partitions of n)."""
     if n < 1 or n > MAX_ENUM_N:
         raise EnumerationBudgetExceeded(f"n = {n} outside [1, {MAX_ENUM_N}]")
-    out: list[Configuration] = []
+    out: list[np.ndarray] = []
 
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
-            out.append(Configuration(tuple(prefix)))
+            out.append(canonical_counts(np.array(prefix, dtype=np.int64)))
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)
@@ -108,8 +109,9 @@ def check_dominance(rule_p: UpdateRule, rule_q: UpdateRule, n: int) -> Dominance
         worst = deficit.argmax(axis=1)
         margin = deficit.max(axis=1)
         for j in np.flatnonzero(margin > PREFIX_SLACK):
+            c_tilde = tuple(configs[below[j]].tolist())
             report.violations.append(
-                Violation(c.counts, configs[below[j]].counts, int(worst[j]) + 1, float(margin[j]))
+                Violation(tuple(c.tolist()), c_tilde, int(worst[j]) + 1, float(margin[j]))
             )
     return report
 
@@ -201,12 +203,12 @@ def dkw_epsilon(trials: int, delta: float = 0.05) -> float:
 def empirical_time_dominance(
     rule_fast: UpdateRule,
     rule_slow: UpdateRule,
-    c0: Configuration,
+    c0: np.ndarray,
     stop: StopCondition,
     trials: int,
     rng: RngStream,
     epsilon: Optional[float] = None,
-    c0_slow: Optional[Configuration] = None,
+    c0_slow: Optional[np.ndarray] = None,
 ) -> TimeDominanceReport:
     """Paired-seed empirical CDF comparison of stopping times.
 

@@ -152,6 +152,8 @@ def additive_drift_bound(m: float, k_prime: float, c: float) -> DriftBoundResult
 
 def variable_drift_bound_lw14(h: DriftFunction, x0: float) -> DriftBoundResult:
     """E[T] <= x_min/h(x_min) + integral_{x_min}^{x0} dy/h(y)."""
+    if not h.x_min > 0:
+        raise DriftDomainError(f"the LW14 form divides by x_min, got x_min = {h.x_min}")
     if not (h.x_min <= x0 <= h.x_max):
         raise DriftDomainError(f"x0 = {x0} outside drift domain")
     head = h.x_min / h(h.x_min)

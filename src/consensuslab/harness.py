@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .coalescing import CouplingViolation
-from .core import Configuration, StopCondition, canonicalize
+from .core import StopCondition, canonical_counts, canonicalize
 from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_round, voter_rule
 from .sampler import RngStream
 
@@ -33,11 +33,11 @@ class InitialCondition:
     bias: int = 0
     counts: tuple[int, ...] = ()
 
-    def build(self, n: int) -> Configuration:
+    def build(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.kind == "ncolor":
-            return Configuration(tuple([1] * n))
+            return canonical_counts(np.ones(n, dtype=np.int64))
         if self.kind == "balanced":
             if not 1 <= self.k <= n:
                 raise ValueError("balanced: need 1 <= k <= n")
@@ -46,10 +46,10 @@ class InitialCondition:
         if self.kind == "biased":
             return biased_configuration(n, self.k, self.bias)
         if self.kind == "explicit":
-            cfg = canonicalize(self.counts)
-            if cfg.n != n:
-                raise ValueError(f"explicit counts sum to {cfg.n}, expected n = {n}")
-            return cfg
+            c = canonicalize(self.counts)
+            if c.sum() != n:
+                raise ValueError(f"explicit counts sum to {c.sum()}, expected n = {n}")
+            return c
         raise ValueError(f"unknown initial kind {self.kind!r}")
 
     def label(self) -> str:
@@ -62,7 +62,7 @@ class InitialCondition:
         return "explicit:" + ",".join(str(c) for c in self.counts)
 
 
-def biased_configuration(n: int, k: int, bias: int) -> Configuration:
+def biased_configuration(n: int, k: int, bias: int) -> np.ndarray:
     """Deterministic family with c1 - c2 = bias.
 
     Colors 2..k share floor((n - c1)/(k - 1)) each, remainder on the last
@@ -104,7 +104,7 @@ def simulate_to_stop(
     where peak is the largest support over every round, round 0 included."""
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
     c = spec.initial.build(spec.n)
-    peak = c.counts[0]
+    peak = int(c[0])
 
     def on_round(t: int, counts: np.ndarray) -> None:
         nonlocal peak
@@ -170,7 +170,7 @@ class LowerBoundParams:
 
 def run_lower_bound_experiment(
     params: LowerBoundParams,
-    initial: Configuration,
+    initial: np.ndarray,
     trials: int,
     rng: RngStream,
 ) -> dict:
@@ -180,16 +180,16 @@ def run_lower_bound_experiment(
     ell_prime within the window, plus first-exceedance times.
     """
     n = params.n
-    if initial.n != n:
+    if initial.sum() != n:
         raise ValueError("initial configuration size mismatch")
-    if initial.counts[0] != params.ell:
+    if initial[0] != params.ell:
         raise ValueError("initial max support must equal params.ell")
     lp = params.ell_prime
     t0 = params.t0
     first_exceedance: list[Optional[int]] = []
     for trial in range(trials):
         gen = rng.child(trial).gen
-        node_colors = np.repeat(np.arange(len(initial.counts)), initial.counts)
+        node_colors = np.repeat(np.arange(len(initial)), initial)
         hit: Optional[int] = None
         for t in range(1, t0 + 1):
             node_colors, _, _ = two_choices_node_round(node_colors, gen)
@@ -212,7 +212,7 @@ def run_lower_bound_experiment(
 
 def run_coupled_dominating_process(
     params: LowerBoundParams,
-    initial: Configuration,
+    initial: np.ndarray,
     color: int,
     rounds: int,
     rng: RngStream,
@@ -226,10 +226,9 @@ def run_coupled_dominating_process(
     exactly ell_prime/n. Asserts c_color(t) <= P(t) for every round before
     c_color first exceeds ell_prime.
     """
-    n = params.n
-    if initial.n != n:
+    if initial.sum() != params.n:
         raise ValueError("initial configuration size mismatch")
-    k0 = len(initial.counts)
+    k0 = len(initial)
     if not 0 <= color < k0 + 1:
         raise ValueError("tracked color index out of range")
     lp = params.ell_prime
@@ -239,10 +238,10 @@ def run_coupled_dominating_process(
     # color == k0 means "absent color" (support 0)
     counts = np.zeros(k0 + 1, dtype=np.int64)
     if color < k0:
-        counts[0] = initial.counts[color]
-        counts[1 : k0 + 1] = [c for i, c in enumerate(initial.counts) if i != color] + [0]
+        counts[0] = initial[color]
+        counts[1:k0] = np.delete(initial, color)
     else:
-        counts[1:] = initial.counts
+        counts[1:] = initial
     slot_colors = np.repeat(np.arange(k0 + 1), counts)
 
     c_col = int(counts[0])
@@ -283,7 +282,7 @@ def run_two_phase_check(
         raise ValueError("two-phase check needs n >= 256")
     k = k_split if k_split is not None else math.ceil(n**0.25)
     hm3, voter = h_majority_rule(3), voter_rule()
-    c0 = Configuration(tuple([1] * n))
+    c0 = InitialCondition("ncolor").build(n)
     split = StopCondition(kappa=k)
     rows = []
     for trial in range(trials):

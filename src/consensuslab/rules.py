@@ -15,7 +15,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .core import Configuration, StopCondition, canonical_counts, canonicalize, multinomial_pvals
+from .core import StopCondition, canonical_counts, multinomial_pvals
 from .sampler import RngStream
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
@@ -139,28 +139,18 @@ def _checked(alpha: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def process_function(rule: UpdateRule, c: Configuration) -> np.ndarray:
+def process_function(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
     """Adoption-probability vector alpha(c) for an AC rule, read-only."""
-    return _checked(_alpha(rule, c.fractions()))
+    return _checked(_alpha(rule, c / c.sum()))
 
 
-def process_function_exact(rule: UpdateRule, c: Configuration) -> list[Fraction]:
+def process_function_exact(rule: UpdateRule, c: np.ndarray) -> list[Fraction]:
     """Process function over exact rationals, for every AC rule (h >= 4
     within the enumeration's k^h guard)."""
-    return _alpha(rule, np.array(c.exact_fractions(), dtype=object)).tolist()
-
-
-def _counts(c: Configuration) -> np.ndarray:
-    return np.array(c.counts, dtype=np.int64)
-
-
-def _configuration(counts: np.ndarray) -> Configuration:
-    return Configuration(tuple(counts.tolist()))
-
-
-def _ac_round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """One synchronous round of an AC process: Mult(n, alpha(counts / n))."""
-    return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
+    # Fractions of Python ints: int64 parts would overflow silently in x**h
+    counts = c.tolist()
+    n = sum(counts)
+    return _alpha(rule, np.array([Fraction(ci, n) for ci in counts], dtype=object)).tolist()
 
 
 def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -188,21 +178,23 @@ def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> 
 
 
 def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One synchronous round: the 2-Choices round, or for an AC process
+    Mult(n, alpha(counts / n))."""
     if rule.kind == TWO_CHOICES:
         return _two_choices_round(counts, n, gen)
-    return _ac_round(rule, counts, n, gen)
+    return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
 
 
-def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
+def step_ac_reference(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
     """Literal per-node stepper: every node samples h nodes and applies the rule.
 
     The labelled oracle of the multinomial AC round; O(n*h) per round.
     """
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
-    n = c.n
+    n = int(c.sum())
     h = 1 if rule.kind == VOTER else rule.h
-    node_colors = np.repeat(np.arange(len(c.counts)), c.counts)
+    node_colors = np.repeat(np.arange(len(c)), c)
     gen = rng.gen
     new_colors = np.empty(n, dtype=np.int64)
     for u in range(n):
@@ -211,7 +203,7 @@ def step_ac_reference(rule: UpdateRule, c: Configuration, rng: RngStream) -> Con
         mx = cnts.max()
         winners = vals[cnts == mx]
         new_colors[u] = winners[gen.integers(0, len(winners))]
-    return canonicalize(np.bincount(new_colors, minlength=len(c.counts)))
+    return canonical_counts(np.bincount(new_colors, minlength=len(c)))
 
 
 def two_choices_node_round(
@@ -230,40 +222,40 @@ def two_choices_node_round(
     return np.where(s1 == s2, s1, node_colors), i1, i2
 
 
-def step_rule(rule: UpdateRule, c: Configuration, rng: RngStream) -> Configuration:
-    """One round of any rule: Mult(n, alpha(c)) for an AC rule, the
-    2-Choices round otherwise. The one public single-round stepper."""
-    return _configuration(_round(rule, _counts(c), c.n, rng.gen))
+def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
+    """One round of any rule from canonical counts c: Mult(n, alpha(c)) for
+    an AC rule, the 2-Choices round otherwise; returns canonical counts.
+    The one public single-round stepper."""
+    return _round(rule, c, int(c.sum()), rng.gen)
 
 
 def run_until(
     rule: UpdateRule,
-    c: Configuration,
+    c: np.ndarray,
     stop: StopCondition,
     rng: RngStream,
     on_round: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> tuple[Optional[int], Configuration]:
-    """Step `rule` from c until at most stop.kappa colors remain.
+) -> tuple[Optional[int], np.ndarray]:
+    """Step `rule` from canonical counts c until at most stop.kappa colors
+    remain; the draws are step_rule's.
 
     Returns (t, c_t): t is the first round with at most kappa colors (0 if
     c already has them), or None if max_rounds pass first; c_t is the last
-    configuration. on_round(t, counts) is called after every round with the
-    round's canonical counts: a read-only int64 array, non-increasing, no
-    zeros. The state stays such an array; the draws are step_rule's.
+    round's canonical counts. on_round(t, c_t) is called after every round.
     """
-    if c.number_of_colors() <= stop.kappa:
+    if len(c) <= stop.kappa:
         return 0, c
-    counts, n, gen = _counts(c), c.n, rng.gen
+    n, gen = int(c.sum()), rng.gen
     for t in range(1, stop.max_rounds + 1):
-        counts = _round(rule, counts, n, gen)
+        c = _round(rule, c, n, gen)
         if on_round is not None:
-            on_round(t, counts)
-        if len(counts) <= stop.kappa:
-            return t, _configuration(counts)
-    return None, _configuration(counts)
+            on_round(t, c)
+        if len(c) <= stop.kappa:
+            return t, c
+    return None, c
 
 
-def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> np.ndarray:
+def expected_fraction_after_step(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
     """Expected color fractions after one round.
 
     An AC round is Mult(n, alpha(c)), so its expectation is alpha(c).
@@ -271,5 +263,5 @@ def expected_fraction_after_step(rule: UpdateRule, c: Configuration) -> np.ndarr
     identical-expectation fact that makes their runtime gap surprising.
     """
     if rule.kind == TWO_CHOICES:
-        return _checked(_three_majority_alpha(c.fractions()))
+        return _checked(_three_majority_alpha(c / c.sum()))
     return process_function(rule, c)

@@ -1,0 +1,215 @@
+"""Mutation harness: plant one known bug at a time and check that the tests
+named for it turn red.
+
+Run from the repository root (pytest does not collect this file, whose
+name does not match test_*.py):
+
+    python tests/mutants.py
+
+For each mutant it copies src/ and tests/ into a temporary directory,
+applies one string replacement to one source file, runs the mutant's tests
+there with pytest and lists the tests that failed. A baseline run of every
+named test on the unmodified copy comes first; then two mutants run at a
+time. It exits 1 if the baseline
+is red, if a replacement does not match its file exactly once, or if any
+mutant stays green.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PER_RUN_TIMEOUT_S = 240
+JOBS = 2
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/consensuslab
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "canonical-ascending",
+        "core.py",
+        "out = arr[::-1][:positive]",
+        "out = arr[len(arr) - positive :]",
+        (
+            "tests/test_core.py::test_canonicalize_sorts_and_drops_zeros",
+            "tests/test_core.py::test_canonicalize_matches_python_oracle_on_random_inputs",
+            "tests/test_rules.py::test_every_producer_returns_canonical_counts",
+        ),
+    ),
+    Mutant(
+        "canonical-writable",
+        "core.py",
+        "    out.flags.writeable = False\n",
+        "",
+        (
+            "tests/test_core.py::test_canonicalize_matches_python_oracle_on_random_inputs",
+            "tests/test_rules.py::test_every_producer_returns_canonical_counts",
+            "tests/test_rules.py::test_run_until_matches_stepper_loop",
+        ),
+    ),
+    Mutant(
+        "run-until-strict-kappa",
+        "rules.py",
+        "        if len(c) <= stop.kappa:\n            return t, c",
+        "        if len(c) < stop.kappa:\n            return t, c",
+        (
+            "tests/test_rules.py::test_run_until_matches_stepper_loop",
+            "tests/test_rules.py::test_every_producer_returns_canonical_counts",
+            "tests/test_harness.py::test_simulate_to_stop_reaches_consensus",
+        ),
+    ),
+    Mutant(
+        "three-majority-alpha-sign",
+        "rules.py",
+        "return x * (1 + x - sq)",
+        "return x * (1 - x + sq)",  # still sums to 1: only the values are wrong
+        (
+            "tests/test_rules.py::test_three_majority_closed_form_matches_enumeration",
+            "tests/test_rules.py::test_three_majority_exact_value",
+            "tests/test_acceptance.py::test_01_three_majority_exact_leading_probability",
+        ),
+    ),
+    Mutant(
+        "two-choices-landing-by-counts",
+        "rules.py",
+        "arrived = gen.multinomial(left.sum(), q / s)",
+        "arrived = gen.multinomial(left.sum(), counts / n)",
+        (
+            "tests/test_rules.py::test_two_choices_modes_agree_in_distribution",
+            "tests/test_rules.py::test_two_choices_empirical_mean_matches_formula",
+        ),
+    ),
+    Mutant(
+        "lifted-replay-forward-order",
+        "coalescing.py",
+        "window = np.take_along_axis(window[length:], window[:-length], axis=1)",
+        "window = np.take_along_axis(window[:-length], window[length:], axis=1)",
+        (
+            "tests/test_coalescing.py::test_lifted_voter_replay_matches_per_tau_oracle",
+            "tests/test_coalescing.py::test_duality_identity_small_graphs",
+        ),
+    ),
+    Mutant(
+        "plurality-no-tie-split",
+        "rules.py",
+        "share = p / len(winners)\n        for i in winners:",
+        "share = p\n        for i in winners[:1]:",  # the first tied colour takes all
+        (
+            "tests/test_rules.py::test_h_majority_alpha_matches_per_node_simulation",
+            "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
+        ),
+    ),
+    Mutant(
+        "exact-alpha-int64-fractions",
+        "rules.py",
+        "counts = c.tolist()",
+        "counts = list(c)",  # numpy int64 elements
+        ("tests/test_rules.py::test_process_function_exact_keeps_python_int_fractions",),
+    ),
+    Mutant(
+        "biased-off-by-one",
+        "harness.py",
+        "c1 = c2 + bias\n",
+        "c1 = c2 + bias - 1\n",
+        ("tests/test_harness.py::test_biased_configuration_mass_and_bias",),
+    ),
+    Mutant(
+        "complete-graph-self-loops",
+        "coalescing.py",
+        "return np.where(r >= nodes, r + 1, r)",
+        "return np.where(r > nodes, r + 1, r)",
+        ("tests/test_coalescing.py::test_complete_graph_neighbor_map_excludes_self",),
+    ),
+)
+
+
+def _copy_tree(dest: str) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(
+            os.path.join(ROOT, part),
+            os.path.join(dest, part),
+            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"),
+        )
+
+
+def _run_pytest(tree: str, tests) -> tuple[int, list[str], float]:
+    """(exit code, failed test ids, seconds) of pytest on `tests` in `tree`."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=PER_RUN_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return -1, ["(timed out)"], time.perf_counter() - start
+    failed = re.findall(r"^FAILED (\S+)", proc.stdout, flags=re.MULTILINE)
+    return proc.returncode, failed, time.perf_counter() - start
+
+
+def _apply(tree: str, mutant: Mutant) -> None:
+    path = os.path.join(tree, "src", "consensuslab", mutant.path)
+    with open(path) as fh:
+        text = fh.read()
+    hits = text.count(mutant.old)
+    if hits != 1:
+        raise ValueError(f"{mutant.name}: replacement matches {mutant.path} {hits} times")
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def run_mutant(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, report line) for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
+        _copy_tree(tree)
+        try:
+            _apply(tree, mutant)
+        except ValueError as exc:
+            return False, f"ERROR    {exc}"
+        code, failed, secs = _run_pytest(tree, mutant.tests)
+    if code == 0:
+        return False, f"SURVIVED {mutant.name} ({secs:.1f} s): all {len(mutant.tests)} tests green"
+    red = ", ".join(t.split("::")[-1] for t in failed) or f"pytest exit {code}"
+    return True, f"killed   {mutant.name} ({secs:.1f} s): {red}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as tree:
+        _copy_tree(tree)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        code, failed, secs = _run_pytest(tree, tests)
+    if code != 0:
+        print(f"baseline red ({secs:.1f} s): {', '.join(failed) or f'pytest exit {code}'}")
+        return 1
+    print(f"baseline green: {len(tests)} tests in {secs:.1f} s")
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        results = list(pool.map(run_mutant, MUTANTS))
+    for _, line in results:
+        print(line)
+    survivors = sum(1 for killed, _ in results if not killed)
+    print(f"{len(results) - survivors}/{len(results)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

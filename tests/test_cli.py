@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import consensuslab
+from consensuslab import cli
 from consensuslab.cli import (
     USAGE_ERROR,
     VALIDATION_FAILURE,
@@ -16,6 +17,9 @@ from consensuslab.cli import (
     parse_initial,
     parse_rule,
 )
+from consensuslab.core import StopCondition
+from consensuslab.harness import ExperimentSpec, InitialCondition
+from consensuslab.rules import voter_rule
 
 
 # the child interpreter imports the same package as the tests do
@@ -48,7 +52,7 @@ def test_parse_initial():
     assert parse_initial("ncolor").label() == "ncolor"
     assert parse_initial("balanced:4").label() == "balanced:4"
     assert parse_initial("biased:3:2").label() == "biased:3:2"
-    assert parse_initial("explicit:4,3,1").build(8).counts == (4, 3, 1)
+    assert parse_initial("explicit:4,3,1").build(8).tolist() == [4, 3, 1]
     with pytest.raises(UsageError):
         parse_initial("weird")
 
@@ -114,6 +118,8 @@ SPEC = {"rules": ["voter"], "n": 32, "initial": "ncolor", "trials": 1, "seed": 0
         ({**SPEC, "kapa": 64, "max_round": 3}, "unknown field 'kapa'"),
         ({**SPEC, "record_every": 1}, "unknown field 'record_every'"),
         ([SPEC], "want a JSON object"),
+        # the same range check as --workers, not a silent serial run
+        ({**SPEC, "workers": -2}, "workers"),
     ],
 )
 def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, message):
@@ -123,6 +129,47 @@ def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rule", "2choices"), ("--n", "999"), ("--init", "balanced:2"), ("--kappa", "2"),
+     ("--max-rounds", "5"), ("--trials", "5"), ("--seed", "3"), ("--n", "1024")],
+)
+def test_simulate_spec_file_rejects_run_flags(tmp_path, capsys, flag, value):
+    # the file is the whole spec: a run flag next to it would be parsed and
+    # then ignored, even one equal to its default
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC))
+    assert main(["simulate", "--spec", str(path), flag, value]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert flag in captured.err
+
+
+def test_simulate_spec_file_combines_with_output_flags(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, "max_rounds": 200}))
+    out, summary = tmp_path / "runs.jsonl", tmp_path / "summary.csv"
+    argv = ["simulate", "--spec", str(path), "--workers", "1", "--out", str(out),
+            "--summary", str(summary)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    (rec,) = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert (rec["rule"], rec["n"], rec["seed"]) == ("voter", 32, 0)
+    assert summary.read_text().startswith("rule,")
+
+
+def test_simulate_flag_defaults():
+    args = cli.build_parser().parse_args(["simulate"])
+    assert cli._spec_from_args(args) == ExperimentSpec(
+        rules=(voter_rule(),),
+        n=1024,
+        initial=InitialCondition("ncolor"),
+        stop=StopCondition(kappa=1, max_rounds=10**6),
+        trials=100,
+        seed=0,
+    )
 
 
 def test_simulate_writes_files(tmp_path):
@@ -238,6 +285,7 @@ def test_usage_errors_exit_one(capsys):
         (["lower-bound", "--gamma", "-1"], "gamma"),
         (["duality", "--t-max", "-3"], "--t-max"),
         (["simulate", "--workers", "-2"], "--workers"),
+        (["drift-bound", "--form", "lw14", "--x-min", "0"], "x_min"),
         (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "-1", "--expect-pass"],
          "epsilon"),
     ):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from consensuslab.core import (
-    Configuration,
     InvalidConfiguration,
     InvalidProbabilityVector,
     StopCondition,
@@ -15,13 +14,13 @@ from consensuslab.core import (
     prefix_functional,
     prefix_sums,
 )
+from consensuslab.rules import process_function, process_function_exact, voter_rule
 
 
 def test_canonicalize_sorts_and_drops_zeros():
     c = canonicalize([0, 3, 1, 0, 2])
-    assert c.counts == (3, 2, 1)
-    assert c.n == 6
-    assert c.number_of_colors() == 3
+    assert c.tolist() == [3, 2, 1]
+    assert c.sum() == 6
     assert len(c) == 3
 
 
@@ -57,7 +56,7 @@ def _canonicalize_oracle(raw_counts):
     counts = sorted((c for c in counts if c > 0), reverse=True)
     if not counts:
         raise InvalidConfiguration("all counts are zero")
-    return Configuration(tuple(counts))
+    return tuple(counts)
 
 
 def test_canonicalize_matches_python_oracle_on_random_inputs():
@@ -79,34 +78,35 @@ def test_canonicalize_matches_python_oracle_on_random_inputs():
         ]
         for x in variants:
             c = canonicalize(x)
-            assert c.counts == _canonicalize_oracle(x).counts
-            assert type(c.counts[0]) is int
-            assert c.n == sum(c.counts)
-            assert json.loads(json.dumps(c.counts)) == list(c.counts)
+            assert tuple(c.tolist()) == _canonicalize_oracle(x)
+            assert c.dtype == np.int64 and not c.flags.writeable
+            assert json.loads(json.dumps(c.tolist())) == c.tolist()
 
 
 def test_canonicalize_leaves_its_input_unchanged():
     raw = np.array([1, 0, 3, 2])
-    assert canonicalize(raw).counts == (3, 2, 1)
+    assert canonicalize(raw).tolist() == [3, 2, 1]
     assert raw.tolist() == [1, 0, 3, 2]
 
 
-def test_configuration_n_stays_out_of_equality_hash_and_repr():
-    c = Configuration((3, 2, 1))
-    assert c.n == 6
-    assert c == canonicalize([1, 2, 3])
-    assert hash(c) == hash(canonicalize([1, 2, 3]))
-    assert repr(c) == "Configuration(counts=(3, 2, 1))"
-
-
 def test_fractions_sum_to_one():
+    # the per-colour fractions c_i / n are the Voter process function
     c = canonicalize([3, 2, 1])
-    f = c.fractions()
+    f = process_function(voter_rule(), c)
     assert np.isclose(f.sum(), 1.0)
     assert f[0] == 0.5
-    exact = c.exact_fractions()
+    exact = process_function_exact(voter_rule(), c)
     assert sum(exact) == 1
     assert float(exact[0]) == 0.5
+
+
+def test_canonicalize_rejects_counts_beyond_int64():
+    # a uint64 count >= 2^63 must not wrap to a negative int64 count, and
+    # neither may the sum n of counts that each fit
+    for bad in (np.array([2**63, 1], dtype=np.uint64), [2**64 - 1], [2**62, 2**62]):
+        with pytest.raises(InvalidConfiguration, match="int64"):
+            canonicalize(bad)
+    assert canonicalize(np.array([2**63 - 2, 1], dtype=np.uint64)).tolist() == [2**63 - 2, 1]
 
 
 def test_probability_vector_validation():

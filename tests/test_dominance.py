@@ -30,8 +30,8 @@ def test_enumerate_configurations_counts_partitions():
 
 def test_enumerate_configurations_are_sorted_partitions():
     for cfg in enumerate_configurations(6):
-        assert sum(cfg.counts) == 6
-        assert cfg.counts == tuple(sorted(cfg.counts, reverse=True))
+        assert cfg.sum() == 6
+        assert cfg.tolist() == sorted(cfg.tolist(), reverse=True)
 
 
 def test_enumeration_budget_guard():
@@ -82,7 +82,9 @@ def _dominance_oracle(rule_p, rule_q, n):
             deficit = _padded_cumsum(aq, d) - _padded_cumsum(ap, d)
             worst = int(np.argmax(deficit))
             if deficit[worst] > PREFIX_SLACK:
-                violations.append((c.counts, ct.counts, worst + 1, float(deficit[worst])))
+                violations.append(
+                    (tuple(c.tolist()), tuple(ct.tolist()), worst + 1, float(deficit[worst]))
+                )
     return pairs, violations
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from consensuslab import harness
-from consensuslab.core import Configuration, StopCondition, canonicalize
+from consensuslab.core import StopCondition, canonicalize
 from consensuslab.harness import (
     CouplingViolation,
     ExperimentSpec,
@@ -26,18 +26,18 @@ from consensuslab.sampler import RngStream
 
 
 def test_initial_conditions_build():
-    assert InitialCondition("ncolor").build(5).counts == (1, 1, 1, 1, 1)
-    assert InitialCondition("balanced", k=4).build(12).counts == (3, 3, 3, 3)
+    assert InitialCondition("ncolor").build(5).tolist() == [1, 1, 1, 1, 1]
+    assert InitialCondition("balanced", k=4).build(12).tolist() == [3, 3, 3, 3]
     c = InitialCondition("explicit", counts=(4, 3, 1)).build(8)
-    assert c.counts == (4, 3, 1)
+    assert c.tolist() == [4, 3, 1]
     b = InitialCondition("biased", k=3, bias=2).build(9)
-    assert b.n == 9
-    assert b.counts[0] - b.counts[-1] >= 2
+    assert b.sum() == 9
+    assert b[0] - b[-1] >= 2
 
 
 def test_initial_condition_validation():
     # non-divisible balanced splits spread the remainder
-    assert InitialCondition("balanced", k=5).build(12).counts == (3, 3, 2, 2, 2)
+    assert InitialCondition("balanced", k=5).build(12).tolist() == [3, 3, 2, 2, 2]
     with pytest.raises(ValueError):
         InitialCondition("balanced", k=13).build(12)  # more colors than nodes
     with pytest.raises(ValueError):
@@ -46,9 +46,9 @@ def test_initial_condition_validation():
 
 def test_biased_configuration_mass_and_bias():
     c = biased_configuration(100, 4, 8)
-    assert c.n == 100
-    assert c.number_of_colors() == 4
-    assert c.counts[0] - c.counts[1] >= 8
+    assert c.sum() == 100
+    assert len(c) == 4
+    assert c[0] - c[1] >= 8
 
 
 def test_simulate_to_stop_reaches_consensus():
@@ -105,7 +105,7 @@ def test_max_support_peak_covers_unrecorded_rounds(monkeypatch):
     runs = []  # per trial: the largest support of round 0 and of every round after it
 
     def spy(rule, c, stop, rng, on_round):
-        supports = [c.counts[0]]
+        supports = [int(c[0])]
         runs.append(supports)
 
         def record(t, counts):

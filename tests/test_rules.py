@@ -6,6 +6,7 @@ from scipy import stats
 
 from consensuslab import rules
 from consensuslab.core import PREFIX_SLACK, InvalidProbabilityVector, StopCondition, canonicalize
+from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import InitialCondition
 from consensuslab.rules import (
     NotAnACProcess,
@@ -60,7 +61,7 @@ def test_process_function_returns_a_read_only_float64_array():
 def test_voter_alpha_is_identity_on_fractions():
     c = canonicalize([5, 3, 2])
     alpha = process_function(voter_rule(), c)
-    assert np.allclose(alpha, c.fractions())
+    assert np.allclose(alpha, c / c.sum())
 
 
 def test_h1_and_h2_majority_equal_voter_exactly():
@@ -70,13 +71,13 @@ def test_h1_and_h2_majority_equal_voter_exactly():
         alpha = process_function(h_majority_rule(h), c)
         assert np.array_equal(alpha, base)
         exact = process_function_exact(h_majority_rule(h), c)
-        assert exact == c.exact_fractions()
+        assert exact == [Fraction(ci, 14) for ci in c.tolist()]
 
 
 def test_three_majority_closed_form_matches_enumeration():
     for counts in ([5, 3, 2], [6, 2, 2, 2], [1, 1, 1, 1], [9, 1]):
         c = canonicalize(counts)
-        x = c.fractions()
+        x = c / c.sum()
         closed = process_function(h_majority_rule(3), c)
         enum = plurality_enumeration_alpha(x, 3)
         assert np.allclose(closed, enum, atol=1e-12)
@@ -98,6 +99,16 @@ def test_exact_plurality_alpha_sums_to_one_and_matches_floats():
             assert sum(exact) == 1
             approx = process_function(h_majority_rule(h), c)
             assert np.max(np.abs(np.array(exact, dtype=float) - approx)) <= 1e-12
+
+
+def test_process_function_exact_keeps_python_int_fractions():
+    # n^4 > 2^63 here: Fractions with int64 parts would overflow silently in x**4
+    c = canonicalize([300001, 200003, 100007])
+    exact = process_function_exact(h_majority_rule(4), c)
+    for a in exact:
+        assert type(a) is Fraction
+        assert type(a.numerator) is int and type(a.denominator) is int
+    assert sum(exact) == 1
 
 
 def test_plurality_alpha_is_probability_vector():
@@ -125,7 +136,7 @@ def test_h_majority_alpha_matches_per_node_simulation():
     rng = RngStream(9)
     tally = np.zeros(len(c) , dtype=float)
     gen = rng.gen
-    x = c.fractions()
+    x = c / c.sum()
     for _ in range(draws):
         samples = gen.choice(len(c), size=4, p=x)
         counts = np.bincount(samples, minlength=len(c))
@@ -154,7 +165,7 @@ def test_step_ac_preserves_population_size():
     c = canonicalize([10, 6, 4])
     for rule in (voter_rule(), h_majority_rule(3), h_majority_rule(4)):
         out = step_rule(rule, c, rng.child(rule.label()))
-        assert out.n == c.n
+        assert out.sum() == c.sum()
 
 
 def test_step_ac_reference_agrees_in_distribution():
@@ -165,8 +176,8 @@ def test_step_ac_reference_agrees_in_distribution():
     seen_fast = {}
     seen_ref = {}
     for t in range(draws):
-        a = step_rule(rule, c, rng.child("fast", t)).counts
-        b = step_ac_reference(rule, c, rng.child("ref", t)).counts
+        a = tuple(step_rule(rule, c, rng.child("fast", t)).tolist())
+        b = tuple(step_ac_reference(rule, c, rng.child("ref", t)).tolist())
         seen_fast[a] = seen_fast.get(a, 0) + 1
         seen_ref[b] = seen_ref.get(b, 0) + 1
     keys = sorted(set(seen_fast) | set(seen_ref))
@@ -199,20 +210,20 @@ def _two_choices_exact_law(counts):
             law = step
     exact = {}
     for state, p in law.items():
-        key = canonicalize(state).counts
+        key = tuple(canonicalize(state).tolist())
         exact[key] = exact.get(key, 0) + p
     assert sum(exact.values()) == 1
     return exact
 
 
 def _closed_form_round(c, rng):
-    return step_rule(two_choices_rule(), c, rng).counts
+    return tuple(step_rule(two_choices_rule(), c, rng).tolist())
 
 
 def _per_node_round(c, rng):
-    node_colors = np.repeat(np.arange(len(c.counts)), c.counts)
+    node_colors = np.repeat(np.arange(len(c)), c)
     new_colors, _, _ = two_choices_node_round(node_colors, rng.gen)
-    return canonicalize(np.bincount(new_colors, minlength=len(c.counts))).counts
+    return tuple(canonicalize(np.bincount(new_colors, minlength=len(c))).tolist())
 
 
 def test_two_choices_modes_agree_in_distribution():
@@ -221,11 +232,11 @@ def test_two_choices_modes_agree_in_distribution():
     draws = 4000
     for counts in ([4, 2], [3, 2, 1], [2, 2, 1, 1]):
         c = canonicalize(counts)
-        assert len(c.counts) ** 2 <= 8 * c.n  # step_rule takes the closed form
-        exact = _two_choices_exact_law(c.counts)
+        assert len(c) ** 2 <= 8 * c.sum()  # step_rule takes the closed form
+        exact = _two_choices_exact_law(c.tolist())
         outcomes = sorted(exact)
         for round_fn in (_closed_form_round, _per_node_round):
-            rng = RngStream(31, ("exact-law", round_fn.__name__) + c.counts)
+            rng = RngStream(31, ("exact-law", round_fn.__name__) + tuple(c.tolist()))
             tally = dict.fromkeys(outcomes, 0)
             for _ in range(draws):
                 tally[round_fn(c, rng)] += 1  # a KeyError is an impossible outcome
@@ -255,7 +266,7 @@ def test_ac_expected_fractions_are_the_process_function():
         mu = expected_fraction_after_step(rule, c)
         assert mu.tolist() == process_function(rule, c).tolist()
     assert expected_fraction_after_step(h_majority_rule(2), c).tolist() == (
-        c.fractions().tolist()
+        (c / c.sum()).tolist()
     )
 
 
@@ -269,7 +280,7 @@ def test_two_choices_empirical_mean_matches_formula():
     vals = np.empty(draws)
     for t in range(draws):
         out = step_rule(two_choices_rule(), c, rng.child(t))
-        vals[t] = out.counts[0] / c.n
+        vals[t] = out[0] / c.sum()
     assert abs(vals.mean() - mu) < 0.005
 
 
@@ -279,7 +290,7 @@ def test_step_rule_dispatch():
         c = canonicalize(counts)
         for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
             out = step_rule(rule, c, rng.child(rule.label(), *counts))
-            assert out.n == c.n
+            assert out.sum() == c.sum()
 
 
 def test_absorbing_consensus():
@@ -287,18 +298,18 @@ def test_absorbing_consensus():
     c = canonicalize([10])
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3)):
         out = step_rule(rule, c, rng.child(rule.label()))
-        assert out.counts == (10,)
+        assert out.tolist() == [10]
 
 
 def _stepper_loop(rule, c, stop, rng):
     """run_until written as a literal step_rule loop: its oracle."""
     seen = []
-    if c.number_of_colors() <= stop.kappa:
+    if len(c) <= stop.kappa:
         return 0, c, seen
     for t in range(1, stop.max_rounds + 1):
         c = step_rule(rule, c, rng)
-        seen.append((t, c.counts))
-        if c.number_of_colors() <= stop.kappa:
+        seen.append((t, tuple(c.tolist())))
+        if len(c) <= stop.kappa:
             return t, c, seen
     return None, c, seen
 
@@ -338,12 +349,12 @@ def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
     t, c = run_until(rule, c0, stop, RngStream(5, stream), on_round)
     t_ref, c_ref, seen_ref = _stepper_loop(rule, c0, stop, RngStream(5, stream))
     assert t == t_ref
-    assert c == c_ref
+    assert np.array_equal(c, c_ref)
     assert seen == seen_ref
     assert (t is None) == (stop.max_rounds == 3)
     if per_node is not None:
         # the 2-Choices round takes the per-node path iff k^2 > 8n
-        stepped_from = [c0.counts] + [counts for _, counts in seen_ref[:-1]]
+        stepped_from = [tuple(c0.tolist())] + [counts for _, counts in seen_ref[:-1]]
         assert {len(x) ** 2 > 8 * n for x in stepped_from} == per_node
 
 
@@ -397,3 +408,38 @@ def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
     (p,) = pvals
     assert p.min() == 0.0 and p[-1] == 0.0
     assert abs(p.sum() - 1.0) <= 4 * np.finfo(float).eps
+
+
+def _assert_canonical_counts(c, n):
+    """The one state contract: a read-only 1-d int64 array, non-increasing,
+    positive, summing to n."""
+    assert type(c) is np.ndarray and c.dtype == np.int64 and c.ndim == 1
+    assert not c.flags.writeable
+    assert c[-1] > 0 and np.all(c[:-1] >= c[1:]) and c.sum() == n
+
+
+def test_every_producer_returns_canonical_counts():
+    _assert_canonical_counts(canonicalize([0, 2, 5, 1]), 8)
+    for init in (
+        NCOLOR,
+        InitialCondition("balanced", k=5),
+        InitialCondition("biased", k=3, bias=4),
+        InitialCondition("explicit", counts=(1, 0, 7, 4)),
+    ):
+        _assert_canonical_counts(init.build(12), 12)
+    c = canonicalize([10, 6, 4])
+    rng = RngStream(41)
+    for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
+        _assert_canonical_counts(step_rule(rule, c, rng.child(rule.label())), 20)
+    # from 20 colours (k^2 > 8n) the 2-Choices round is the per-node one
+    per_node = step_rule(two_choices_rule(), NCOLOR.build(20), rng.child("pn"))
+    _assert_canonical_counts(per_node, 20)
+    _assert_canonical_counts(step_ac_reference(h_majority_rule(3), c, rng.child("ref")), 20)
+    t, out = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
+    assert t is not None and t >= 1
+    _assert_canonical_counts(out, 20)
+    t, out = run_until(voter_rule(), c, StopCondition(max_rounds=1), rng.child("censors"))
+    assert t is None
+    _assert_canonical_counts(out, 20)
+    for cfg in enumerate_configurations(7):
+        _assert_canonical_counts(cfg, 7)
