@@ -31,7 +31,6 @@ from .drift import (
 from .harness import (
     ExperimentSpec,
     InitialCondition,
-    LowerBoundParams,
     run_experiment,
     run_lower_bound_experiment,
     run_two_phase_check,
@@ -283,9 +282,8 @@ def cmd_drift_bound(args) -> int:
 def cmd_lower_bound(args) -> int:
     init = parse_initial(args.init)
     c0 = init.build(args.n)
-    params = LowerBoundParams(gamma=args.gamma, ell=int(c0[0]), n=args.n)
     report = run_lower_bound_experiment(
-        params, c0, args.trials, RngStream(args.seed, ("lower-bound",))
+        c0, args.gamma, args.trials, RngStream(args.seed, ("lower-bound",))
     )
     _report(report, args)
     return 0

@@ -25,7 +25,7 @@ _INT64_LIMIT = 2.0**63
 
 
 class InvalidConfiguration(ValueError):
-    """Raised for empty/all-zero/negative count inputs."""
+    """Raised for counts that are not, or do not make, canonical counts."""
 
 
 class MassMismatch(ValueError):
@@ -86,9 +86,11 @@ def canonicalize(raw_counts: Sequence[int]) -> np.ndarray:
     arr = np.array(raw_counts)
     kind = arr.dtype.kind
     if kind == "f":
-        # NaN and +-inf fail the range test; the cast below is then exact
-        if not ((np.abs(arr) < _INT64_LIMIT) & (arr == np.trunc(arr))).all():
+        # NaN and +-inf are not integers; an integral float below 2^63 casts exactly
+        if not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
             raise InvalidConfiguration(f"non-integer count in {raw_counts}")
+        if (np.abs(arr) >= _INT64_LIMIT).any():
+            raise InvalidConfiguration(f"count outside the int64 range in {raw_counts}")
     elif kind == "u":
         # the cast below would wrap a uint64 count >= 2^63 to a negative one
         if (arr > np.iinfo(np.int64).max).any():
@@ -119,6 +121,16 @@ def canonical_counts(arr: np.ndarray) -> np.ndarray:
     out = arr[::-1][:positive]
     out.flags.writeable = False
     return out
+
+
+def check_canonical(c: np.ndarray) -> None:
+    """Raise InvalidConfiguration unless c is canonical counts: a non-empty
+    1-d int64 array, non-increasing, with no zeros. Entry points call it
+    once; a round's own output needs no check."""
+    if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1 and c.size):
+        raise InvalidConfiguration("counts must be a non-empty 1-d int64 array")
+    if c[-1] <= 0 or (c[:-1] < c[1:]).any():
+        raise InvalidConfiguration(f"counts must be non-increasing and positive, got {c}")
 
 
 def _sorted_values(x: VectorLike) -> np.ndarray:

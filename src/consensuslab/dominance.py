@@ -227,8 +227,8 @@ def empirical_time_dominance(
     times_slow: list[float] = []
     censored_fast = censored_slow = 0
     for trial in range(trials):
-        t_fast, _ = run_until(rule_fast, c0, stop, rng.child(trial, "fast"))
-        t_slow, _ = run_until(
+        t_fast, _, _ = run_until(rule_fast, c0, stop, rng.child(trial, "fast"))
+        t_slow, _, _ = run_until(
             rule_slow, c0 if c0_slow is None else c0_slow, stop, rng.child(trial, "slow")
         )
         if t_fast is None:

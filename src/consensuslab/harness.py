@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .coalescing import CouplingViolation
-from .core import StopCondition, canonical_counts, canonicalize
+from .core import StopCondition, canonical_counts, canonicalize, check_canonical
 from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_round, voter_rule
 from .sampler import RngStream
 
@@ -103,14 +103,7 @@ def simulate_to_stop(
     """One seeded trial; returns (stopping time or None if censored, peak),
     where peak is the largest support over every round, round 0 included."""
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
-    c = spec.initial.build(spec.n)
-    peak = int(c[0])
-
-    def on_round(t: int, counts: np.ndarray) -> None:
-        nonlocal peak
-        peak = max(peak, int(counts[0]))
-
-    stop_time, _ = run_until(rule, c, spec.stop, rng, on_round)
+    stop_time, _, peak = run_until(rule, spec.initial.build(spec.n), spec.stop, rng)
     return stop_time, peak
 
 
@@ -142,50 +135,30 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
 # 2-Choices slow-start window experiment and its dominating coupling
 
 
-@dataclass(frozen=True)
-class LowerBoundParams:
-    """Derived quantities for the slow-start lower-bound experiment."""
-
-    gamma: float
-    ell: int
-    n: int
-
-    def __post_init__(self):
-        # t0 divides by gamma; `not >` also rejects NaN
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-
-    @property
-    def ell_prime(self) -> int:
-        return max(2 * self.ell, math.ceil(self.gamma * math.log(self.n)))
-
-    @property
-    def t0(self) -> int:
-        return int(self.n // (self.gamma * self.ell_prime))
-
-    @property
-    def p(self) -> float:
-        return (self.ell_prime / self.n) ** 2
+def slow_start_window(n: int, ell: int, gamma: float) -> tuple[int, int]:
+    """(ell_prime, t0) from a start of n nodes whose largest support is ell:
+    ell_prime = max(2 ell, ceil(gamma ln n)), t0 = floor(n / (gamma ell_prime))."""
+    # t0 divides by gamma; `not >` also rejects NaN, and ceil needs a finite gamma
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if gamma == math.inf:
+        raise ValueError("gamma must be finite, got inf")
+    ell_prime = max(2 * ell, math.ceil(gamma * math.log(n)))
+    return ell_prime, int(n // (gamma * ell_prime))
 
 
 def run_lower_bound_experiment(
-    params: LowerBoundParams,
-    initial: np.ndarray,
-    trials: int,
-    rng: RngStream,
+    initial: np.ndarray, gamma: float, trials: int, rng: RngStream
 ) -> dict:
-    """Run 2-Choices for t0 rounds per trial; track max-support exceedances.
+    """Run 2-Choices for t0 rounds per trial from canonical counts `initial`,
+    whose sum is n and largest support ell; track max-support exceedances.
 
     Reports the fraction of trials where any color's support ever exceeded
     ell_prime within the window, plus first-exceedance times.
     """
-    n = params.n
-    if initial.sum() != n:
-        raise ValueError("initial configuration size mismatch")
-    if initial[0] != params.ell:
-        raise ValueError("initial max support must equal params.ell")
-    lp = params.ell_prime
-    t0 = params.t0
+    check_canonical(initial)
+    n, ell = int(initial.sum()), int(initial[0])
+    lp, t0 = slow_start_window(n, ell, gamma)
     first_exceedance: list[Optional[int]] = []
     for trial in range(trials):
         gen = rng.child(trial).gen
@@ -200,8 +173,8 @@ def run_lower_bound_experiment(
     exceeded = sum(1 for h in first_exceedance if h is not None)
     return {
         "n": n,
-        "gamma": params.gamma,
-        "ell": params.ell,
+        "gamma": gamma,
+        "ell": ell,
         "ell_prime": lp,
         "t0": t0,
         "trials": trials,
@@ -211,27 +184,23 @@ def run_lower_bound_experiment(
 
 
 def run_coupled_dominating_process(
-    params: LowerBoundParams,
-    initial: np.ndarray,
-    color: int,
-    rounds: int,
-    rng: RngStream,
+    initial: np.ndarray, gamma: float, color: int, rounds: int, rng: RngStream
 ) -> list[tuple[int, int]]:
     """2-Choices and the dominating Binomial process on shared randomness.
 
+    n and ell are the sum and largest support of `initial`; P starts at ell.
     Node j's indicator for "both samples show the tracked color" is dominated
-    by Bernoulli(p): with slots ordered so the tracked color occupies a
-    prefix, a sample hits it iff its slot index i < c_color, and
-    c_color <= ell_prime implies i < ell_prime, an event of probability
+    by Bernoulli(p), p = (ell_prime/n)^2: with slots ordered so the tracked
+    color occupies a prefix, a sample hits it iff its slot index i < c_color,
+    and c_color <= ell_prime implies i < ell_prime, an event of probability
     exactly ell_prime/n. Asserts c_color(t) <= P(t) for every round before
     c_color first exceeds ell_prime.
     """
-    if initial.sum() != params.n:
-        raise ValueError("initial configuration size mismatch")
+    check_canonical(initial)
     k0 = len(initial)
     if not 0 <= color < k0 + 1:
         raise ValueError("tracked color index out of range")
-    lp = params.ell_prime
+    lp, _ = slow_start_window(int(initial.sum()), int(initial[0]), gamma)
     gen = rng.gen
 
     # relabel so the tracked color is id 0 and occupies the first slots;
@@ -245,7 +214,7 @@ def run_coupled_dominating_process(
     slot_colors = np.repeat(np.arange(k0 + 1), counts)
 
     c_col = int(counts[0])
-    p_val = params.ell
+    p_val = int(initial[0])
     pairs = [(c_col, p_val)]
     exceeded = c_col > lp
     for _ in range(rounds):
@@ -287,7 +256,7 @@ def run_two_phase_check(
     rows = []
     for trial in range(trials):
         stream = RngStream(seed, ("two-phase", hm3.label(), trial))
-        phase1, c = run_until(hm3, c0, split, stream)
+        phase1, c, _ = run_until(hm3, c0, split, stream)
         phase2 = None if phase1 is None else run_until(hm3, c, StopCondition(kappa=1), stream)[0]
         voter_stream = RngStream(seed, ("two-phase", voter.label(), trial))
         rows.append(

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
-from .core import StopCondition, canonical_counts, multinomial_pvals
+from .core import StopCondition, canonical_counts, check_canonical, multinomial_pvals
 from .sampler import RngStream
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
@@ -141,12 +141,14 @@ def _checked(alpha: np.ndarray) -> np.ndarray:
 
 def process_function(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
     """Adoption-probability vector alpha(c) for an AC rule, read-only."""
+    check_canonical(c)
     return _checked(_alpha(rule, c / c.sum()))
 
 
 def process_function_exact(rule: UpdateRule, c: np.ndarray) -> list[Fraction]:
     """Process function over exact rationals, for every AC rule (h >= 4
     within the enumeration's k^h guard)."""
+    check_canonical(c)
     # Fractions of Python ints: int64 parts would overflow silently in x**h
     counts = c.tolist()
     n = sum(counts)
@@ -192,6 +194,7 @@ def step_ac_reference(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.nda
     """
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
+    check_canonical(c)
     n = int(c.sum())
     h = 1 if rule.kind == VOTER else rule.h
     node_colors = np.repeat(np.arange(len(c)), c)
@@ -226,33 +229,33 @@ def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
     """One round of any rule from canonical counts c: Mult(n, alpha(c)) for
     an AC rule, the 2-Choices round otherwise; returns canonical counts.
     The one public single-round stepper."""
+    check_canonical(c)
     return _round(rule, c, int(c.sum()), rng.gen)
 
 
 def run_until(
-    rule: UpdateRule,
-    c: np.ndarray,
-    stop: StopCondition,
-    rng: RngStream,
-    on_round: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> tuple[Optional[int], np.ndarray]:
+    rule: UpdateRule, c: np.ndarray, stop: StopCondition, rng: RngStream
+) -> tuple[Optional[int], np.ndarray, int]:
     """Step `rule` from canonical counts c until at most stop.kappa colors
     remain; the draws are step_rule's.
 
-    Returns (t, c_t): t is the first round with at most kappa colors (0 if
-    c already has them), or None if max_rounds pass first; c_t is the last
-    round's canonical counts. on_round(t, c_t) is called after every round.
+    Returns (t, c_t, peak): t is the first round with at most kappa colors
+    (0 if c already has them), or None if max_rounds pass first; c_t is the
+    last round's canonical counts; peak is the largest support of any round
+    from 0 to the last.
     """
+    check_canonical(c)
+    peak = int(c[0])
     if len(c) <= stop.kappa:
-        return 0, c
+        return 0, c, peak
     n, gen = int(c.sum()), rng.gen
     for t in range(1, stop.max_rounds + 1):
         c = _round(rule, c, n, gen)
-        if on_round is not None:
-            on_round(t, c)
+        if c[0] > peak:
+            peak = int(c[0])
         if len(c) <= stop.kappa:
-            return t, c
-    return None, c
+            return t, c, peak
+    return None, c, peak
 
 
 def expected_fraction_after_step(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
@@ -263,5 +266,6 @@ def expected_fraction_after_step(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
     identical-expectation fact that makes their runtime gap surprising.
     """
     if rule.kind == TWO_CHOICES:
+        check_canonical(c)
         return _checked(_three_majority_alpha(c / c.sum()))
     return process_function(rule, c)

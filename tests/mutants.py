@@ -61,7 +61,23 @@ MUTANTS = (
         (
             "tests/test_core.py::test_canonicalize_matches_python_oracle_on_random_inputs",
             "tests/test_rules.py::test_every_producer_returns_canonical_counts",
+        ),
+    ),
+    Mutant(
+        "canonical-check-unordered",
+        "core.py",
+        "if c[-1] <= 0 or (c[:-1] < c[1:]).any():",
+        "if c[-1] <= 0:",  # unsorted counts pass the entry points
+        ("tests/test_rules.py::test_entry_points_reject_non_canonical_counts",),
+    ),
+    Mutant(
+        "run-until-no-peak",
+        "rules.py",
+        "        if c[0] > peak:\n            peak = int(c[0])\n",
+        "",  # the peak stays at round 0's largest support
+        (
             "tests/test_rules.py::test_run_until_matches_stepper_loop",
+            "tests/test_harness.py::test_max_support_peak_covers_unrecorded_rounds",
         ),
     ),
     Mutant(
@@ -129,6 +145,13 @@ MUTANTS = (
         "c1 = c2 + bias\n",
         "c1 = c2 + bias - 1\n",
         ("tests/test_harness.py::test_biased_configuration_mass_and_bias",),
+    ),
+    Mutant(
+        "lower-bound-ell-from-smallest",
+        "harness.py",
+        "n, ell = int(initial.sum()), int(initial[0])",
+        "n, ell = int(initial.sum()), int(initial[-1])",
+        ("tests/test_harness.py::test_lower_bound_window_comes_from_the_start",),
     ),
     Mutant(
         "complete-graph-self-loops",

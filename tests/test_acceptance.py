@@ -39,8 +39,8 @@ from consensuslab.drift import (
 )
 from consensuslab.harness import (
     InitialCondition,
-    LowerBoundParams,
     run_coupled_dominating_process,
+    slow_start_window,
 )
 from consensuslab.rules import (
     h_majority_rule,
@@ -174,18 +174,17 @@ def test_07_two_choices_separation_and_coupling():
         for rule, tag in ((h_majority_rule(3), "hmaj"), (two_choices_rule(), "2ch")):
             rng = RngStream(70, ("sep", trial, tag))
             stop = StopCondition(kappa=1, max_rounds=rounds)
-            _, c = run_until(rule, canonicalize([1] * n), stop, rng)
+            _, c, _ = run_until(rule, canonicalize([1] * n), stop, rng)
             counts[tag] = len(c)
         if counts["hmaj"] < counts["2ch"]:
             wins += 1
-    params = LowerBoundParams(gamma=4.0, ell=2, n=1000)
     initial = canonicalize([2] + [1] * 998)
+    _, t0 = slow_start_window(1000, 2, 4.0)
     coupling_ok = True
     for seed in range(100):
         try:
             run_coupled_dominating_process(
-                params, initial, color=0, rounds=params.t0,
-                rng=RngStream(seed, ("couple",)),
+                initial, 4.0, color=0, rounds=t0, rng=RngStream(seed, ("couple",))
             )
         except AssertionError:
             coupling_ok = False

@@ -288,6 +288,7 @@ def test_usage_errors_exit_one(capsys):
         (["drift-bound", "--form", "lw14", "--x-min", "0"], "x_min"),
         (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "-1", "--expect-pass"],
          "epsilon"),
+        (["lower-bound", "--gamma", "inf"], "gamma"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()

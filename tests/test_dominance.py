@@ -222,7 +222,7 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
                 script[trial, side] = None if t > stop.max_rounds else max(t, 0)
 
         def scripted(rule, c, stop, rng):
-            return script[rng.stream_id], c
+            return script[rng.stream_id], c, int(c[0])
 
         monkeypatch.setattr(dominance, "run_until", scripted)
         report = empirical_time_dominance(

@@ -2,26 +2,24 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
-from consensuslab import harness
 from consensuslab.core import StopCondition, canonicalize
 from consensuslab.harness import (
     CouplingViolation,
     ExperimentSpec,
     InitialCondition,
-    LowerBoundParams,
     biased_configuration,
     run_coupled_dominating_process,
     run_experiment,
     run_lower_bound_experiment,
     run_two_phase_check,
     simulate_to_stop,
+    slow_start_window,
     write_csv_summary,
     write_jsonl,
 )
-from consensuslab.rules import h_majority_rule, run_until, two_choices_rule, voter_rule
+from consensuslab.rules import h_majority_rule, step_rule, two_choices_rule, voter_rule
 from consensuslab.sampler import RngStream
 
 
@@ -91,7 +89,7 @@ def test_simulate_to_stop_censors():
     assert t is None
 
 
-def test_max_support_peak_covers_unrecorded_rounds(monkeypatch):
+def test_max_support_peak_covers_unrecorded_rounds():
     # Voter from 4 balanced colors often peaks above both its start and its
     # stop; the summary record must report that peak, not max(start, stop)
     spec = ExperimentSpec(
@@ -102,23 +100,18 @@ def test_max_support_peak_covers_unrecorded_rounds(monkeypatch):
         trials=50,
         seed=0,
     )
-    runs = []  # per trial: the largest support of round 0 and of every round after it
-
-    def spy(rule, c, stop, rng, on_round):
-        supports = [int(c[0])]
-        runs.append(supports)
-
-        def record(t, counts):
-            supports.append(int(counts[0]))
-            on_round(t, counts)
-
-        return run_until(rule, c, stop, rng, record)
-
-    monkeypatch.setattr(harness, "run_until", spy)
     records = run_experiment(spec)
-    assert len(runs) == len(records) == 50
+    assert len(records) == 50
     interior_peaks = 0
-    for rec, supports in zip(records, runs):
+    for rec in records:
+        # replay the trial round by round on simulate_to_stop's stream: the
+        # largest support of round 0 and of every round after it
+        rng = RngStream(spec.seed, ("sim", "voter", rec["trial"]))
+        c = spec.initial.build(spec.n)
+        supports = [int(c[0])]
+        while len(c) > spec.stop.kappa and len(supports) <= spec.stop.max_rounds:
+            c = step_rule(voter_rule(), c, rng)
+            supports.append(int(c[0]))
         assert len(supports) == rec["stop_time"] + 1
         assert rec["max_support_peak"] == max(supports)
         interior_peaks += max(supports) > max(supports[0], supports[-1])
@@ -158,31 +151,45 @@ def test_run_experiment_worker_count_invariance():
     assert all(r["stop_time"] is not None for r in serial)
 
 
-def test_lower_bound_params_derived_quantities():
-    params = LowerBoundParams(gamma=4.0, ell=1, n=1000)
-    assert params.ell_prime == max(2, math.ceil(4.0 * math.log(1000)))
-    assert params.t0 == math.floor(1000 / (4.0 * params.ell_prime))
-    assert np.isclose(params.p, (params.ell_prime / 1000) ** 2)
+def test_slow_start_window_derived_quantities():
+    ell_prime, t0 = slow_start_window(1000, 1, 4.0)
+    assert ell_prime == max(2, math.ceil(4.0 * math.log(1000)))
+    assert t0 == math.floor(1000 / (4.0 * ell_prime))
+    # t0 divides by gamma, and ceil(gamma ln n) needs it finite
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            slow_start_window(1000, 1, gamma)
+
+
+@pytest.mark.parametrize(
+    "init", [InitialCondition("ncolor"), InitialCondition("biased", k=10, bias=40)],
+    ids=["ncolor", "biased"],
+)
+def test_lower_bound_window_comes_from_the_start(init):
+    initial = init.build(1000)
+    out = run_lower_bound_experiment(initial, 1.0, trials=2, rng=RngStream(8))
+    assert out["n"] == int(initial.sum()) == 1000
+    assert out["ell"] == int(initial.max())
+    assert (out["ell_prime"], out["t0"]) == slow_start_window(1000, int(initial.max()), 1.0)
+    assert out["t0"] >= 1
 
 
 def test_run_lower_bound_experiment_reports_fraction():
-    params = LowerBoundParams(gamma=4.0, ell=2, n=500)
     initial = canonicalize([2] + [1] * 498)
-    out = run_lower_bound_experiment(params, initial, trials=5, rng=RngStream(3))
+    out = run_lower_bound_experiment(initial, 4.0, trials=5, rng=RngStream(3))
     assert out["trials"] == 5
     assert 0.0 <= out["exceedance_fraction"] <= 1.0
     assert len(out["first_exceedance_times"]) == 5
 
 
 def test_coupled_process_dominates_tracked_color():
-    params = LowerBoundParams(gamma=4.0, ell=2, n=500)
     initial = canonicalize([2] + [1] * 498)
+    lp, t0 = slow_start_window(500, 2, 4.0)
     for seed in range(5):
         pairs = run_coupled_dominating_process(
-            params, initial, color=0, rounds=params.t0, rng=RngStream(seed, ("cpl",))
+            initial, 4.0, color=0, rounds=t0, rng=RngStream(seed, ("cpl",))
         )
         assert pairs[0] == (2, 2)
-        lp = params.ell_prime
         for c_col, p_val in pairs:
             if c_col > lp:
                 break
@@ -190,11 +197,8 @@ def test_coupled_process_dominates_tracked_color():
 
 
 def test_coupled_process_monotone_dominating_side():
-    params = LowerBoundParams(gamma=4.0, ell=1, n=300)
     initial = canonicalize([1] * 300)
-    pairs = run_coupled_dominating_process(
-        params, initial, color=0, rounds=10, rng=RngStream(1)
-    )
+    pairs = run_coupled_dominating_process(initial, 4.0, color=0, rounds=10, rng=RngStream(1))
     ps = [p for _, p in pairs]
     assert ps == sorted(ps)
 

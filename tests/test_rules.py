@@ -5,9 +5,19 @@ import pytest
 from scipy import stats
 
 from consensuslab import rules
-from consensuslab.core import PREFIX_SLACK, InvalidProbabilityVector, StopCondition, canonicalize
+from consensuslab.core import (
+    PREFIX_SLACK,
+    InvalidConfiguration,
+    InvalidProbabilityVector,
+    StopCondition,
+    canonicalize,
+)
 from consensuslab.dominance import enumerate_configurations
-from consensuslab.harness import InitialCondition
+from consensuslab.harness import (
+    InitialCondition,
+    run_coupled_dominating_process,
+    run_lower_bound_experiment,
+)
 from consensuslab.rules import (
     NotAnACProcess,
     TooManyColorsForExactH,
@@ -302,13 +312,14 @@ def test_absorbing_consensus():
 
 
 def _stepper_loop(rule, c, stop, rng):
-    """run_until written as a literal step_rule loop: its oracle."""
-    seen = []
+    """run_until written as a literal step_rule loop: its oracle. Also
+    returns every round's counts, round 0 included."""
+    seen = [tuple(c.tolist())]
     if len(c) <= stop.kappa:
         return 0, c, seen
     for t in range(1, stop.max_rounds + 1):
         c = step_rule(rule, c, rng)
-        seen.append((t, tuple(c.tolist())))
+        seen.append(tuple(c.tolist()))
         if len(c) <= stop.kappa:
             return t, c, seen
     return None, c, seen
@@ -337,25 +348,16 @@ BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor"
 )
 def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
     c0 = init.build(n)
-    seen = []
-
-    def on_round(t, counts):
-        # the on_round contract: read-only canonical int64 counts summing to n
-        assert counts.dtype == np.int64 and not counts.flags.writeable
-        assert counts[-1] > 0 and np.all(counts[:-1] >= counts[1:]) and counts.sum() == n
-        seen.append((t, tuple(counts.tolist())))
-
     stream = ("oracle", rule.label(), init.label(), n)
-    t, c = run_until(rule, c0, stop, RngStream(5, stream), on_round)
-    t_ref, c_ref, seen_ref = _stepper_loop(rule, c0, stop, RngStream(5, stream))
+    t, c, peak = run_until(rule, c0, stop, RngStream(5, stream))
+    t_ref, c_ref, seen = _stepper_loop(rule, c0, stop, RngStream(5, stream))
     assert t == t_ref
     assert np.array_equal(c, c_ref)
-    assert seen == seen_ref
+    assert type(peak) is int and peak == max(counts[0] for counts in seen)
     assert (t is None) == (stop.max_rounds == 3)
     if per_node is not None:
         # the 2-Choices round takes the per-node path iff k^2 > 8n
-        stepped_from = [tuple(c0.tolist())] + [counts for _, counts in seen_ref[:-1]]
-        assert {len(x) ** 2 > 8 * n for x in stepped_from} == per_node
+        assert {len(x) ** 2 > 8 * n for x in seen[:-1]} == per_node
 
 
 def _patch_alpha(monkeypatch, edit):
@@ -435,11 +437,45 @@ def test_every_producer_returns_canonical_counts():
     per_node = step_rule(two_choices_rule(), NCOLOR.build(20), rng.child("pn"))
     _assert_canonical_counts(per_node, 20)
     _assert_canonical_counts(step_ac_reference(h_majority_rule(3), c, rng.child("ref")), 20)
-    t, out = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
+    t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
     assert t is not None and t >= 1
     _assert_canonical_counts(out, 20)
-    t, out = run_until(voter_rule(), c, StopCondition(max_rounds=1), rng.child("censors"))
+    t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=1), rng.child("censors"))
     assert t is None
     _assert_canonical_counts(out, 20)
     for cfg in enumerate_configurations(7):
         _assert_canonical_counts(cfg, 7)
+
+
+def test_entry_points_reject_non_canonical_counts():
+    # a start already at consensus would run a round and report t = 1; an
+    # unsorted one would give alpha in that order
+    with pytest.raises(InvalidConfiguration):
+        run_until(voter_rule(), np.array([5, 0]), StopCondition(), RngStream(0))
+    with pytest.raises(InvalidConfiguration):
+        process_function(h_majority_rule(3), np.array([1, 3]))
+    entries = (
+        lambda c: step_rule(two_choices_rule(), c, RngStream(0)),
+        lambda c: run_until(voter_rule(), c, StopCondition(max_rounds=5), RngStream(0)),
+        lambda c: process_function(voter_rule(), c),
+        lambda c: process_function_exact(h_majority_rule(3), c),
+        lambda c: expected_fraction_after_step(two_choices_rule(), c),
+        lambda c: step_ac_reference(voter_rule(), c, RngStream(0)),
+        lambda c: run_lower_bound_experiment(c, 4.0, 1, RngStream(0)),
+        lambda c: run_coupled_dominating_process(c, 4.0, 0, 1, RngStream(0)),
+    )
+    bad = (
+        np.array([5, 0]),
+        np.array([1, 3]),
+        np.array([3, -1]),
+        np.array([], dtype=np.int64),
+        np.array([[3, 1]]),
+        np.array([3, 1], dtype=np.int32),
+        np.array([3.0, 1.0]),
+        [3, 1],
+    )
+    for entry in entries:
+        for c in bad:
+            with pytest.raises(InvalidConfiguration):
+                entry(c)
+        entry(canonicalize([3, 1]))  # the same counts, canonical, pass
