@@ -30,14 +30,14 @@ from .drift import (
 )
 from .harness import (
     ExperimentSpec,
-    InitialCondition,
+    initial_counts,
     run_experiment,
     run_lower_bound_experiment,
     run_two_phase_check,
     write_csv_summary,
     write_jsonl,
 )
-from .rules import UpdateRule, h_majority_rule, two_choices_rule, voter_rule
+from .rules import parse_rule
 from .sampler import RngStream
 
 USAGE_ERROR = 1
@@ -56,38 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def parse_rule(text: str) -> UpdateRule:
-    text = text.strip().lower()
-    if text == "voter":
-        return voter_rule()
-    if text == "2choices":
-        return two_choices_rule()
-    if text.startswith("hmaj:"):
-        try:
-            h = int(text.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"rule: bad h in {text!r}")
-        return h_majority_rule(h)
-    # accept the shorter aliases used in reports
-    if text.endswith("maj") and text[:-3].isdigit():
-        return h_majority_rule(int(text[:-3]))
-    raise UsageError(f"rule: unknown rule {text!r} (want voter|2choices|hmaj:<h>)")
-
-
-def parse_initial(text: str) -> InitialCondition:
-    parts = text.strip().lower().split(":")
-    if parts[0] == "ncolor":
-        return InitialCondition("ncolor")
-    if parts[0] == "balanced" and len(parts) == 2:
-        return InitialCondition("balanced", k=int(parts[1]))
-    if parts[0] == "biased" and len(parts) == 3:
-        return InitialCondition("biased", k=int(parts[1]), bias=int(parts[2]))
-    if parts[0] == "explicit" and len(parts) == 2:
-        counts = tuple(int(tok) for tok in parts[1].split(","))
-        return InitialCondition("explicit", counts=counts)
-    raise UsageError(f"init: cannot parse {text!r}")
-
-
 SPEC_KEYS = ("rules", "n", "initial", "kappa", "max_rounds", "trials", "seed", "workers")
 # every run flag's default; simulate applies them in _spec_from_args, so --spec sees a given flag
 RUN_DEFAULTS = dict(
@@ -103,27 +71,32 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
     unknown = sorted(set(raw) - set(SPEC_KEYS))
     if unknown:
         raise UsageError(f"spec: unknown field {unknown[0]!r} (want {', '.join(SPEC_KEYS)})")
+    v = {"kappa": RUN_DEFAULTS["kappa"], "max_rounds": RUN_DEFAULTS["max_rounds"], "workers": 1, **raw}
+    missing = [key for key in SPEC_KEYS if key not in v]
+    if missing:
+        raise UsageError(f"spec: missing field {missing[0]!r}")
+    rules = v["rules"]
+    if not (isinstance(rules, list) and rules and all(isinstance(r, str) for r in rules)):
+        raise UsageError(f"spec: rules must be a non-empty list of strings, got {json.dumps(rules)}")
+    if not isinstance(v["initial"], str):
+        raise UsageError(f"spec: initial must be a string, got {json.dumps(v['initial'])}")
+    for key in ("n", "kappa", "max_rounds", "trials", "seed", "workers"):
+        if type(v[key]) is not int:  # a JSON integer: not a float, string, null or bool
+            raise UsageError(f"spec: {key} must be an integer, got {json.dumps(v[key])}")
     try:
-        rules = tuple(parse_rule(r) for r in raw["rules"])
         spec = ExperimentSpec(
-            rules=rules,
-            n=int(raw["n"]),
-            initial=parse_initial(raw["initial"]),
-            stop=StopCondition(
-                kappa=int(raw.get("kappa", RUN_DEFAULTS["kappa"])),
-                max_rounds=int(raw.get("max_rounds", RUN_DEFAULTS["max_rounds"])),
-            ),
-            trials=int(raw["trials"]),
-            seed=int(raw["seed"]),
+            rules=tuple(parse_rule(r) for r in rules),
+            n=v["n"],
+            initial=v["initial"],
+            stop=StopCondition(kappa=v["kappa"], max_rounds=v["max_rounds"]),
+            trials=v["trials"],
+            seed=v["seed"],
         )
-        workers = int(raw.get("workers", 1))
-    except KeyError as exc:
-        raise UsageError(f"spec: missing field {exc.args[0]!r}")
     except ValueError as exc:
         raise UsageError(f"spec: {exc}")
-    if workers < 0:
-        raise UsageError(f"spec: workers must be >= 0, got {workers}")
-    return spec, workers
+    if v["workers"] < 0:
+        raise UsageError(f"spec: workers must be >= 0, got {v['workers']}")
+    return spec, v["workers"]
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -132,7 +105,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(
         rules=(parse_rule(v["rule"]),),
         n=v["n"],
-        initial=parse_initial(v["init"]),
+        initial=v["init"],
         stop=StopCondition(kappa=v["kappa"], max_rounds=v["max_rounds"]),
         trials=v["trials"],
         seed=v["seed"],
@@ -175,8 +148,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     rule_fast = parse_rule(args.fast)
     rule_slow = parse_rule(args.slow)
-    init = parse_initial(args.init)
-    c0 = init.build(args.n)
+    c0 = initial_counts(args.init, args.n)
     stop = StopCondition(kappa=args.kappa, max_rounds=args.max_rounds)
     report = empirical_time_dominance(
         rule_fast,
@@ -280,8 +252,7 @@ def cmd_drift_bound(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    init = parse_initial(args.init)
-    c0 = init.build(args.n)
+    c0 = initial_counts(args.init, args.n)
     report = run_lower_bound_experiment(
         c0, args.gamma, args.trials, RngStream(args.seed, ("lower-bound",))
     )

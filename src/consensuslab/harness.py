@@ -24,44 +24,6 @@ from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_roun
 from .sampler import RngStream
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """Initial-configuration family: ncolor, balanced(k), biased(k, b), explicit."""
-
-    kind: str  # "ncolor" | "balanced" | "biased" | "explicit"
-    k: int = 0
-    bias: int = 0
-    counts: tuple[int, ...] = ()
-
-    def build(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "ncolor":
-            return canonical_counts(np.ones(n, dtype=np.int64))
-        if self.kind == "balanced":
-            if not 1 <= self.k <= n:
-                raise ValueError("balanced: need 1 <= k <= n")
-            base, rem = divmod(n, self.k)
-            return canonicalize([base + (1 if i < rem else 0) for i in range(self.k)])
-        if self.kind == "biased":
-            return biased_configuration(n, self.k, self.bias)
-        if self.kind == "explicit":
-            c = canonicalize(self.counts)
-            if c.sum() != n:
-                raise ValueError(f"explicit counts sum to {c.sum()}, expected n = {n}")
-            return c
-        raise ValueError(f"unknown initial kind {self.kind!r}")
-
-    def label(self) -> str:
-        if self.kind == "ncolor":
-            return "ncolor"
-        if self.kind == "balanced":
-            return f"balanced:{self.k}"
-        if self.kind == "biased":
-            return f"biased:{self.k}:{self.bias}"
-        return "explicit:" + ",".join(str(c) for c in self.counts)
-
-
 def biased_configuration(n: int, k: int, bias: int) -> np.ndarray:
     """Deterministic family with c1 - c2 = bias.
 
@@ -81,20 +43,56 @@ def biased_configuration(n: int, k: int, bias: int) -> np.ndarray:
     return canonicalize(counts)
 
 
+# the number of ':'-separated fields after each init kind
+_INIT_FIELDS = {"ncolor": 0, "balanced": 1, "biased": 2, "explicit": 1}
+
+
+def initial_counts(text: str, n: int) -> np.ndarray:
+    """Canonical counts of n nodes from an init spelling: ncolor,
+    balanced:<k>, biased:<k>:<bias> or explicit:<c1>,<c2>,... (case and
+    surrounding space ignored). The one parser of that spelling."""
+    kind, *fields = text.strip().lower().split(":")
+    try:
+        if len(fields) != _INIT_FIELDS[kind]:
+            raise ValueError
+        ints = [int(tok) for tok in (fields[0].split(",") if kind == "explicit" else fields)]
+    except (KeyError, ValueError):
+        raise ValueError(f"init: cannot parse {text!r}") from None
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind == "ncolor":
+        return canonical_counts(np.ones(n, dtype=np.int64))
+    if kind == "balanced":
+        (k,) = ints
+        if not 1 <= k <= n:
+            raise ValueError("balanced: need 1 <= k <= n")
+        base, rem = divmod(n, k)
+        return canonicalize([base + (1 if i < rem else 0) for i in range(k)])
+    if kind == "biased":
+        return biased_configuration(n, *ints)
+    c = canonicalize(ints)
+    if c.sum() != n:
+        raise ValueError(f"explicit counts sum to {c.sum()}, expected n = {n}")
+    return c
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     rules: tuple[UpdateRule, ...]
     n: int
-    initial: InitialCondition
+    initial: str  # an init spelling, built per trial by initial_counts
     stop: StopCondition
     trials: int
     seed: int
 
     def __post_init__(self):
+        # build the start once, so a bad spelling, n < 1 or an infeasible
+        # start fails here rather than in a trial
+        initial_counts(self.initial, self.n)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not self.rules:
+            raise ValueError("rules: need at least one rule")
 
 
 def simulate_to_stop(
@@ -103,7 +101,7 @@ def simulate_to_stop(
     """One seeded trial; returns (stopping time or None if censored, peak),
     where peak is the largest support over every round, round 0 included."""
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
-    stop_time, _, peak = run_until(rule, spec.initial.build(spec.n), spec.stop, rng)
+    stop_time, _, peak = run_until(rule, initial_counts(spec.initial, spec.n), spec.stop, rng)
     return stop_time, peak
 
 
@@ -154,22 +152,22 @@ def run_lower_bound_experiment(
     whose sum is n and largest support ell; track max-support exceedances.
 
     Reports the fraction of trials where any color's support ever exceeded
-    ell_prime within the window, plus first-exceedance times.
+    ell_prime within the window, plus first-exceedance times (None for a
+    trial with none; every trial, without a draw, when ell_prime >= n).
     """
     check_canonical(initial)
     n, ell = int(initial.sum()), int(initial[0])
     lp, t0 = slow_start_window(n, ell, gamma)
-    first_exceedance: list[Optional[int]] = []
-    for trial in range(trials):
+    first_exceedance: list[Optional[int]] = [None] * trials
+    # no support exceeds n, so with ell_prime >= n no trial can hit: draw nothing
+    for trial in range(trials if lp < n else 0):
         gen = rng.child(trial).gen
         node_colors = np.repeat(np.arange(len(initial)), initial)
-        hit: Optional[int] = None
         for t in range(1, t0 + 1):
             node_colors, _, _ = two_choices_node_round(node_colors, gen)
             if np.bincount(node_colors).max() > lp:
-                hit = t
+                first_exceedance[trial] = t
                 break
-        first_exceedance.append(hit)
     exceeded = sum(1 for h in first_exceedance if h is not None)
     return {
         "n": n,
@@ -251,7 +249,7 @@ def run_two_phase_check(
         raise ValueError("two-phase check needs n >= 256")
     k = k_split if k_split is not None else math.ceil(n**0.25)
     hm3, voter = h_majority_rule(3), voter_rule()
-    c0 = InitialCondition("ncolor").build(n)
+    c0 = initial_counts("ncolor", n)
     split = StopCondition(kappa=k)
     rows = []
     for trial in range(trials):

@@ -67,6 +67,25 @@ def h_majority_rule(h: int) -> UpdateRule:
     return UpdateRule(H_MAJORITY, h=h)
 
 
+def parse_rule(text: str) -> UpdateRule:
+    """The rule a label names (voter | 2choices | hmaj:<h>), or the <h>maj
+    alias used in reports; case and surrounding space ignored."""
+    text = text.strip().lower()
+    if text == "voter":
+        return voter_rule()
+    if text == "2choices":
+        return two_choices_rule()
+    if text.startswith("hmaj:"):
+        try:
+            h = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"rule: bad h in {text!r}") from None
+        return h_majority_rule(h)
+    if text.endswith("maj") and text[:-3].isdigit():
+        return h_majority_rule(int(text[:-3]))
+    raise ValueError(f"rule: unknown rule {text!r} (want voter|2choices|hmaj:<h>)")
+
+
 def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
     # alpha_i = x_i * (1 + x_i - ||x||_2^2); exact on an object array of Fractions
     sq = x.dot(x)

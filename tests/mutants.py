@@ -154,6 +154,23 @@ MUTANTS = (
         ("tests/test_harness.py::test_lower_bound_window_comes_from_the_start",),
     ),
     Mutant(
+        "init-ignores-extra-fields",
+        "harness.py",
+        "if len(fields) != _INIT_FIELDS[kind]:",
+        "if len(fields) < _INIT_FIELDS[kind]:",  # ncolor:7 runs as ncolor
+        (
+            "tests/test_harness.py::test_initial_condition_validation",
+            "tests/test_cli.py::test_usage_errors_exit_one",
+        ),
+    ),
+    Mutant(
+        "lower-bound-vacuous-window-strict",
+        "harness.py",
+        "for trial in range(trials if lp < n else 0):",
+        "for trial in range(trials if lp <= n else 0):",  # ell_prime == n still draws
+        ("tests/test_harness.py::test_lower_bound_window_nothing_can_exceed",),
+    ),
+    Mutant(
         "complete-graph-self-loops",
         "coalescing.py",
         "return np.where(r >= nodes, r + 1, r)",

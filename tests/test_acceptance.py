@@ -38,7 +38,6 @@ from consensuslab.drift import (
     variable_drift_bound_lw14,
 )
 from consensuslab.harness import (
-    InitialCondition,
     run_coupled_dominating_process,
     slow_start_window,
 )

@@ -12,13 +12,10 @@ from consensuslab import cli
 from consensuslab.cli import (
     USAGE_ERROR,
     VALIDATION_FAILURE,
-    UsageError,
     main,
-    parse_initial,
-    parse_rule,
 )
 from consensuslab.core import StopCondition
-from consensuslab.harness import ExperimentSpec, InitialCondition
+from consensuslab.harness import ExperimentSpec
 from consensuslab.rules import voter_rule
 
 
@@ -35,26 +32,6 @@ def run_cli(*args):
         env=CLI_ENV,
     )
     return proc
-
-
-def test_parse_rule():
-    assert parse_rule("voter").label() == "voter"
-    assert parse_rule("2choices").label() == "2choices"
-    assert parse_rule("hmaj:4").label() == "hmaj:4"
-    assert parse_rule("3maj").label() == "hmaj:3"
-    with pytest.raises(UsageError):
-        parse_rule("quorum")
-    with pytest.raises(UsageError):
-        parse_rule("hmaj:zero")
-
-
-def test_parse_initial():
-    assert parse_initial("ncolor").label() == "ncolor"
-    assert parse_initial("balanced:4").label() == "balanced:4"
-    assert parse_initial("biased:3:2").label() == "biased:3:2"
-    assert parse_initial("explicit:4,3,1").build(8).tolist() == [4, 3, 1]
-    with pytest.raises(UsageError):
-        parse_initial("weird")
 
 
 def test_simulate_emits_one_json_line_per_trial():
@@ -132,6 +109,33 @@ def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, messa
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("initial", 5),
+        ("rules", 5),
+        ("rules", "voter"),  # a string, not a list of one
+        ("rules", []),
+        ("rules", ["voter", 3]),
+        ("n", None),
+        ("n", 8.7),  # not rounded down to 8
+        ("trials", True),  # a bool is not an integer
+        ("seed", 1.0),
+        ("kappa", "2"),
+        ("max_rounds", 1e3),
+        ("workers", False),
+    ],
+)
+def test_simulate_spec_file_rejects_mistyped_values(tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, field: value}))
+    assert main(["simulate", "--spec", str(path)]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: spec: {field} "), captured.err
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--rule", "2choices"), ("--n", "999"), ("--init", "balanced:2"), ("--kappa", "2"),
      ("--max-rounds", "5"), ("--trials", "5"), ("--seed", "3"), ("--n", "1024")],
@@ -165,7 +169,7 @@ def test_simulate_flag_defaults():
     assert cli._spec_from_args(args) == ExperimentSpec(
         rules=(voter_rule(),),
         n=1024,
-        initial=InitialCondition("ncolor"),
+        initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=10**6),
         trials=100,
         seed=0,
@@ -289,6 +293,16 @@ def test_usage_errors_exit_one(capsys):
         (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "-1", "--expect-pass"],
          "epsilon"),
         (["lower-bound", "--gamma", "inf"], "gamma"),
+        # an init spelling with an extra, empty or non-integer field
+        (["simulate", "--init", "ncolor:7", "--n", "8"], "init: cannot parse 'ncolor:7'"),
+        (["simulate", "--init", "balanced:x"], "init: cannot parse 'balanced:x'"),
+        (["simulate", "--init", "explicit:"], "init: cannot parse 'explicit:'"),
+        (["simulate", "--init", "explicit:3,,1", "--n", "4"], "init: cannot parse 'explicit:3,,1'"),
+        (["compare", "--fast", "3maj", "--slow", "voter", "--init", "ncolor:7"], "init"),
+        (["lower-bound", "--init", "balanced:x"], "init"),
+        (["simulate", "--init", "weird"], "init: cannot parse 'weird'"),
+        (["simulate", "--init", "biased:3"], "init: cannot parse 'biased:3'"),
+        (["simulate", "--init", "balanced:20", "--n", "10"], "balanced: need 1 <= k <= n"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
+from consensuslab import harness
 from consensuslab.core import StopCondition, canonicalize
 from consensuslab.harness import (
     CouplingViolation,
     ExperimentSpec,
-    InitialCondition,
     biased_configuration,
+    initial_counts,
     run_coupled_dominating_process,
     run_experiment,
     run_lower_bound_experiment,
@@ -24,22 +25,38 @@ from consensuslab.sampler import RngStream
 
 
 def test_initial_conditions_build():
-    assert InitialCondition("ncolor").build(5).tolist() == [1, 1, 1, 1, 1]
-    assert InitialCondition("balanced", k=4).build(12).tolist() == [3, 3, 3, 3]
-    c = InitialCondition("explicit", counts=(4, 3, 1)).build(8)
+    assert initial_counts("ncolor", 5).tolist() == [1, 1, 1, 1, 1]
+    assert initial_counts("balanced:4", 12).tolist() == [3, 3, 3, 3]
+    c = initial_counts("explicit:4,3,1", 8)
     assert c.tolist() == [4, 3, 1]
-    b = InitialCondition("biased", k=3, bias=2).build(9)
+    b = initial_counts("biased:3:2", 9)
     assert b.sum() == 9
     assert b[0] - b[-1] >= 2
+    # case and surrounding space are ignored
+    assert initial_counts(" ncolor ", 3).tolist() == [1, 1, 1]
+    assert initial_counts("BALANCED:4", 8).tolist() == [2, 2, 2, 2]
 
 
 def test_initial_condition_validation():
     # non-divisible balanced splits spread the remainder
-    assert InitialCondition("balanced", k=5).build(12).tolist() == [3, 3, 2, 2, 2]
-    with pytest.raises(ValueError):
-        InitialCondition("balanced", k=13).build(12)  # more colors than nodes
-    with pytest.raises(ValueError):
-        InitialCondition("explicit", counts=(4, 3)).build(8)  # mass mismatch
+    assert initial_counts("balanced:5", 12).tolist() == [3, 3, 2, 2, 2]
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        initial_counts("balanced:13", 12)  # more colors than nodes
+    with pytest.raises(ValueError, match="expected n = 8"):
+        initial_counts("explicit:4,3", 8)  # mass mismatch
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        initial_counts("ncolor", 0)
+    # a spelling with a missing, extra or non-integer field is not a start
+    for text in ("weird", "biased:3", "ncolor:7", "balanced:x", "balanced:4:1", "explicit:",
+                 "explicit:3,,1"):
+        with pytest.raises(ValueError, match="init: cannot parse"):
+            initial_counts(text, 8)
+    # the spec builds its start once, so a bad one fails before any trial
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        ExperimentSpec(rules=(voter_rule(),), n=10, initial="balanced:20",
+                       stop=StopCondition(), trials=1, seed=0)
+    with pytest.raises(ValueError, match="at least one rule"):
+        ExperimentSpec(rules=(), n=10, initial="ncolor", stop=StopCondition(), trials=1, seed=0)
 
 
 def test_biased_configuration_mass_and_bias():
@@ -53,7 +70,7 @@ def test_simulate_to_stop_reaches_consensus():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=32,
-        initial=InitialCondition("ncolor"),
+        initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=200),  # longest run 73 rounds
         trials=1,
         seed=5,
@@ -68,7 +85,7 @@ def test_simulate_to_stop_peak_counts_round_zero():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=32,
-        initial=InitialCondition("explicit", counts=(20, 12)),
+        initial="explicit:20,12",
         stop=StopCondition(kappa=2, max_rounds=10),
         trials=1,
         seed=5,
@@ -80,7 +97,7 @@ def test_simulate_to_stop_censors():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=64,
-        initial=InitialCondition("ncolor"),
+        initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=2),
         trials=1,
         seed=5,
@@ -95,7 +112,7 @@ def test_max_support_peak_covers_unrecorded_rounds():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=200,
-        initial=InitialCondition("balanced", k=4),
+        initial="balanced:4",
         stop=StopCondition(kappa=2, max_rounds=1_000),  # longest run 353 rounds
         trials=50,
         seed=0,
@@ -107,7 +124,7 @@ def test_max_support_peak_covers_unrecorded_rounds():
         # replay the trial round by round on simulate_to_stop's stream: the
         # largest support of round 0 and of every round after it
         rng = RngStream(spec.seed, ("sim", "voter", rec["trial"]))
-        c = spec.initial.build(spec.n)
+        c = initial_counts(spec.initial, spec.n)
         supports = [int(c[0])]
         while len(c) > spec.stop.kappa and len(supports) <= spec.stop.max_rounds:
             c = step_rule(voter_rule(), c, rng)
@@ -122,7 +139,7 @@ def test_run_experiment_record_shape():
     spec = ExperimentSpec(
         rules=(voter_rule(), h_majority_rule(3)),
         n=32,
-        initial=InitialCondition("ncolor"),
+        initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=300),  # longest run 104 rounds
         trials=3,
         seed=1,
@@ -138,7 +155,7 @@ def test_run_experiment_worker_count_invariance():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=32,
-        initial=InitialCondition("ncolor"),
+        initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=350),  # longest run 120 rounds
         trials=8,
         seed=2,
@@ -162,16 +179,28 @@ def test_slow_start_window_derived_quantities():
 
 
 @pytest.mark.parametrize(
-    "init", [InitialCondition("ncolor"), InitialCondition("biased", k=10, bias=40)],
-    ids=["ncolor", "biased"],
+    "init", ["ncolor", "biased:10:40"], ids=["ncolor", "biased"]
 )
 def test_lower_bound_window_comes_from_the_start(init):
-    initial = init.build(1000)
+    initial = initial_counts(init, 1000)
     out = run_lower_bound_experiment(initial, 1.0, trials=2, rng=RngStream(8))
     assert out["n"] == int(initial.sum()) == 1000
     assert out["ell"] == int(initial.max())
     assert (out["ell_prime"], out["t0"]) == slow_start_window(1000, int(initial.max()), 1.0)
     assert out["t0"] >= 1
+
+
+def test_lower_bound_window_nothing_can_exceed(monkeypatch):
+    # ell_prime = max(2 * 5, ceil(0.1 ln 10)) = 10 = n: no support can pass
+    # it, so every trial reports None without drawing a round
+    def no_round(node_colors, gen):
+        raise AssertionError("a round was drawn")
+
+    monkeypatch.setattr(harness, "two_choices_node_round", no_round)
+    out = run_lower_bound_experiment(initial_counts("balanced:2", 10), 0.1, 3, RngStream(0))
+    assert (out["ell_prime"], out["t0"]) == (10, 10)
+    assert out["first_exceedance_times"] == [None, None, None]
+    assert out["exceedance_fraction"] == 0.0
 
 
 def test_run_lower_bound_experiment_reports_fraction():

@@ -14,7 +14,7 @@ from consensuslab.core import (
 )
 from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import (
-    InitialCondition,
+    initial_counts,
     run_coupled_dominating_process,
     run_lower_bound_experiment,
 )
@@ -24,6 +24,7 @@ from consensuslab.rules import (
     UpdateRule,
     expected_fraction_after_step,
     h_majority_rule,
+    parse_rule,
     plurality_enumeration_alpha,
     process_function,
     process_function_exact,
@@ -44,6 +45,18 @@ def test_rule_labels_and_flags():
     assert voter_rule().is_ac
     assert h_majority_rule(5).is_ac
     assert not two_choices_rule().is_ac
+
+
+def test_parse_rule():
+    # parse_rule inverts label, and reads the <h>maj alias
+    for rule in (voter_rule(), two_choices_rule(), *(h_majority_rule(h) for h in range(1, 7))):
+        assert parse_rule(rule.label()) == rule
+    assert parse_rule("3maj") == h_majority_rule(3)
+    assert parse_rule(" HMAJ:4 ") == h_majority_rule(4)
+    with pytest.raises(ValueError, match="unknown rule 'quorum'"):
+        parse_rule("quorum")
+    with pytest.raises(ValueError, match="bad h"):
+        parse_rule("hmaj:zero")
 
 
 def test_rule_validation():
@@ -325,7 +338,7 @@ def _stepper_loop(rule, c, stop, rng):
     return None, c, seen
 
 
-BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor")
+BALANCED6, NCOLOR = "balanced:6", "ncolor"
 
 
 @pytest.mark.parametrize(
@@ -337,7 +350,7 @@ BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor"
         (h_majority_rule(2), BALANCED6, 120, StopCondition(max_rounds=500), None),
         (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=39), None),
         (h_majority_rule(4), BALANCED6, 120, StopCondition(max_rounds=36), None),
-        (two_choices_rule(), InitialCondition("balanced", k=4), 2000, StopCondition(max_rounds=60),
+        (two_choices_rule(), "balanced:4", 2000, StopCondition(max_rounds=60),
          {False}),
         (two_choices_rule(), NCOLOR, 3000, StopCondition(kappa=200), {True}),
         (two_choices_rule(), NCOLOR, 400, StopCondition(max_rounds=360), {True, False}),
@@ -347,8 +360,8 @@ BALANCED6, NCOLOR = InitialCondition("balanced", k=6), InitialCondition("ncolor"
          "2choices-mixed", "censored"],
 )
 def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
-    c0 = init.build(n)
-    stream = ("oracle", rule.label(), init.label(), n)
+    c0 = initial_counts(init, n)
+    stream = ("oracle", rule.label(), init, n)
     t, c, peak = run_until(rule, c0, stop, RngStream(5, stream))
     t_ref, c_ref, seen = _stepper_loop(rule, c0, stop, RngStream(5, stream))
     assert t == t_ref
@@ -422,19 +435,14 @@ def _assert_canonical_counts(c, n):
 
 def test_every_producer_returns_canonical_counts():
     _assert_canonical_counts(canonicalize([0, 2, 5, 1]), 8)
-    for init in (
-        NCOLOR,
-        InitialCondition("balanced", k=5),
-        InitialCondition("biased", k=3, bias=4),
-        InitialCondition("explicit", counts=(1, 0, 7, 4)),
-    ):
-        _assert_canonical_counts(init.build(12), 12)
+    for init in (NCOLOR, "balanced:5", "biased:3:4", "explicit:1,0,7,4"):
+        _assert_canonical_counts(initial_counts(init, 12), 12)
     c = canonicalize([10, 6, 4])
     rng = RngStream(41)
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
         _assert_canonical_counts(step_rule(rule, c, rng.child(rule.label())), 20)
     # from 20 colours (k^2 > 8n) the 2-Choices round is the per-node one
-    per_node = step_rule(two_choices_rule(), NCOLOR.build(20), rng.child("pn"))
+    per_node = step_rule(two_choices_rule(), initial_counts(NCOLOR, 20), rng.child("pn"))
     _assert_canonical_counts(per_node, 20)
     _assert_canonical_counts(step_ac_reference(h_majority_rule(3), c, rng.child("ref")), 20)
     t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
