@@ -15,7 +15,7 @@ from consensuslab.cli import (
     main,
 )
 from consensuslab.core import StopCondition
-from consensuslab.harness import ExperimentSpec
+from consensuslab.harness import ExperimentSpec, initial_counts
 from consensuslab.rules import voter_rule
 
 
@@ -32,6 +32,23 @@ def run_cli(*args):
         env=CLI_ENV,
     )
     return proc
+
+
+def test_parse_initial():
+    # --init passes its spelling through to the spec, which builds the start
+    for text, n, counts in [
+        ("ncolor", 4, [1, 1, 1, 1]),
+        ("balanced:4", 8, [2, 2, 2, 2]),
+        ("explicit:4,3,1", 8, [4, 3, 1]),
+    ]:
+        args = cli.build_parser().parse_args(["simulate", "--init", text, "--n", str(n)])
+        spec = cli._spec_from_args(args)
+        assert spec.initial == text
+        assert initial_counts(spec.initial, spec.n).tolist() == counts
+    b = initial_counts("biased:3:2", 9)
+    assert b.sum() == 9 and b[0] - b[-1] >= 2
+    with pytest.raises(ValueError, match="init: cannot parse 'weird'"):
+        cli._spec_from_args(cli.build_parser().parse_args(["simulate", "--init", "weird"]))
 
 
 def test_simulate_emits_one_json_line_per_trial():
