@@ -20,7 +20,15 @@ import numpy as np
 
 from .coalescing import CouplingViolation
 from .core import StopCondition, canonical_counts, canonicalize, check_canonical
-from .rules import UpdateRule, h_majority_rule, run_until, two_choices_node_round, voter_rule
+from .rules import (
+    UpdateRule,
+    _run_until,
+    h_majority_rule,
+    run_until,
+    two_choices_node_round,
+    two_choices_rule,
+    voter_rule,
+)
 from .sampler import RngStream
 
 
@@ -161,13 +169,11 @@ def run_lower_bound_experiment(
     first_exceedance: list[Optional[int]] = [None] * trials
     # no support exceeds n, so with ell_prime >= n no trial can hit: draw nothing
     for trial in range(trials if lp < n else 0):
-        gen = rng.child(trial).gen
-        node_colors = np.repeat(np.arange(len(initial)), initial)
-        for t in range(1, t0 + 1):
-            node_colors, _, _ = two_choices_node_round(node_colors, gen)
-            if np.bincount(node_colors).max() > lp:
-                first_exceedance[trial] = t
-                break
+        # stops at the first round with a support above ell_prime; consensus
+        # (kappa = 1) is such a round, since ell_prime < n
+        first_exceedance[trial], _, _ = _run_until(
+            two_choices_rule(), initial, 1, t0, rng.child(trial).gen, lp
+        )
     exceeded = sum(1 for h in first_exceedance if h is not None)
     return {
         "n": n,

@@ -183,14 +183,8 @@ def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> 
     independently of the color it left (landing on its own color keeps
     it). Hence left_j ~ Bin(c_j, s) per color, and the landing colors of
     all leavers together are Mult(sum(left), q / s): the exact one-step
-    law in two draws. With many colors (k^2 > 8n) the per-node round is
-    cheaper.
+    law in two draws, at O(k) cost.
     """
-    k = len(counts)
-    if k * k > 8 * n:
-        node_colors = np.repeat(np.arange(k), counts)
-        new_colors, _, _ = two_choices_node_round(node_colors, gen)
-        return canonical_counts(np.bincount(new_colors, minlength=k))
     q = (counts / n) ** 2
     s = q.sum()
     left = gen.binomial(counts, s)
@@ -256,7 +250,8 @@ def run_until(
     rule: UpdateRule, c: np.ndarray, stop: StopCondition, rng: RngStream
 ) -> tuple[Optional[int], np.ndarray, int]:
     """Step `rule` from canonical counts c until at most stop.kappa colors
-    remain; the draws are step_rule's.
+    remain. Each round has step_rule's law; for an AC rule, and for
+    2-Choices from a start with sum(c_i^2)/n > k, the draws are step_rule's.
 
     Returns (t, c_t, peak): t is the first round with at most kappa colors
     (0 if c already has them), or None if max_rounds pass first; c_t is the
@@ -264,17 +259,125 @@ def run_until(
     from 0 to the last.
     """
     check_canonical(c)
-    peak = int(c[0])
-    if len(c) <= stop.kappa:
-        return 0, c, peak
-    n, gen = int(c.sum()), rng.gen
-    for t in range(1, stop.max_rounds + 1):
+    return _run_until(rule, c, stop.kappa, stop.max_rounds, rng.gen, int(c.sum()))
+
+
+def _run_until(
+    rule: UpdateRule, c: np.ndarray, kappa: int, max_rounds: int, gen: np.random.Generator,
+    above: int,
+) -> tuple[Optional[int], np.ndarray, int]:
+    """run_until's rounds, which also stop at the first round whose largest
+    support exceeds `above` (no support exceeds n, so above = n never
+    stops them). 2-Choices starts with the mover-priced rounds and hands
+    its counts to the closed-form round when those stop being cheaper."""
+    n, t, peak = int(c.sum()), 0, int(c[0])
+    if rule.kind == TWO_CHOICES and len(c) > kappa:
+        t, c, peak = _two_choices_movers(c, n, kappa, max_rounds, gen, above)
+    if len(c) <= kappa or peak > above:
+        return t, c, peak
+    for t in range(t + 1, max_rounds + 1):
         c = _round(rule, c, n, gen)
         if c[0] > peak:
             peak = int(c[0])
-        if len(c) <= stop.kappa:
+        if len(c) <= kappa or peak > above:
             return t, c, peak
     return None, c, peak
+
+
+# a round with at most this many movers moves them one at a time in Python,
+# where numpy's per-call cost would outweigh the work
+_FEW_MOVERS = 4
+
+
+def _two_choices_movers(
+    c: np.ndarray, n: int, kappa: int, max_rounds: int, gen: np.random.Generator, above: int
+) -> tuple[int, np.ndarray, int]:
+    """2-Choices rounds from canonical counts c, each priced by its movers.
+
+    A node changes color only if its two samples agree, which happens with
+    probability s = sum(c_i^2) / n^2 whatever its own color, and then takes
+    color L with probability c_L^2 / sum(c_i^2). So a round's movers are a
+    uniform M-subset of the nodes, M ~ Bin(n, s), each landing
+    independently by the pre-round counts: the law of _two_choices_round.
+    Rounds without a mover, of probability (1 - s)^n <= 1/e, are skipped
+    with one geometric draw.
+
+    Runs from round 0 until at most kappa colors remain, a support exceeds
+    `above`, max_rounds pass, or E[M] = sum(c_i^2)/n exceeds the number of
+    colors k, where the closed-form round is the cheaper one; a start
+    already there returns c without a draw. Returns (t, canonical counts
+    at round t, the peak of rounds 0..t).
+    """
+    k = len(c)
+    sumsq = sum(x * x for x in c.tolist())  # a Python int: no overflow
+    peak = bound = int(c[0])  # bound >= every count, the landing's ceiling
+    if sumsq > k * n:  # hand off before building the node array
+        return 0, c, peak
+    counts = c.copy()  # label -> count; labels stay put, so unsorted
+    labels = np.repeat(np.arange(k), c)  # node -> label
+    t = 0
+    while t < max_rounds and k > kappa and peak <= above and sumsq <= k * n:
+        s = sumsq / (n * n)
+        t += int(gen.geometric(-math.expm1(n * math.log1p(-s))))
+        if t > max_rounds:  # censored before the next mover: counts unchanged
+            t = max_rounds
+            break
+        m = 0
+        while m == 0:  # M ~ Bin(n, s) given M >= 1
+            m = int(gen.binomial(n, s))
+        landed = _landings(m, labels, counts, n, bound, sumsq, gen)
+        if m <= _FEW_MOVERS:
+            movers = []
+            while len(movers) < m:
+                v = int(gen.integers(n))
+                if v not in movers:
+                    movers.append(v)
+            new_labels = landed.tolist()
+            for v, new in zip(movers, new_labels):
+                old = int(labels[v])
+                if old != new:
+                    labels[v] = new
+                    c_old, c_new = int(counts[old]), int(counts[new])
+                    counts[old], counts[new] = c_old - 1, c_new + 1
+                    sumsq += 2 * (c_new - c_old + 1)
+                    # a label emptied earlier this round and refilled counts back
+                    k += (c_new == 0) - (c_old == 1)
+            top = max(int(counts[label]) for label in new_labels)
+        else:
+            movers = np.unique(gen.integers(0, n, size=m))
+            while len(movers) < m:  # the distinct values of uniform draws
+                movers = np.union1d(movers, gen.integers(0, n, size=m - len(movers)))
+            old = labels[movers]
+            labels[movers] = landed
+            touched = np.union1d(old, landed)
+            before = counts[touched]
+            np.subtract.at(counts, old, 1)
+            np.add.at(counts, landed, 1)
+            after = counts[touched]
+            k += int(np.count_nonzero(after) - np.count_nonzero(before))
+            sumsq += int(after @ after - before @ before)
+            top = int(after.max())
+        # only a label landed on can grow
+        peak, bound = max(peak, top), max(bound, top)
+    return t, canonical_counts(counts), peak
+
+
+def _landings(
+    m: int, labels: np.ndarray, counts: np.ndarray, n: int, bound: int, sumsq: int,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """m independent labels, each L with probability c_L^2 / sumsq, by
+    size-biased rejection: a uniform node's label L, accepted with
+    probability c_L / bound. One integer below n * bound gives both
+    uniforms; the candidates come in batches sized by the acceptance rate
+    sumsq / (n * bound)."""
+    landed = np.empty(0, dtype=np.int64)
+    while len(landed) < m:
+        need = m - len(landed)
+        x = gen.integers(0, n * bound, size=need * n * bound // sumsq + need)
+        label = labels[x // bound]
+        landed = np.concatenate((landed, label[x % bound < counts[label]][:need]))
+    return landed
 
 
 def expected_fraction_after_step(rule: UpdateRule, c: np.ndarray) -> np.ndarray:

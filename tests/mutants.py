@@ -83,8 +83,8 @@ MUTANTS = (
     Mutant(
         "run-until-strict-kappa",
         "rules.py",
-        "        if len(c) <= stop.kappa:\n            return t, c",
-        "        if len(c) < stop.kappa:\n            return t, c",
+        "        if len(c) <= kappa or peak > above:\n            return t, c",
+        "        if len(c) < kappa or peak > above:\n            return t, c",
         (
             "tests/test_rules.py::test_run_until_matches_stepper_loop",
             "tests/test_rules.py::test_every_producer_returns_canonical_counts",
@@ -111,6 +111,30 @@ MUTANTS = (
             "tests/test_rules.py::test_two_choices_modes_agree_in_distribution",
             "tests/test_rules.py::test_two_choices_empirical_mean_matches_formula",
         ),
+    ),
+    Mutant(
+        "two-choices-refill-uncounted",
+        "rules.py",
+        "k += (c_new == 0) - (c_old == 1)",
+        "k -= c_old == 1",  # a label emptied and refilled in one round stays lost
+        ("tests/test_rules.py::test_two_choices_driver_invariants",),
+    ),
+    Mutant(
+        "two-choices-movers-land-by-counts",
+        "rules.py",
+        "label[x % bound < counts[label]][:need]",
+        "label[:need]",  # every candidate accepted: landing by c_L, not c_L^2
+        (
+            "tests/test_rules.py::test_two_choices_driver_one_round_law",
+            "tests/test_rules.py::test_two_choices_driver_one_round_law_with_many_movers",
+        ),
+    ),
+    Mutant(
+        "two-choices-skip-past-the-cap",
+        "rules.py",
+        "if t > max_rounds:  # censored",
+        "if False:  # censored",  # a skip past max_rounds still runs its round
+        ("tests/test_rules.py::test_two_choices_driver_one_round_law",),
     ),
     Mutant(
         "lifted-replay-forward-order",

@@ -169,13 +169,16 @@ def test_07_two_choices_separation_and_coupling():
     rounds = 2000
     wins = 0
     for trial in range(20):
-        counts = {}
+        times = {}
         for rule, tag in ((h_majority_rule(3), "hmaj"), (two_choices_rule(), "2ch")):
             rng = RngStream(70, ("sep", trial, tag))
             stop = StopCondition(kappa=1, max_rounds=rounds)
-            _, c, _ = run_until(rule, canonicalize([1] * n), stop, rng)
-            counts[tag] = len(c)
-        if counts["hmaj"] < counts["2ch"]:
+            times[tag], _, _ = run_until(rule, canonicalize([1] * n), stop, rng)
+        # 3-Majority must reach consensus within the cap and strictly before
+        # 2-Choices, a censored 2-Choices run counting as later. Colour
+        # counts at the cap would tie whenever 2-Choices has also finished,
+        # which it does by round 2,000 in about one run in eight
+        if times["hmaj"] is not None and (times["2ch"] is None or times["hmaj"] < times["2ch"]):
             wins += 1
     initial = canonicalize([2] + [1] * 998)
     _, t0 = slow_start_window(1000, 2, 4.0)

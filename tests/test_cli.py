@@ -82,6 +82,19 @@ def test_simulate_deterministic_across_worker_counts():
     assert all(r["stop_time"] is not None for r in records)
 
 
+def test_two_choices_simulate_deterministic_across_worker_counts():
+    # from n colours 2-Choices runs its mover-priced rounds, which must
+    # depend on the (seed, trial) stream alone
+    args = ["simulate", "--rule", "2choices", "--init", "ncolor", "--n", "200", "--trials", "6",
+            "--seed", "4", "--max-rounds", "2000"]
+    out1 = run_cli(*args, "--workers", "1").stdout
+    out2 = run_cli(*args, "--workers", "2").stdout
+    assert out1 == out2
+    records = [json.loads(ln) for ln in out1.splitlines()]
+    assert len(records) == 6
+    assert all(r["stop_time"] is not None for r in records)
+
+
 def test_simulate_spec_file(tmp_path):
     spec = {
         "rules": ["voter", "hmaj:3"],

@@ -193,10 +193,10 @@ def test_lower_bound_window_comes_from_the_start(init):
 def test_lower_bound_window_nothing_can_exceed(monkeypatch):
     # ell_prime = max(2 * 5, ceil(0.1 ln 10)) = 10 = n: no support can pass
     # it, so every trial reports None without drawing a round
-    def no_round(node_colors, gen):
+    def no_round(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(harness, "two_choices_node_round", no_round)
+    monkeypatch.setattr(harness, "_run_until", no_round)
     out = run_lower_bound_experiment(initial_counts("balanced:2", 10), 0.1, 3, RngStream(0))
     assert (out["ell_prime"], out["t0"]) == (10, 10)
     assert out["first_exceedance_times"] == [None, None, None]

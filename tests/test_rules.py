@@ -249,29 +249,86 @@ def _per_node_round(c, rng):
     return tuple(canonicalize(np.bincount(new_colors, minlength=len(c))).tolist())
 
 
+def _assert_law(round_fn, c, draws, rng):
+    """Chi-square of `draws` rounds round_fn(c, rng) against the exact law."""
+    exact = _two_choices_exact_law(c.tolist())
+    outcomes = sorted(exact)
+    tally = dict.fromkeys(outcomes, 0)
+    for _ in range(draws):
+        tally[round_fn(c, rng)] += 1  # a KeyError is an impossible outcome
+    observed = np.array([tally[o] for o in outcomes], dtype=float)
+    expected = np.array([float(exact[o]) for o in outcomes]) * draws
+    # pool the outcomes expected fewer than 5 times into one cell
+    rare = expected < 5
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    pv = stats.chisquare(observed, expected).pvalue
+    assert pv > 1e-3, (c.tolist(), round_fn.__name__, pv)
+
+
 def test_two_choices_modes_agree_in_distribution():
-    # both 2-Choices rounds, the closed-form counts draw step_rule takes at
-    # k^2 <= 8n and the per-node round, against the exact one-step law
-    draws = 4000
+    # both 2-Choices rounds, the closed-form counts draw of step_rule and
+    # the per-node round, against the exact one-step law
     for counts in ([4, 2], [3, 2, 1], [2, 2, 1, 1]):
         c = canonicalize(counts)
-        assert len(c) ** 2 <= 8 * c.sum()  # step_rule takes the closed form
-        exact = _two_choices_exact_law(c.tolist())
-        outcomes = sorted(exact)
         for round_fn in (_closed_form_round, _per_node_round):
             rng = RngStream(31, ("exact-law", round_fn.__name__) + tuple(c.tolist()))
-            tally = dict.fromkeys(outcomes, 0)
-            for _ in range(draws):
-                tally[round_fn(c, rng)] += 1  # a KeyError is an impossible outcome
-            observed = np.array([tally[o] for o in outcomes], dtype=float)
-            expected = np.array([float(exact[o]) for o in outcomes]) * draws
-            # pool the outcomes expected fewer than 5 times into one cell
-            rare = expected < 5
-            if rare.any():
-                observed = np.append(observed[~rare], observed[rare].sum())
-                expected = np.append(expected[~rare], expected[rare].sum())
-            pv = stats.chisquare(observed, expected).pvalue
-            assert pv > 1e-3, (counts, round_fn.__name__, pv)
+            _assert_law(round_fn, c, 4000, rng)
+
+
+def _driver_round(c, rng):
+    t, out, _ = run_until(two_choices_rule(), c, StopCondition(max_rounds=1), rng)
+    # one round at most: stopped at round 1 at consensus, else censored
+    assert t == (1 if len(out) == 1 else None)
+    return tuple(out.tolist())
+
+
+def test_two_choices_driver_one_round_law():
+    # sum(c_i^2)/n <= k at these starts, so the round is the mover-priced one
+    for counts in ([3, 2, 1], [2, 2, 1, 1], [1, 1, 1, 1]):
+        c = canonicalize(counts)
+        assert (c * c).sum() <= len(c) * c.sum()
+        _assert_law(_driver_round, c, 4000, RngStream(32, ("driver-law",) + tuple(counts)))
+
+
+def test_two_choices_driver_one_round_law_with_many_movers():
+    # E[M] = 830/110 > 4 movers, most rounds take the numpy path; the exact
+    # law is out of reach, so compare sum(c_i^2) after one round against
+    # the closed-form round's
+    c = canonicalize([20, 10, 10] + [5] * 8 + [1] * 30)
+    sumsq = {"driver": [], "closed": []}
+    for trial in range(4000):
+        out = _driver_round(c, RngStream(33, ("driver", trial)))
+        sumsq["driver"].append(sum(x * x for x in out))
+        out = _closed_form_round(c, RngStream(33, ("closed", trial)))
+        sumsq["closed"].append(sum(x * x for x in out))
+    assert stats.ks_2samp(sumsq["driver"], sumsq["closed"]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "counts, kappa",
+    [([1, 1], 1), ([1, 1, 1], 1), ([1, 1, 1], 2)],
+    ids=["k2-kappa1", "k3-kappa1", "k3-kappa2"],
+)
+def test_two_choices_driver_invariants(monkeypatch, counts, kappa):
+    # every state of these runs has sum(c_i^2)/n <= k, so each round is a
+    # mover round. A label emptied and refilled in one round must count as a
+    # color again; if it does not, the driver sees too few colors, leaves
+    # early and the closed-form round runs
+    def no_closed_form(*args):
+        raise AssertionError("a closed-form round ran")
+
+    monkeypatch.setattr(rules, "_two_choices_round", no_closed_form)
+    c0, stopped = canonicalize(counts), 0
+    for seed in range(300):
+        t, c, peak = run_until(
+            two_choices_rule(), c0, StopCondition(kappa=kappa, max_rounds=5), RngStream(seed)
+        )
+        assert (len(c) <= kappa) == (t is not None), (seed, t, c.tolist())
+        assert c[0] <= peak <= c0.sum() and c.sum() == c0.sum()
+        stopped += t is not None
+    assert 0 < stopped < 300
 
 
 def test_two_choices_expected_fractions_match_three_majority():
@@ -342,24 +399,21 @@ BALANCED6, NCOLOR = "balanced:6", "ncolor"
 
 
 @pytest.mark.parametrize(
-    "rule, init, n, stop, per_node",
+    "rule, init, n, stop",
     [
         # the caps are about 3x the longest run these seeds give, so a stop
         # check that never fires fails fast instead of running 10^6 rounds
-        (voter_rule(), BALANCED6, 120, StopCondition(max_rounds=900), None),
-        (h_majority_rule(2), BALANCED6, 120, StopCondition(max_rounds=500), None),
-        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=39), None),
-        (h_majority_rule(4), BALANCED6, 120, StopCondition(max_rounds=36), None),
-        (two_choices_rule(), "balanced:4", 2000, StopCondition(max_rounds=60),
-         {False}),
-        (two_choices_rule(), NCOLOR, 3000, StopCondition(kappa=200), {True}),
-        (two_choices_rule(), NCOLOR, 400, StopCondition(max_rounds=360), {True, False}),
-        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=3), None),
+        (voter_rule(), BALANCED6, 120, StopCondition(max_rounds=900)),
+        (h_majority_rule(2), BALANCED6, 120, StopCondition(max_rounds=500)),
+        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=39)),
+        (h_majority_rule(4), BALANCED6, 120, StopCondition(max_rounds=36)),
+        # sum(c_i^2)/n = 500 > k = 4: the closed-form round from round 1
+        (two_choices_rule(), "balanced:4", 2000, StopCondition(max_rounds=60)),
+        (h_majority_rule(3), BALANCED6, 120, StopCondition(max_rounds=3)),
     ],
-    ids=["voter", "hmaj2", "hmaj3", "hmaj4", "2choices-blockwise", "2choices-per-node",
-         "2choices-mixed", "censored"],
+    ids=["voter", "hmaj2", "hmaj3", "hmaj4", "2choices-blockwise", "censored"],
 )
-def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
+def test_run_until_matches_stepper_loop(rule, init, n, stop):
     c0 = initial_counts(init, n)
     stream = ("oracle", rule.label(), init, n)
     t, c, peak = run_until(rule, c0, stop, RngStream(5, stream))
@@ -368,9 +422,29 @@ def test_run_until_matches_stepper_loop(rule, init, n, stop, per_node):
     assert np.array_equal(c, c_ref)
     assert type(peak) is int and peak == max(counts[0] for counts in seen)
     assert (t is None) == (stop.max_rounds == 3)
-    if per_node is not None:
-        # the 2-Choices round takes the per-node path iff k^2 > 8n
-        assert {len(x) ** 2 > 8 * n for x in seen[:-1]} == per_node
+
+
+@pytest.mark.parametrize("kappa", [1, 20])
+def test_two_choices_driver_matches_stepper_loop_in_law(kappa):
+    # from n colours the driver moves only the movers, so its draws are not
+    # step_rule's: compare the laws of the stop time and the peak instead
+    n, trials = 200, 400
+    c0 = initial_counts(NCOLOR, n)
+    stop = StopCondition(kappa=kappa, max_rounds=10**5)
+    runs = {"driver": [], "loop": []}
+    for trial in range(trials):
+        t, c, peak = run_until(two_choices_rule(), c0, stop, RngStream(6, ("driver", kappa, trial)))
+        assert t is not None and len(c) <= kappa and c[0] <= peak <= n
+        runs["driver"].append((t, peak))
+        t, _, seen = _stepper_loop(two_choices_rule(), c0, stop, RngStream(6, ("loop", kappa, trial)))
+        runs["loop"].append((t, max(counts[0] for counts in seen)))
+    driver, loop = np.array(runs["driver"]), np.array(runs["loop"])
+    for col, what in ((0, "stop time"), (1, "peak")):
+        if kappa == 1 and col == 1:
+            assert (driver[:, 1] == n).all() and (loop[:, 1] == n).all()
+            continue
+        pv = stats.ks_2samp(driver[:, col], loop[:, col]).pvalue
+        assert pv > 1e-3, (kappa, what, pv)
 
 
 def _patch_alpha(monkeypatch, edit):
@@ -441,9 +515,14 @@ def test_every_producer_returns_canonical_counts():
     rng = RngStream(41)
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
         _assert_canonical_counts(step_rule(rule, c, rng.child(rule.label())), 20)
-    # from 20 colours (k^2 > 8n) the 2-Choices round is the per-node one
-    per_node = step_rule(two_choices_rule(), initial_counts(NCOLOR, 20), rng.child("pn"))
-    _assert_canonical_counts(per_node, 20)
+    # from 20 colours the 2-Choices rounds of run_until are the mover-priced ones
+    c20 = initial_counts(NCOLOR, 20)
+    t, out, _ = run_until(two_choices_rule(), c20, StopCondition(max_rounds=10**4), rng.child("tc"))
+    assert t is not None and t >= 1
+    _assert_canonical_counts(out, 20)
+    t, out, _ = run_until(two_choices_rule(), c20, StopCondition(max_rounds=1), rng.child("tc1"))
+    assert t is None
+    _assert_canonical_counts(out, 20)
     _assert_canonical_counts(step_ac_reference(h_majority_rule(3), c, rng.child("ref")), 20)
     t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
     assert t is not None and t >= 1
