@@ -284,11 +284,6 @@ def _run_until(
     return None, c, peak
 
 
-# a round with at most this many movers moves them one at a time in Python,
-# where numpy's per-call cost would outweigh the work
-_FEW_MOVERS = 4
-
-
 def _two_choices_movers(
     c: np.ndarray, n: int, kappa: int, max_rounds: int, gen: np.random.Generator, above: int
 ) -> tuple[int, np.ndarray, int]:
@@ -302,11 +297,15 @@ def _two_choices_movers(
     Rounds without a mover, of probability (1 - s)^n <= 1/e, are skipped
     with one geometric draw.
 
+    The movers move in a Python loop: from n colors most active rounds
+    have at most 4 movers, too few to repay numpy's per-call cost.
+
     Runs from round 0 until at most kappa colors remain, a support exceeds
     `above`, max_rounds pass, or E[M] = sum(c_i^2)/n exceeds the number of
-    colors k, where the closed-form round is the cheaper one; a start
-    already there returns c without a draw. Returns (t, canonical counts
-    at round t, the peak of rounds 0..t).
+    colors k; a start already there returns c without a draw. (A single
+    closed-form round is cheaper from about E[M] = k/30 on, but a run from
+    n colors spends few rounds between k/30 and k.) Returns (t, canonical
+    counts at round t, the peak of rounds 0..t).
     """
     k = len(c)
     sumsq = sum(x * x for x in c.tolist())  # a Python int: no overflow
@@ -325,38 +324,20 @@ def _two_choices_movers(
         m = 0
         while m == 0:  # M ~ Bin(n, s) given M >= 1
             m = int(gen.binomial(n, s))
-        landed = _landings(m, labels, counts, n, bound, sumsq, gen)
-        if m <= _FEW_MOVERS:
-            movers = []
-            while len(movers) < m:
-                v = int(gen.integers(n))
-                if v not in movers:
-                    movers.append(v)
-            new_labels = landed.tolist()
-            for v, new in zip(movers, new_labels):
-                old = int(labels[v])
-                if old != new:
-                    labels[v] = new
-                    c_old, c_new = int(counts[old]), int(counts[new])
-                    counts[old], counts[new] = c_old - 1, c_new + 1
-                    sumsq += 2 * (c_new - c_old + 1)
-                    # a label emptied earlier this round and refilled counts back
-                    k += (c_new == 0) - (c_old == 1)
-            top = max(int(counts[label]) for label in new_labels)
-        else:
-            movers = np.unique(gen.integers(0, n, size=m))
-            while len(movers) < m:  # the distinct values of uniform draws
-                movers = np.union1d(movers, gen.integers(0, n, size=m - len(movers)))
-            old = labels[movers]
-            labels[movers] = landed
-            touched = np.union1d(old, landed)
-            before = counts[touched]
-            np.subtract.at(counts, old, 1)
-            np.add.at(counts, landed, 1)
-            after = counts[touched]
-            k += int(np.count_nonzero(after) - np.count_nonzero(before))
-            sumsq += int(after @ after - before @ before)
-            top = int(after.max())
+        landed = _landings(m, labels, counts, n, bound, sumsq, gen).tolist()
+        movers = set()
+        while len(movers) < m:  # the distinct values of uniform draws
+            movers.update(gen.integers(0, n, size=m - len(movers)).tolist())
+        for v, new in zip(movers, landed):
+            old = int(labels[v])
+            if old != new:
+                labels[v] = new
+                c_old, c_new = int(counts[old]), int(counts[new])
+                counts[old], counts[new] = c_old - 1, c_new + 1
+                sumsq += 2 * (c_new - c_old + 1)
+                # a label emptied earlier this round and refilled counts back
+                k += (c_new == 0) - (c_old == 1)
+        top = max(int(counts[label]) for label in landed)
         # only a label landed on can grow
         peak, bound = max(peak, top), max(bound, top)
     return t, canonical_counts(counts), peak

@@ -137,6 +137,13 @@ MUTANTS = (
         ("tests/test_rules.py::test_two_choices_driver_one_round_law",),
     ),
     Mutant(
+        "two-choices-movers-ignore-above",
+        "rules.py",
+        "k > kappa and peak <= above and sumsq",
+        "k > kappa and sumsq",  # a lower-bound trial runs past its first exceedance
+        ("tests/test_rules.py::test_run_until_stops_at_the_first_support_above",),
+    ),
+    Mutant(
         "lifted-replay-forward-order",
         "coalescing.py",
         "window = np.take_along_axis(window[length:], window[:-length], axis=1)",

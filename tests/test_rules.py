@@ -293,7 +293,7 @@ def test_two_choices_driver_one_round_law():
 
 
 def test_two_choices_driver_one_round_law_with_many_movers():
-    # E[M] = 830/110 > 4 movers, most rounds take the numpy path; the exact
+    # E[M] = 830/110, so most rounds move several nodes at once; the exact
     # law is out of reach, so compare sum(c_i^2) after one round against
     # the closed-form round's
     c = canonicalize([20, 10, 10] + [5] * 8 + [1] * 30)
@@ -329,6 +329,44 @@ def test_two_choices_driver_invariants(monkeypatch, counts, kappa):
         assert c[0] <= peak <= c0.sum() and c.sum() == c0.sum()
         stopped += t is not None
     assert 0 < stopped < 300
+
+
+def _first_support_above(above, max_rounds, stream):
+    c0 = initial_counts(NCOLOR, 200)
+    return rules._run_until(two_choices_rule(), c0, 1, max_rounds, RngStream(7, stream).gen, above)
+
+
+@pytest.mark.parametrize("above", [5, 150], ids=["mover-rounds", "closed-form-rounds"])
+def test_run_until_stops_at_the_first_support_above(above):
+    # the stop the lower-bound experiment uses. From 200 colours a support
+    # first passes 5 in the mover-priced rounds, and 150 after the hand-off
+    # to the closed form, which comes with the largest support near 100-140.
+    # The run capped one round before the stop makes the same draws up to
+    # its cap, so it is censored with no support above
+    for seed in range(40):
+        stream = ("above", above, seed)
+        t, c, peak = _first_support_above(above, 10**5, stream)
+        assert t is not None and t >= 1 and c[0] == peak > above, (seed, t, peak)
+        t_cap, c_cap, peak_cap = _first_support_above(above, t - 1, stream)
+        assert t_cap is None and c_cap[0] <= peak_cap <= above, (seed, t, peak_cap)
+
+
+def test_first_support_above_matches_per_node_loop_in_law():
+    # the lower-bound experiment's first-exceedance time against the literal
+    # per-node loop it replaced
+    n, above, trials = 200, 5, 300
+    times = {"driver": [], "per-node": []}
+    for trial in range(trials):
+        t, _, _ = _first_support_above(above, 10**5, ("law", trial))
+        times["driver"].append(t)
+        gen = RngStream(8, ("per-node", trial)).gen
+        node_colors = np.arange(n)
+        for t in range(1, 10**5):
+            node_colors, _, _ = two_choices_node_round(node_colors, gen)
+            if np.bincount(node_colors).max() > above:
+                break
+        times["per-node"].append(t)
+    assert stats.ks_2samp(times["driver"], times["per-node"]).pvalue > 1e-3
 
 
 def test_two_choices_expected_fractions_match_three_majority():
