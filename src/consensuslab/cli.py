@@ -62,6 +62,14 @@ RUN_DEFAULTS = dict(
     rule="voter", n=1024, init="ncolor", kappa=1, max_rounds=10**6, trials=100, seed=0
 )
 
+# every drift-bound number flag's default, and the flags each --form reads
+DRIFT_DEFAULTS = dict(m=0.0, k_prime=0.0, c=1.0, a=1.0, b=1.0, x_min=1.0, x_max=1e9, x0=1.0)
+DRIFT_FLAGS = {
+    "additive": ("m", "k_prime", "c"),
+    "lw14": ("a", "b", "x_min", "x_max", "x0"),
+    "generalized": ("a", "b", "x_min", "x_max", "m", "k_prime"),
+}
+
 
 def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
     with open(path) as fh:
@@ -135,11 +143,14 @@ def _report(out: dict, args) -> None:
         write_jsonl([out], args.out)
 
 
+def _flag(key: str) -> str:  # the command-line spelling of an argparse dest
+    return "--" + key.replace("_", "-")
+
+
 def cmd_simulate(args) -> int:
     given = [key for key in RUN_DEFAULTS if getattr(args, key) is not None]
     if args.spec and given:
-        flag = "--" + given[0].replace("_", "-")
-        raise UsageError(f"simulate: {flag} cannot be combined with --spec")
+        raise UsageError(f"simulate: {_flag(given[0])} cannot be combined with --spec")
     spec, workers = spec_from_json(args.spec) if args.spec else (_spec_from_args(args), 1)
     _emit(run_experiment(spec, workers=args.workers or workers), args)
     return 0
@@ -234,14 +245,19 @@ def cmd_duality(args) -> int:
 
 
 def cmd_drift_bound(args) -> int:
+    reads = DRIFT_FLAGS[args.form]
+    unread = [key for key in DRIFT_DEFAULTS if key not in reads and getattr(args, key) is not None]
+    if unread:
+        raise UsageError(f"drift-bound: --form {args.form} does not read {_flag(unread[0])}")
+    v = {key: DRIFT_DEFAULTS[key] if getattr(args, key) is None else getattr(args, key) for key in reads}
     if args.form == "additive":
-        res = additive_drift_bound(args.m, args.k_prime, args.c)
+        res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
     else:
-        h = power_law(args.a, args.b, args.x_min, args.x_max)
+        h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
         if args.form == "lw14":
-            res = variable_drift_bound_lw14(h, args.x0)
+            res = variable_drift_bound_lw14(h, v["x0"])
         else:
-            res = variable_drift_bound_generalized(h, args.m, args.k_prime)
+            res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
     out = {
         "form": res.form_used,
         "bound": res.bound,
@@ -316,15 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("drift-bound", help="drift-theorem bound calculators")
-    p.add_argument("--form", choices=["additive", "lw14", "generalized"], required=True)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--k-prime", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--x-min", type=float, default=1.0)
-    p.add_argument("--x-max", type=float, default=1e9)
-    p.add_argument("--x0", type=float, default=1.0)
+    p.add_argument("--form", choices=list(DRIFT_FLAGS), required=True)
+    for key in DRIFT_DEFAULTS:  # None marks a flag not given: cmd_drift_bound defaults it
+        p.add_argument(_flag(key), type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_drift_bound)
 

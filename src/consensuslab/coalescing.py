@@ -72,12 +72,25 @@ def cycle_graph(n: int) -> Graph:
 
 
 def graph_from_edge_list(text: str) -> Graph:
-    """Parse "n m" header plus m lines "u v" (0-indexed, undirected)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, m = (int(tok) for tok in lines[0].split())
+    """Parse "n m" header plus m lines "u v" (0-indexed, undirected); blank
+    lines are skipped. A malformed file raises ValueError naming its line."""
+    rows = []  # (line number, its two integers)
+    for i, ln in enumerate(text.splitlines(), 1):
+        if ln.strip():
+            try:
+                a, b = map(int, ln.split())
+            except ValueError:  # not two integers
+                raise ValueError(f"edge list line {i}: want two integers, got {ln.strip()!r}") from None
+            rows.append((i, a, b))
+    if not rows:
+        raise ValueError("edge list: empty file, want an 'n m' header")
+    (head, n, m), edges = rows[0], rows[1:]
+    if len(edges) != m:
+        raise ValueError(f"edge list line {head}: header says {m} edges, file has {len(edges)}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for ln in lines[1 : m + 1]:
-        u, v = (int(tok) for tok in ln.split())
+    for i, u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge list line {i}: endpoint of '{u} {v}' not in 0..{n - 1}")
         nbrs[u].add(v)
         nbrs[v].add(u)
     return Graph(n, [np.array(sorted(s)) for s in nbrs])

@@ -92,19 +92,6 @@ def tabulated(grid_x, grid_h, x_min=None, x_max=None) -> DriftFunction:
     )
 
 
-def tabulated_from_csv(text: str) -> DriftFunction:
-    """Load a tabulated drift function from "x,h" CSV rows."""
-    xs, hs = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.lower().startswith("x"):
-            continue
-        x_str, h_str = line.split(",")
-        xs.append(float(x_str))
-        hs.append(float(h_str))
-    return tabulated(xs, hs)
-
-
 @dataclass
 class DriftBoundResult:
     bound: float

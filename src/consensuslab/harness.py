@@ -24,8 +24,8 @@ from .rules import (
     UpdateRule,
     _run_until,
     h_majority_rule,
+    node_round,
     run_until,
-    two_choices_node_round,
     two_choices_rule,
     voter_rule,
 )
@@ -222,8 +222,8 @@ def run_coupled_dominating_process(
     pairs = [(c_col, p_val)]
     exceeded = c_col > lp
     for _ in range(rounds):
-        slot_colors, i1, i2 = two_choices_node_round(slot_colors, gen)
-        p_val += int(np.count_nonzero((i1 < lp) & (i2 < lp)))
+        slot_colors, idx = node_round(two_choices_rule(), slot_colors, gen)
+        p_val += int(np.count_nonzero((idx < lp).all(axis=0)))
         cnts = np.bincount(slot_colors, minlength=k0 + 1)
         c_col = int(cnts[0])
         pairs.append((c_col, p_val))

@@ -200,42 +200,32 @@ def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generato
     return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
 
 
-def step_ac_reference(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Literal per-node stepper: every node samples h nodes and applies the rule.
+def node_round(
+    rule: UpdateRule, colors: np.ndarray, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One literal round on a node-color array: node j samples the h nodes
+    idx[:, j] (uniform, self included; h = 1 for Voter). 2-Choices adopts
+    their color iff the two agree; an AC rule adopts a color they show most
+    often, the largest of one uniform key per sample breaking ties (uniform
+    over tied colors, which show equally many samples). O(n*h^2) numpy, no
+    loop over nodes. Returns (new colors, idx)."""
+    n = len(colors)
+    h = {VOTER: 1, TWO_CHOICES: 2}.get(rule.kind, rule.h)
+    idx = gen.integers(0, n, size=(h, n))
+    s = colors[idx]
+    if rule.kind == TWO_CHOICES:
+        return np.where(s[0] == s[1], s[0], colors), idx
+    copies = (s[:, None, :] == s[None, :, :]).sum(axis=1)  # [a, j]: samples like s[a, j]
+    key = np.where(copies == copies.max(axis=0), gen.random((h, n)), -1.0)
+    return s[key.argmax(axis=0), np.arange(n)], idx
 
-    The labelled oracle of the multinomial AC round; O(n*h) per round.
-    """
-    if not rule.is_ac:
-        raise NotAnACProcess("2-Choices is not an AC process")
+
+def step_reference(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
+    """step_rule's labelled oracle for every rule: one node_round on the
+    nodes of canonical counts c; returns canonical counts."""
     check_canonical(c)
-    n = int(c.sum())
-    h = 1 if rule.kind == VOTER else rule.h
-    node_colors = np.repeat(np.arange(len(c)), c)
-    gen = rng.gen
-    new_colors = np.empty(n, dtype=np.int64)
-    for u in range(n):
-        samples = node_colors[gen.integers(0, n, size=h)]
-        vals, cnts = np.unique(samples, return_counts=True)
-        mx = cnts.max()
-        winners = vals[cnts == mx]
-        new_colors[u] = winners[gen.integers(0, len(winners))]
-    return canonical_counts(np.bincount(new_colors, minlength=len(c)))
-
-
-def two_choices_node_round(
-    node_colors: np.ndarray, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One 2-Choices round on a node-color array; returns (new, i1, i2).
-
-    Node j samples the nodes i1[j] and i2[j] (uniform, self included) and
-    adopts their color iff the two agree.
-    """
-    n = len(node_colors)
-    i1 = gen.integers(0, n, size=n)
-    i2 = gen.integers(0, n, size=n)
-    s1 = node_colors[i1]
-    s2 = node_colors[i2]
-    return np.where(s1 == s2, s1, node_colors), i1, i2
+    colors, _ = node_round(rule, np.repeat(np.arange(len(c)), c), rng.gen)
+    return canonical_counts(np.bincount(colors, minlength=len(c)))
 
 
 def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -309,7 +299,7 @@ def _two_choices_movers(
     """
     k = len(c)
     sumsq = sum(x * x for x in c.tolist())  # a Python int: no overflow
-    peak = bound = int(c[0])  # bound >= every count, the landing's ceiling
+    peak = int(c[0])  # peak >= every count: the landing's ceiling
     if sumsq > k * n:  # hand off before building the node array
         return 0, c, peak
     counts = c.copy()  # label -> count; labels stay put, so unsorted
@@ -324,7 +314,7 @@ def _two_choices_movers(
         m = 0
         while m == 0:  # M ~ Bin(n, s) given M >= 1
             m = int(gen.binomial(n, s))
-        landed = _landings(m, labels, counts, n, bound, sumsq, gen).tolist()
+        landed = _landings(m, labels, counts, n, peak, sumsq, gen).tolist()
         movers = set()
         while len(movers) < m:  # the distinct values of uniform draws
             movers.update(gen.integers(0, n, size=m - len(movers)).tolist())
@@ -337,9 +327,8 @@ def _two_choices_movers(
                 sumsq += 2 * (c_new - c_old + 1)
                 # a label emptied earlier this round and refilled counts back
                 k += (c_new == 0) - (c_old == 1)
-        top = max(int(counts[label]) for label in landed)
         # only a label landed on can grow
-        peak, bound = max(peak, top), max(bound, top)
+        peak = max(peak, max(int(counts[label]) for label in landed))
     return t, canonical_counts(counts), peak
 
 
@@ -349,9 +338,9 @@ def _landings(
 ) -> np.ndarray:
     """m independent labels, each L with probability c_L^2 / sumsq, by
     size-biased rejection: a uniform node's label L, accepted with
-    probability c_L / bound. One integer below n * bound gives both
-    uniforms; the candidates come in batches sized by the acceptance rate
-    sumsq / (n * bound)."""
+    probability c_L / bound (bound >= every count). One integer below
+    n * bound gives both uniforms; the candidates come in batches sized by
+    the acceptance rate sumsq / (n * bound)."""
     landed = np.empty(0, dtype=np.int64)
     while len(landed) < m:
         need = m - len(landed)

@@ -54,9 +54,9 @@ def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
     """Draw counts ~ Mult(m, theta); counts always sum to m.
 
     numpy's generator realizes exactly the sequential conditional-binomial
-    construction (category i ~ Binomial(remaining, theta_i / remaining mass)),
-    so we use it as the production path; see sample_multinomial_conditional
-    for the explicit reference used in cross-validation.
+    construction (category i ~ Binomial(remaining, theta_i / remaining mass))
+    that sample_multinomial_conditional spells out as its oracle. The Monte-
+    Carlo majorization check samples here; rules draws its rounds itself.
     """
     if m < 0:
         raise ValueError("trial count must be >= 0")

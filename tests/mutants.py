@@ -144,6 +144,27 @@ MUTANTS = (
         ("tests/test_rules.py::test_run_until_stops_at_the_first_support_above",),
     ),
     Mutant(
+        "reference-voter-excludes-self",
+        "rules.py",
+        "idx = gen.integers(0, n, size=(h, n))",
+        # a node samples among the other n - 1 nodes only
+        "idx = gen.integers(0, n - 1, size=(h, n))\n    idx += idx >= np.arange(n)",
+        (
+            "tests/test_rules.py::test_step_reference_agrees_in_distribution[voter]",
+            "tests/test_rules.py::test_step_reference_matches_exact_ac_law[voter]",
+        ),
+    ),
+    Mutant(
+        "reference-tie-break-lowest-label",
+        "rules.py",
+        "gen.random((h, n))",
+        "1.0 / (1 + s)",  # the tied colour with the lowest label always wins
+        (
+            "tests/test_rules.py::test_step_reference_agrees_in_distribution[hmaj:3]",
+            "tests/test_rules.py::test_step_reference_agrees_in_distribution[hmaj:4]",
+        ),
+    ),
+    Mutant(
         "lifted-replay-forward-order",
         "coalescing.py",
         "window = np.take_along_axis(window[length:], window[:-length], axis=1)",

@@ -46,7 +46,7 @@ from consensuslab.rules import (
     process_function,
     process_function_exact,
     run_until,
-    step_ac_reference,
+    step_reference,
     two_choices_rule,
     voter_rule,
 )
@@ -301,7 +301,7 @@ def test_10_sampler_goodness_of_fit():
         a = tuple(
             canonicalize(sample_multinomial_conditional(c.sum(), alpha, rng.child("cb", t))).tolist()
         )
-        b = tuple(step_ac_reference(rule, c, rng.child("pn", t)).tolist())
+        b = tuple(step_reference(rule, c, rng.child("pn", t)).tolist())
         fast[a] = fast.get(a, 0) + 1
         ref[b] = ref.get(b, 0) + 1
     keys = sorted(set(fast) | set(ref))

@@ -289,7 +289,7 @@ def test_drift_bound_subcommand():
     assert rec["bound"] == 50.0
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli("simulate", "--rule", "nope").returncode == USAGE_ERROR
     assert run_cli("simulate", "--rule", "voter", "--n", "0").returncode == USAGE_ERROR
     assert run_cli("duality", "--graph", "torus:9").returncode == USAGE_ERROR
@@ -314,6 +314,8 @@ def test_usage_errors_exit_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
     # out-of-range numbers: each error names its flag or parameter
+    bad_graph = tmp_path / "wrapped.txt"
+    bad_graph.write_text("3 2\n0 1\n1 -1\n")
     for argv, name in (
         (["lower-bound", "--gamma", "0"], "gamma"),
         (["lower-bound", "--gamma", "-1"], "gamma"),
@@ -333,6 +335,12 @@ def test_usage_errors_exit_one(capsys):
         (["simulate", "--init", "weird"], "init: cannot parse 'weird'"),
         (["simulate", "--init", "biased:3"], "init: cannot parse 'biased:3'"),
         (["simulate", "--init", "balanced:20", "--n", "10"], "balanced: need 1 <= k <= n"),
+        # a graph file with an endpoint outside 0..n-1
+        (["duality", "--graph", f"file:{bad_graph}"], "edge list line 3"),
+        # a drift-bound flag its --form does not read
+        (["drift-bound", "--form", "additive", "--x0", "77"], "--x0"),
+        (["drift-bound", "--form", "lw14", "--k-prime", "2"], "--k-prime"),
+        (["drift-bound", "--form", "generalized", "--c", "2"], "--c"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()

@@ -48,6 +48,25 @@ def test_graph_from_edge_list():
     assert sorted(g.adjacency[1].tolist()) == [0, 2]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n0 1\n1 -1\n", "line 3: endpoint"),  # -1 would wrap to node 2
+        ("3 2\n0 1\n1 3\n", "line 3: endpoint"),
+        ("", "empty file"),
+        ("\n  \n", "empty file"),
+        ("3 3\n0 1\n1 2\n", "line 1: header says 3 edges, file has 2"),
+        ("3 1\n0 1\n1 2\n", "line 1: header says 1 edges, file has 2"),
+        ("3\n0 1\n", "line 1: want two integers"),
+        ("3 2\n0 1\n\n1 x\n", "line 4: want two integers"),
+    ],
+    ids=["negative", "past-n", "empty", "blank", "short", "long", "header", "not-int"],
+)
+def test_graph_from_edge_list_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edge_list(text)
+
+
 def test_graph_rejects_isolated_vertex():
     with pytest.raises(ValueError):
         graph_from_edge_list("3 1\n0 1\n")

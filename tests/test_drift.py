@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from consensuslab.drift import (
     additive_drift_bound,
     power_law,
     tabulated,
-    tabulated_from_csv,
     validate_bound,
     variable_drift_bound_generalized,
     variable_drift_bound_lw14,
@@ -84,21 +81,15 @@ def test_quadrature_matches_closed_form_random_power_laws():
 
 
 def test_tabulated_validation():
+    h = tabulated([1.0, 2.0, 3.0], [1.0, 4.0, 9.0])
+    assert h(2.0) == 4.0 and h.x_min == 1.0 and h.x_max == 3.0
+    assert np.isclose(h(2.5), 6.5)  # linear interpolation between grid points
     with pytest.raises(ValueError):
         tabulated([1.0, 2.0], [1.0, 0.5])  # decreasing
     with pytest.raises(ValueError):
         tabulated([1.0, 2.0], [0.0, 1.0])  # non-positive
     with pytest.raises(ValueError):
         tabulated([2.0, 1.0], [1.0, 2.0])  # grid not increasing
-
-
-def test_tabulated_from_csv_roundtrip():
-    text = "x,h\n1.0,1.0\n2.0,4.0\n3.0,9.0\n"
-    h = tabulated_from_csv(text)
-    assert h(2.0) == 4.0
-    assert h.x_min == 1.0 and h.x_max == 3.0
-    # linear interpolation between grid points
-    assert np.isclose(h(2.5), 6.5)
 
 
 def test_validate_bound_on_walk_count_chain():

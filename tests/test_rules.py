@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +29,10 @@ from consensuslab.rules import (
     plurality_enumeration_alpha,
     process_function,
     process_function_exact,
+    node_round,
     run_until,
-    step_ac_reference,
+    step_reference,
     step_rule,
-    two_choices_node_round,
     two_choices_rule,
     voter_rule,
 )
@@ -176,7 +177,6 @@ def test_ac_only_entry_points_reject_two_choices():
     for ac_only in (
         lambda: process_function(two_choices_rule(), c),
         lambda: process_function_exact(two_choices_rule(), c),
-        lambda: step_ac_reference(two_choices_rule(), c, RngStream(3)),
     ):
         with pytest.raises(NotAnACProcess):
             ac_only()
@@ -191,16 +191,17 @@ def test_step_ac_preserves_population_size():
         assert out.sum() == c.sum()
 
 
-def test_step_ac_reference_agrees_in_distribution():
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
+def test_step_reference_agrees_in_distribution(label):
     c = canonicalize([3, 2, 1])
-    rule = h_majority_rule(3)
+    rule = parse_rule(label)
     rng = RngStream(21)
     draws = 6000
     seen_fast = {}
     seen_ref = {}
     for t in range(draws):
         a = tuple(step_rule(rule, c, rng.child("fast", t)).tolist())
-        b = tuple(step_ac_reference(rule, c, rng.child("ref", t)).tolist())
+        b = tuple(step_reference(rule, c, rng.child("ref", t)).tolist())
         seen_fast[a] = seen_fast.get(a, 0) + 1
         seen_ref[b] = seen_ref.get(b, 0) + 1
     keys = sorted(set(seen_fast) | set(seen_ref))
@@ -244,14 +245,29 @@ def _closed_form_round(c, rng):
 
 
 def _per_node_round(c, rng):
-    node_colors = np.repeat(np.arange(len(c)), c)
-    new_colors, _, _ = two_choices_node_round(node_colors, rng.gen)
-    return tuple(canonicalize(np.bincount(new_colors, minlength=len(c))).tolist())
+    return tuple(step_reference(two_choices_rule(), c, rng).tolist())
 
 
-def _assert_law(round_fn, c, draws, rng):
+def _ac_exact_law(rule, counts):
+    """Exact law of the sorted counts after one round of an AC rule:
+    Mult(n, alpha), alpha in Fractions, over every composition of n."""
+    alpha = process_function_exact(rule, canonicalize(counts))
+    n, k = sum(counts), len(counts)
+    exact = {}
+    for state in np.ndindex(*(n + 1,) * k):
+        if sum(state) == n:
+            p = Fraction(math.factorial(n))
+            for x, a in zip(state, alpha):
+                p *= a**x / math.factorial(x)
+            key = tuple(canonicalize(state).tolist())
+            exact[key] = exact.get(key, 0) + p
+    assert sum(exact.values()) == 1
+    return exact
+
+
+def _assert_law(round_fn, c, draws, rng, law=_two_choices_exact_law):
     """Chi-square of `draws` rounds round_fn(c, rng) against the exact law."""
-    exact = _two_choices_exact_law(c.tolist())
+    exact = law(c.tolist())
     outcomes = sorted(exact)
     tally = dict.fromkeys(outcomes, 0)
     for _ in range(draws):
@@ -275,6 +291,21 @@ def test_two_choices_modes_agree_in_distribution():
         for round_fn in (_closed_form_round, _per_node_round):
             rng = RngStream(31, ("exact-law", round_fn.__name__) + tuple(c.tolist()))
             _assert_law(round_fn, c, 4000, rng)
+
+
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
+def test_step_reference_matches_exact_ac_law(label):
+    # from starts this small one node is a large share of every sample: at
+    # [1, 1] a Voter that skipped itself would always swap the two colours
+    rule = parse_rule(label)
+
+    def reference_round(c, rng):
+        return tuple(step_reference(rule, c, rng).tolist())
+
+    for counts in ([1, 1], [2, 1], [2, 1, 1]):
+        c = canonicalize(counts)
+        rng = RngStream(34, ("ac-law", label) + tuple(counts))
+        _assert_law(reference_round, c, 2000, rng, law=lambda cs: _ac_exact_law(rule, cs))
 
 
 def _driver_round(c, rng):
@@ -362,7 +393,7 @@ def test_first_support_above_matches_per_node_loop_in_law():
         gen = RngStream(8, ("per-node", trial)).gen
         node_colors = np.arange(n)
         for t in range(1, 10**5):
-            node_colors, _, _ = two_choices_node_round(node_colors, gen)
+            node_colors, _ = node_round(two_choices_rule(), node_colors, gen)
             if np.bincount(node_colors).max() > above:
                 break
         times["per-node"].append(t)
@@ -561,7 +592,8 @@ def test_every_producer_returns_canonical_counts():
     t, out, _ = run_until(two_choices_rule(), c20, StopCondition(max_rounds=1), rng.child("tc1"))
     assert t is None
     _assert_canonical_counts(out, 20)
-    _assert_canonical_counts(step_ac_reference(h_majority_rule(3), c, rng.child("ref")), 20)
+    for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
+        _assert_canonical_counts(step_reference(rule, c, rng.child("ref", rule.label())), 20)
     t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
     assert t is not None and t >= 1
     _assert_canonical_counts(out, 20)
@@ -585,7 +617,7 @@ def test_entry_points_reject_non_canonical_counts():
         lambda c: process_function(voter_rule(), c),
         lambda c: process_function_exact(h_majority_rule(3), c),
         lambda c: expected_fraction_after_step(two_choices_rule(), c),
-        lambda c: step_ac_reference(voter_rule(), c, RngStream(0)),
+        lambda c: step_reference(voter_rule(), c, RngStream(0)),
         lambda c: run_lower_bound_experiment(c, 4.0, 1, RngStream(0)),
         lambda c: run_coupled_dominating_process(c, 4.0, 0, 1, RngStream(0)),
     )
