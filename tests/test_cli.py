@@ -313,9 +313,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
-    # out-of-range numbers: each error names its flag or parameter
     bad_graph = tmp_path / "wrapped.txt"
     bad_graph.write_text("3 2\n0 1\n1 -1\n")
+    # out-of-range numbers and malformed inputs: each error names its flag, parameter or line
     for argv, name in (
         (["lower-bound", "--gamma", "0"], "gamma"),
         (["lower-bound", "--gamma", "-1"], "gamma"),
