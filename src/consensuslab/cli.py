@@ -179,6 +179,7 @@ def cmd_compare(args) -> int:
         "trials": args.trials,
         "max_cdf_deficit": report.max_cdf_deficit,
         "epsilon": report.epsilon,
+        "delta": report.delta,
         "passed": report.passed,
         "censored_fast": report.censored_fast,
         "censored_slow": report.censored_slow,
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks a run flag not given: --spec rejects it, _spec_from_args defaults it
     p.set_defaults(func=cmd_simulate, **dict.fromkeys(RUN_DEFAULTS))
 
-    p = sub.add_parser("compare", help="paired stopping-time CDF dominance")
+    p = sub.add_parser("compare", help="stopping-time CDF dominance")
     p.add_argument("--fast", required=True)
     p.add_argument("--slow", required=True)
     p.add_argument("--epsilon", type=float, default=None)

@@ -2,13 +2,15 @@
 
 Exhaustive small-n checks of the one-step dominance condition between AC
 rules, empirical stochastic-majorization tests for multinomial laws, and
-empirical stopping-time dominance with paired seeds.
+empirical stopping-time dominance between independent samples, judged by the
+exact two-sample critical value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -190,14 +192,35 @@ class TimeDominanceReport:
     times_slow: list[float]
     max_cdf_deficit: float
     epsilon: float
+    delta: float
     passed: bool
     censored_fast: int = 0
     censored_slow: int = 0
 
 
-def dkw_epsilon(trials: int, delta: float = 0.05) -> float:
-    """Two-sample DKW-style noise bound on a CDF deficit estimate."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+def two_sample_tail(trials: int, m: int) -> Fraction:
+    """P(D+ >= m/T), exactly, for two independent T-samples of one continuous
+    law, where D+ is the largest amount by which the second sample's
+    empirical CDF exceeds the first's: C(2T, T - m) / C(2T, T)
+    (Gnedenko-Korolyuk), as the product of (T - i) / (T + 1 + i), i < m."""
+    tail = Fraction(1)
+    for i in range(min(m, trials + 1)):
+        tail *= Fraction(trials - i, trials + 1 + i)
+    return tail
+
+
+def two_sample_critical_value(trials: int, delta: float = 0.05) -> float:
+    """The exact one-sided two-sample critical value at level delta: the
+    least m/T with two_sample_tail(T, m) <= delta. Two T-samples of one
+    continuous law reach a deficit of it with probability at most delta;
+    ties, as between integer stopping times, only make that rarer."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    m, tail = 0, Fraction(1)
+    while tail > delta:
+        tail *= Fraction(trials - m, trials + 1 + m)
+        m += 1
+    return m / trials
 
 
 def empirical_time_dominance(
@@ -210,19 +233,26 @@ def empirical_time_dominance(
     epsilon: Optional[float] = None,
     c0_slow: Optional[np.ndarray] = None,
 ) -> TimeDominanceReport:
-    """Paired-seed empirical CDF comparison of stopping times.
+    """Empirical CDF comparison of stopping times from independent samples.
 
     Runs both rules `trials` times from c0 until at most kappa colors remain
-    (c0_slow starts the slow rule elsewhere, for pairwise-start experiments).
-    Dominance verdict: the fast rule's CDF must lie above the slow one's up
-    to deficit epsilon at every t. Censored trials are biased against the
-    hypothesis: +inf for the slow rule, max_rounds for the fast one.
+    (c0_slow starts the slow rule elsewhere, for pairwise-start experiments);
+    the two sides draw from independent streams. Dominance verdict: the
+    slow rule's empirical CDF must exceed the fast one's by less than
+    epsilon at every t; by default epsilon is two_sample_critical_value at
+    delta = 0.05. The report's delta is two_sample_tail at the epsilon used:
+    the chance that two samples of one continuous law fail the check.
+    Censored trials are biased against the hypothesis: +inf for the slow
+    rule, max_rounds for the fast one.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if epsilon is not None and not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    eps = dkw_epsilon(trials) if epsilon is None else epsilon
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    eps = two_sample_critical_value(trials) if epsilon is None else epsilon
+    # the least count gap whose deficit reaches eps; the tolerance keeps a
+    # decimal epsilon such as 0.08 at T = 300 on its lattice point
+    reach = math.ceil(eps * trials - 1e-9)
     times_fast: list[float] = []
     times_slow: list[float] = []
     censored_fast = censored_slow = 0
@@ -244,11 +274,11 @@ def empirical_time_dominance(
     fast = np.sort(np.array(times_fast))
     slow = np.sort(np.array(times_slow))
     grid = np.unique(np.concatenate([fast, slow[np.isfinite(slow)]]))
-    # both empirical CDFs at every grid point; a censored slow time (+inf)
-    # is never <= t
-    f_fast = np.searchsorted(fast, grid, side="right") / trials
-    f_slow = np.searchsorted(slow, grid, side="right") / trials
-    deficit = max(0.0, float((f_slow - f_fast).max()))
+    # both samples' counts at or below every grid point; a censored slow
+    # time (+inf) is never <= t
+    at_fast = np.searchsorted(fast, grid, side="right")
+    at_slow = np.searchsorted(slow, grid, side="right")
+    deficit = max(0.0, float((at_slow / trials - at_fast / trials).max()))
     return TimeDominanceReport(
         rule_fast=rule_fast,
         rule_slow=rule_slow,
@@ -257,7 +287,10 @@ def empirical_time_dominance(
         times_slow=times_slow,
         max_cdf_deficit=deficit,
         epsilon=eps,
-        passed=deficit <= eps,
+        delta=float(two_sample_tail(trials, reach)),
+        # the verdict compares integer counts, so float rounding of the
+        # deficit cannot decide a deficit that lands on epsilon
+        passed=int((at_slow - at_fast).max()) < reach,
         censored_fast=censored_fast,
         censored_slow=censored_slow,
     )

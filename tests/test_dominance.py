@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from consensuslab.dominance import (
     EnumerationBudgetExceeded,
     NotMajorized,
     check_dominance,
-    dkw_epsilon,
     empirical_stochastic_majorization,
     empirical_time_dominance,
     enumerate_configurations,
     exact_prefix_expectations,
+    two_sample_critical_value,
+    two_sample_tail,
 )
 from consensuslab.rules import h_majority_rule, process_function, voter_rule
 from consensuslab.sampler import RngStream
@@ -170,9 +172,16 @@ def test_empirical_stochastic_majorization_requires_majorization():
         )
 
 
-def test_dkw_epsilon_shrinks_with_trials():
-    assert dkw_epsilon(100) > dkw_epsilon(400)
-    assert np.isclose(dkw_epsilon(400), dkw_epsilon(100) / 2)
+def test_two_sample_critical_value_matches_the_closed_form():
+    # P(D+ >= m/T) = C(2T, T - m) / C(2T, T); the critical value is the
+    # least m/T whose tail is at most delta = 0.05
+    for trials, m in ((100, 18), (300, 30)):
+        assert two_sample_critical_value(trials) == m / trials
+        assert two_sample_tail(trials, m) == Fraction(math.comb(2 * trials, trials - m),
+                                                      math.comb(2 * trials, trials))
+        assert two_sample_tail(trials, m) <= 0.05 < two_sample_tail(trials, m - 1)
+    assert two_sample_critical_value(100) == 0.18 and two_sample_critical_value(300) == 0.100
+    assert two_sample_tail(100, 0) == 1 and two_sample_tail(100, 101) == 0
 
 
 def test_empirical_time_dominance_same_rule_passes():
