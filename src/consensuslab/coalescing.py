@@ -73,7 +73,8 @@ def cycle_graph(n: int) -> Graph:
 
 def graph_from_edge_list(text: str) -> Graph:
     """Parse "n m" header plus m lines "u v" (0-indexed, undirected); blank
-    lines are skipped. A malformed file raises ValueError naming its line."""
+    lines are skipped. A malformed file, a self-loop (a walk would stay put)
+    or an edge given twice raises ValueError naming its line."""
     rows = []  # (line number, its two integers)
     for i, ln in enumerate(text.splitlines(), 1):
         if ln.strip():
@@ -91,6 +92,10 @@ def graph_from_edge_list(text: str) -> Graph:
     for i, u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge list line {i}: endpoint of '{u} {v}' not in 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"edge list line {i}: self-loop '{u} {v}'")
+        if v in nbrs[u]:
+            raise ValueError(f"edge list line {i}: duplicate edge '{u} {v}'")
         nbrs[u].add(v)
         nbrs[v].add(u)
     return Graph(n, [np.array(sorted(s)) for s in nbrs])

@@ -59,8 +59,12 @@ def test_graph_from_edge_list():
         ("3 1\n0 1\n1 2\n", "line 1: header says 1 edges, file has 2"),
         ("3\n0 1\n", "line 1: want two integers"),
         ("3 2\n0 1\n\n1 x\n", "line 4: want two integers"),
+        ("3 3\n0 0\n0 1\n1 2\n", "line 2: self-loop '0 0'"),
+        ("3 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge '0 1'"),
+        ("3 3\n0 1\n1 2\n2 1\n", "line 4: duplicate edge '2 1'"),
     ],
-    ids=["negative", "past-n", "empty", "blank", "short", "long", "header", "not-int"],
+    ids=["negative", "past-n", "empty", "blank", "short", "long", "header", "not-int",
+         "self-loop", "duplicate", "duplicate-reversed"],
 )
 def test_graph_from_edge_list_rejects_malformed_files(text, message):
     with pytest.raises(ValueError, match=message):
