@@ -37,26 +37,32 @@ class InvalidProbabilityVector(ValueError):
     outside [0, 1] (NaN and +-inf included) or a mass away from 1."""
 
 
-def multinomial_pvals(probs) -> np.ndarray:
+def multinomial_pvals(probs, rows: bool = False) -> np.ndarray:
     """The probability-vector check, then probs (any array-like) clipped at 0
-    and rescaled to sum 1, for numpy's multinomial."""
+    and rescaled to sum 1, for numpy's multinomial. With rows=True probs is
+    a 2-d array whose rows are checked and rescaled each as a 1-d vector."""
     arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1 + rows or arr.size == 0:
         raise InvalidProbabilityVector(
-            f"probability vector must be non-empty and 1-d, got shape {arr.shape}"
+            f"probability {'rows' if rows else 'vector'} must be non-empty and "
+            f"{1 + rows}-d, got shape {arr.shape}"
         )
     lo = arr.min()
     # NaN fails both comparisons and +-inf fails one, so this also
     # rejects non-finite entries
     if not (lo >= -PREFIX_SLACK and arr.max() <= 1 + PREFIX_SLACK):
         raise InvalidProbabilityVector("probability entries must lie in [0, 1]")
-    mass = arr.sum()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise InvalidProbabilityVector(f"probabilities sum to {mass}, expected 1")
+    mass = arr.sum(axis=-1)
+    # a row's mass is checked as a vector's is: the one furthest from 1 decides
+    worst = mass[np.abs(mass - 1.0).argmax()] if rows else mass
+    if abs(worst - 1.0) > MASS_TOL:
+        raise InvalidProbabilityVector(f"probabilities sum to {worst}, expected 1")
+    if rows:
+        mass = mass[:, None]
     if lo >= 0:
         return arr / mass  # the clip is the identity
     arr = np.clip(arr, 0.0, None)
-    return arr / arr.sum()
+    return arr / arr.sum(axis=-1, keepdims=rows)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,14 @@ from .core import (
     multinomial_pvals,
     prefix_sums,
 )
-from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function, run_until
+from .rules import (
+    UpdateRule,
+    _compositions,
+    _multinomial_pmf,
+    block_sizes,
+    process_function,
+    run_block,
+)
 from .sampler import RngStream, sample_multinomial
 
 MAX_ENUM_N = 40
@@ -236,8 +243,9 @@ def empirical_time_dominance(
     """Empirical CDF comparison of stopping times from independent samples.
 
     Runs both rules `trials` times from c0 until at most kappa colors remain
-    (c0_slow starts the slow rule elsewhere, for pairwise-start experiments);
-    the two sides draw from independent streams. Dominance verdict: the
+    (c0_slow starts the slow rule elsewhere, for pairwise-start experiments),
+    in blocks of rules.block_rows(n) trials, one stream per (side, block):
+    the two sides draw independently. Dominance verdict: the
     slow rule's empirical CDF must exceed the fast one's by less than
     epsilon at every t; by default epsilon is two_sample_critical_value at
     delta = 0.05. The report's delta is two_sample_tail at the epsilon used:
@@ -253,24 +261,19 @@ def empirical_time_dominance(
     # the least count gap whose deficit reaches eps; the tolerance keeps a
     # decimal epsilon such as 0.08 at T = 300 on its lattice point
     reach = math.ceil(eps * trials - 1e-9)
-    times_fast: list[float] = []
-    times_slow: list[float] = []
-    censored_fast = censored_slow = 0
-    for trial in range(trials):
-        t_fast, _, _ = run_until(rule_fast, c0, stop, rng.child(trial, "fast"))
-        t_slow, _, _ = run_until(
-            rule_slow, c0 if c0_slow is None else c0_slow, stop, rng.child(trial, "slow")
-        )
-        if t_fast is None:
-            censored_fast += 1
-            times_fast.append(float(stop.max_rounds))
-        else:
-            times_fast.append(float(t_fast))
-        if t_slow is None:
-            censored_slow += 1
-            times_slow.append(math.inf)
-        else:
-            times_slow.append(float(t_slow))
+
+    def stop_times(rule, start, side):
+        return [
+            t
+            for block, size in enumerate(block_sizes(trials, int(start.sum())))
+            for t, _, _ in run_block(rule, [start] * size, stop, rng.child(side, "block", block))
+        ]
+
+    runs_fast = stop_times(rule_fast, c0, "fast")
+    runs_slow = stop_times(rule_slow, c0 if c0_slow is None else c0_slow, "slow")
+    censored_fast, censored_slow = runs_fast.count(None), runs_slow.count(None)
+    times_fast = [float(stop.max_rounds) if t is None else float(t) for t in runs_fast]
+    times_slow = [math.inf if t is None else float(t) for t in runs_slow]
     fast = np.sort(np.array(times_fast))
     slow = np.sort(np.array(times_slow))
     grid = np.unique(np.concatenate([fast, slow[np.isfinite(slow)]]))

@@ -2,8 +2,11 @@
 experiment with its coupled dominating Binomial process, the two-phase
 timing check, and JSON-lines/CSV output.
 
-All Monte-Carlo entry points derive one RngStream per (seed, trial,
-purpose), so results are independent of worker count and scheduling. Logs
+All Monte-Carlo entry points derive one RngStream per (seed, purpose,
+rule, block) for a block of AC trials run in lockstep, or per (seed,
+purpose, rule, trial) for a trial run alone. A block's trials are a
+function of (trials, n) (rules.block_rows), so results are independent of
+worker count and scheduling. Logs
 use natural log throughout (the CLI records this in its output metadata).
 """
 
@@ -23,8 +26,11 @@ from .core import StopCondition, canonical_counts, canonicalize, check_canonical
 from .rules import (
     UpdateRule,
     _run_until,
+    block_rows,
+    block_sizes,
     h_majority_rule,
     node_round,
+    run_block,
     run_until,
     two_choices_rule,
     voter_rule,
@@ -107,34 +113,63 @@ def simulate_to_stop(
     rule: UpdateRule, spec: ExperimentSpec, trial: int
 ) -> tuple[Optional[int], int]:
     """One seeded trial; returns (stopping time or None if censored, peak),
-    where peak is the largest support over every round, round 0 included."""
+    where peak is the largest support over every round, round 0 included.
+    run_experiment runs 2-Choices trials through it."""
     rng = RngStream(spec.seed, ("sim", rule.label(), trial))
     stop_time, _, peak = run_until(rule, initial_counts(spec.initial, spec.n), spec.stop, rng)
     return stop_time, peak
 
 
-def _trial_record(args) -> dict:
-    spec, rule, trial = args
-    stop_time, peak = simulate_to_stop(rule, spec, trial)
-    return {
-        "rule": rule.label(),
-        "n": spec.n,
-        "kappa": spec.stop.kappa,
-        "seed": spec.seed,
-        "trial": trial,
-        "stop_time": stop_time,
-        "censored": stop_time is None,
-        "max_support_peak": peak,
-    }
+def simulate_block(
+    rule: UpdateRule, spec: ExperimentSpec, block: int
+) -> list[tuple[Optional[int], int]]:
+    """The seeded AC trials of one block, trials block*B .. block*B + B - 1
+    (B = block_rows(n), the last block cut at spec.trials), in lockstep on
+    one stream; returns (stopping time or None, peak) per trial."""
+    starts = [initial_counts(spec.initial, spec.n)] * block_sizes(spec.trials, spec.n)[block]
+    rng = RngStream(spec.seed, ("sim", rule.label(), "block", block))
+    return [(t, peak) for t, _, peak in run_block(rule, starts, spec.stop, rng)]
+
+
+def _records(job) -> list[dict]:
+    """The records of one job: one block of AC trials, or one 2-Choices trial."""
+    spec, rule, index = job
+    if rule.is_ac:
+        first = index * block_rows(spec.n)
+        runs = simulate_block(rule, spec, index)
+    else:
+        first, runs = index, [simulate_to_stop(rule, spec, index)]
+    return [
+        {
+            "rule": rule.label(),
+            "n": spec.n,
+            "kappa": spec.stop.kappa,
+            "seed": spec.seed,
+            "trial": first + i,
+            "stop_time": stop_time,
+            "censored": stop_time is None,
+            "max_support_peak": peak,
+        }
+        for i, (stop_time, peak) in enumerate(runs)
+    ]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """Run all (rule, trial) pairs; output order is scheduling-independent."""
-    jobs = [(spec, rule, trial) for rule in spec.rules for trial in range(spec.trials)]
+    """Run every trial of every rule: AC trials in blocks, 2-Choices trials
+    one by one. Records come in (rule, trial) order whatever the scheduling;
+    no process pool starts for fewer than two jobs, nor more workers than
+    jobs."""
+    jobs = [
+        (spec, rule, index)
+        for rule in spec.rules
+        for index in range(len(block_sizes(spec.trials, spec.n)) if rule.is_ac else spec.trials)
+    ]
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_trial_record(job) for job in jobs]
+        return [rec for job in jobs for rec in _records(job)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_record, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        chunks = pool.map(_records, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+        return [rec for chunk in chunks for rec in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +283,10 @@ def run_two_phase_check(
     """Phase-split timing for 3-majority vs Voter from the n-color start.
 
     Phase 1 ends at <= k_split colors (default ceil(n**0.25)); phase 2 runs
-    3-majority on to consensus on the same stream. Paired seeds per trial;
-    each phase is capped at the default StopCondition's max_rounds.
+    3-majority on to consensus from phase 1's last counts, on the same
+    stream. Trials run in blocks of rules.block_rows(n), one stream per
+    (rule, block); the two rules draw independently. Each phase is capped
+    at the default StopCondition's max_rounds.
     """
     if n < 256:
         raise ValueError("two-phase check needs n >= 256")
@@ -257,21 +294,25 @@ def run_two_phase_check(
     hm3, voter = h_majority_rule(3), voter_rule()
     c0 = initial_counts("ncolor", n)
     split = StopCondition(kappa=k)
-    rows = []
-    for trial in range(trials):
-        stream = RngStream(seed, ("two-phase", hm3.label(), trial))
-        phase1, c, _ = run_until(hm3, c0, split, stream)
-        phase2 = None if phase1 is None else run_until(hm3, c, StopCondition(kappa=1), stream)[0]
-        voter_stream = RngStream(seed, ("two-phase", voter.label(), trial))
-        rows.append(
-            {
-                "trial": trial,
-                "phase1_hmaj:3": phase1,
-                "phase2_hmaj:3": phase2,
-                "total_hmaj:3": None if phase2 is None else phase1 + phase2,
-                "phase1_voter": run_until(voter, c0, split, voter_stream)[0],
-            }
-        )
+    rows: list[dict] = []
+    for block, size in enumerate(block_sizes(trials, n)):
+        starts = [c0] * size
+        stream = RngStream(seed, ("two-phase", hm3.label(), "block", block))
+        phase1 = run_block(hm3, starts, split, stream)
+        ended = [c for t, c, _ in phase1 if t is not None]
+        phase2 = iter(run_block(hm3, ended, StopCondition(kappa=1), stream))
+        voter_stream = RngStream(seed, ("two-phase", voter.label(), "block", block))
+        for (t1, _, _), (t_voter, _, _) in zip(phase1, run_block(voter, starts, split, voter_stream)):
+            t2 = None if t1 is None else next(phase2)[0]
+            rows.append(
+                {
+                    "trial": len(rows),
+                    "phase1_hmaj:3": t1,
+                    "phase2_hmaj:3": t2,
+                    "total_hmaj:3": None if t2 is None else t1 + t2,
+                    "phase1_voter": t_voter,
+                }
+            )
     paired = [
         r
         for r in rows

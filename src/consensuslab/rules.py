@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .core import StopCondition, canonical_counts, check_canonical, multinomial_
 from .sampler import RngStream
 
 ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
+# run_block's rows: at most BLOCK_ROWS, and at most BLOCK_CELLS counts once n
+# exceeds BLOCK_CELLS / BLOCK_ROWS, so an int64 block stays within 16 MB
+BLOCK_ROWS = 64
+BLOCK_CELLS = 2**21
 
 
 class NotAnACProcess(TypeError):
@@ -87,8 +91,9 @@ def parse_rule(text: str) -> UpdateRule:
 
 
 def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
-    # alpha_i = x_i * (1 + x_i - ||x||_2^2); exact on an object array of Fractions
-    sq = x.dot(x)
+    # alpha_i = x_i * (1 + x_i - ||x||_2^2) along the last axis; exact on an
+    # object array of Fractions
+    sq = x.dot(x) if x.ndim == 1 else np.einsum("ij,ij->i", x, x)[:, None]
     return x * (1 + x - sq)
 
 
@@ -139,7 +144,8 @@ def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
 
 def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
     """Unchecked alpha at fractions x (floats, or Fractions in an object array);
-    process_function, process_function_exact and the AC round share it."""
+    process_function, process_function_exact and the AC rounds share it. A
+    2-d x holds one configuration per row, zero-padded, as in run_block."""
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
     if rule.kind == VOTER or rule.h <= 2:
@@ -147,7 +153,13 @@ def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
         return x
     if rule.h == 3:
         return _three_majority_alpha(x)
-    return plurality_enumeration_alpha(x, rule.h)
+    if x.ndim == 1:
+        return plurality_enumeration_alpha(x, rule.h)
+    alpha = np.zeros_like(x)
+    for row, a in zip(x, alpha):  # each row on its own colors: the k^h guard sees its k
+        live = row > 0
+        a[live] = plurality_enumeration_alpha(row[live], rule.h)
+    return alpha
 
 
 def _checked(alpha: np.ndarray) -> np.ndarray:
@@ -272,6 +284,84 @@ def _run_until(
         if len(c) <= kappa or peak > above:
             return t, c, peak
     return None, c, peak
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of n-node trials: min(64, max(1, 2^21 // n)). A
+    function of n alone, so how trials fall into blocks, and with it every
+    draw, does not depend on the worker count."""
+    return min(BLOCK_ROWS, max(1, BLOCK_CELLS // n))
+
+
+def block_sizes(trials: int, n: int) -> list[int]:
+    """The row counts of the blocks that run `trials` trials of n nodes:
+    block_rows(n) each, the last one cut at `trials`."""
+    rows = block_rows(n)
+    return [min(rows, trials - first) for first in range(0, trials, rows)]
+
+
+def run_block(
+    rule: UpdateRule, starts: Sequence[np.ndarray], stop: StopCondition, rng: RngStream
+) -> list[tuple[Optional[int], np.ndarray, int]]:
+    """run_until for a block of AC trials, one per start, stepped in lockstep.
+
+    The live trials are the rows of one zero-padded int64 array; a round
+    draws every row at once with one gen.multinomial(n, A), A holding each
+    row's checked alpha. A padded zero changes neither alpha nor the draw
+    (numpy draws nothing for a p = 0 category), so each row's rounds have
+    run_until's law, though not its draws. A row leaves the array at the
+    round it stops. Once the widest live row has shrunk by a quarter, the
+    rows are sorted non-increasing and trimmed to its width.
+
+    Every start must be canonical counts of the same n. Returns, per start
+    and in order, run_until's (t, c_t, peak); no starts give [].
+    """
+    if not rule.is_ac:
+        raise NotAnACProcess("run_block steps AC rules; 2-Choices runs through run_until")
+    for c in starts:
+        check_canonical(c)
+    if not starts:
+        return []
+    n = int(starts[0].sum())
+    if any(int(c.sum()) != n for c in starts):
+        raise ValueError("run_block: every start must have the same n")
+    gen, kappa = rng.gen, stop.kappa
+    k = np.array([len(c) for c in starts])
+    counts = np.zeros((len(starts), k.max()), dtype=np.int64)
+    for row, c in zip(counts, starts):
+        row[: len(c)] = c
+    peak = counts[:, 0].copy()
+    trial = np.arange(len(starts))  # the start each live row runs
+    out: list = [None] * len(starts)
+    t = 0
+    while True:
+        # on up to 64 rows Python's min and max are faster than numpy's
+        if min(k.tolist()) <= kappa:  # some rows stop at round t
+            done = k <= kappa
+            for i in np.flatnonzero(done):
+                out[trial[i]] = (t, canonical_counts(counts[i].copy()), int(peak[i]))
+            keep = ~done
+            if not keep.any():
+                return out
+            counts, peak, trial, k = counts[keep], peak[keep], trial[keep], k[keep]
+        if t == stop.max_rounds:
+            break
+        width = max(k.tolist())
+        if 4 * width <= 3 * counts.shape[1]:
+            counts = np.sort(counts, axis=1)[:, : -width - 1 : -1]
+        t += 1
+        pvals = multinomial_pvals(_alpha(rule, counts / n), rows=True)
+        # numpy's 2-d call draws its rows in order, so one 1-d call per row
+        # draws the same numbers; for a few rows that skips the 2-d set-up
+        if len(pvals) > 4:
+            counts = gen.multinomial(n, pvals)
+        else:
+            counts = np.array([gen.multinomial(n, p) for p in pvals])
+        k = (counts > 0).sum(axis=1)
+        np.maximum(peak, counts.max(axis=1), out=peak)
+    for i, r in enumerate(trial):  # censored
+        out[r] = (None, canonical_counts(counts[i].copy()), int(peak[i]))
+    return out
 
 
 def _two_choices_movers(

@@ -165,6 +165,55 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "block-stop-counts-zero-columns",
+        "rules.py",
+        "k = (counts > 0).sum(axis=1)",
+        "k = (counts >= 0).sum(axis=1)",  # a padded zero counts as a colour
+        (
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[voter-stops]",
+            "tests/test_harness.py::test_max_support_peak_covers_unrecorded_rounds",
+        ),
+    ),
+    Mutant(
+        "block-peak-misses-stop-round",
+        "rules.py",
+        "np.maximum(peak, counts.max(axis=1), out=peak)",
+        "np.maximum(peak, np.where(k <= kappa, peak, counts.max(axis=1)), out=peak)",
+        (
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[voter-stops]",
+            "tests/test_harness.py::test_max_support_peak_covers_unrecorded_rounds",
+        ),
+    ),
+    Mutant(
+        "block-steps-stopped-rows",
+        "rules.py",
+        "keep = ~done",
+        "keep = done | ~done",  # a stopped row stays in the block and is stepped on
+        (
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[hmaj:3-stops]",
+            "tests/test_harness.py::test_run_experiment_blocks_are_worker_count_invariant",
+        ),
+    ),
+    Mutant(
+        "block-row-check-skipped",
+        "rules.py",
+        "multinomial_pvals(_alpha(rule, counts / n), rows=True)",
+        "_alpha(rule, counts / n)",  # numpy draws from an unchecked alpha
+        (
+            "tests/test_rules.py::test_run_block_rejects_a_bad_alpha[nan]",
+            "tests/test_rules.py::test_run_block_rejects_a_bad_alpha[below-slack]",
+            "tests/test_rules.py::test_run_block_rejects_a_bad_alpha[mass-0.9]",
+        ),
+    ),
+    Mutant(
+        "time-dominance-one-sample-radius",
+        "dominance.py",
+        "eps = two_sample_critical_value(trials) if epsilon is None else epsilon",
+        # the DKW radius of one empirical CDF, applied to the gap between two
+        "eps = math.sqrt(math.log(2.0 / 0.05) / (2.0 * trials)) if epsilon is None else epsilon",
+        ("tests/test_dominance.py::test_empirical_time_dominance_fails_equal_laws_at_rate_delta",),
+    ),
+    Mutant(
         "lifted-replay-forward-order",
         "coalescing.py",
         "window = np.take_along_axis(window[length:], window[:-length], axis=1)",

@@ -144,7 +144,7 @@ def test_05_coalescence_time_and_drift_bounds():
 
 def test_06_stopping_time_cdf_dominance():
     c0 = canonicalize([1] * 1024)
-    # about 3x the longest of these seeds' runs (7,522 rounds): a stop check
+    # about 3x the longest of these seeds' runs (6,159 rounds): a stop check
     # that never fires fails here instead of running 10^6 rounds per trial
     stop = StopCondition(kappa=1, max_rounds=20_000)
     report = empirical_time_dominance(
@@ -323,7 +323,7 @@ def test_11_cli_determinism_across_workers(tmp_path):
         "n": 128,
         "initial": "ncolor",
         "kappa": 1,
-        "max_rounds": 1_100,  # about 3x the longest run, 387 rounds
+        "max_rounds": 1_100,  # about 3x the longest run, 367 rounds
         "trials": 10,
         "seed": 7,
     }

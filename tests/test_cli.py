@@ -82,6 +82,18 @@ def test_simulate_deterministic_across_worker_counts():
     assert all(r["stop_time"] is not None for r in records)
 
 
+def test_simulate_blocks_deterministic_across_worker_counts():
+    # 130 trials of 32 nodes run as blocks of 64, 64 and 2 trials: three jobs
+    args = ["simulate", "--rule", "voter", "--n", "32", "--trials", "130", "--seed", "3",
+            "--max-rounds", "1000"]
+    out1 = run_cli(*args, "--workers", "1").stdout
+    assert run_cli(*args, "--workers", "2").stdout == out1
+    assert run_cli(*args, "--workers", "4").stdout == out1
+    records = [json.loads(ln) for ln in out1.splitlines()]
+    assert [r["trial"] for r in records] == list(range(130))
+    assert all(r["stop_time"] is not None for r in records)
+
+
 def test_two_choices_simulate_deterministic_across_worker_counts():
     # from n colours 2-Choices runs its mover-priced rounds, which must
     # depend on the (seed, trial) stream alone
@@ -315,6 +327,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), argv
     bad_graph = tmp_path / "wrapped.txt"
     bad_graph.write_text("3 2\n0 1\n1 -1\n")
+    looped_graph = tmp_path / "looped.txt"
+    looped_graph.write_text("3 3\n0 0\n0 1\n1 2\n")
     # out-of-range numbers and malformed inputs: each error names its flag, parameter or line
     for argv, name in (
         (["lower-bound", "--gamma", "0"], "gamma"),
@@ -337,6 +351,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["simulate", "--init", "balanced:20", "--n", "10"], "balanced: need 1 <= k <= n"),
         # a graph file with an endpoint outside 0..n-1
         (["duality", "--graph", f"file:{bad_graph}"], "edge list line 3"),
+        # a graph file with a self-loop
+        (["duality", "--graph", f"file:{looped_graph}"], "edge list line 2: self-loop"),
         # a drift-bound flag its --form does not read
         (["drift-bound", "--form", "additive", "--x0", "77"], "--x0"),
         (["drift-bound", "--form", "lw14", "--k-prime", "2"], "--k-prime"),

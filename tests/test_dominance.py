@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from consensuslab import dominance
 from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes
@@ -19,7 +20,7 @@ from consensuslab.dominance import (
     two_sample_critical_value,
     two_sample_tail,
 )
-from consensuslab.rules import h_majority_rule, process_function, voter_rule
+from consensuslab.rules import block_rows, h_majority_rule, process_function, voter_rule
 from consensuslab.sampler import RngStream
 
 
@@ -184,9 +185,29 @@ def test_two_sample_critical_value_matches_the_closed_form():
     assert two_sample_tail(100, 0) == 1 and two_sample_tail(100, 101) == 0
 
 
+def test_empirical_time_dominance_fails_equal_laws_at_rate_delta():
+    # hmaj:2 has exactly Voter's law, so over independent seeds the check
+    # must fail at a rate within a binomial CI of its delta at T = 100:
+    # C(200, 82) / C(200, 100) (integer stop times tie, which only lowers
+    # the rate). The one-sample radius it replaced fails such pairs about
+    # three times as often.
+    c0, stop, seeds = canonicalize([1] * 10), StopCondition(kappa=1, max_rounds=10**4), 300
+    delta = math.comb(200, 82) / math.comb(200, 100)
+    reports = [
+        empirical_time_dominance(
+            h_majority_rule(2), voter_rule(), c0, stop, trials=100, rng=RngStream(seed, ("size",))
+        )
+        for seed in range(seeds)
+    ]
+    failed = sum(1 for report in reports if not report.passed)
+    pv = stats.binomtest(failed, seeds, delta).pvalue
+    assert pv > 1e-3, (failed, seeds, delta, pv)
+    assert {(report.epsilon, report.delta) for report in reports} == {(0.18, delta)}
+
+
 def test_empirical_time_dominance_same_rule_passes():
     c0 = canonicalize([1] * 64)
-    # each cap is about 3x the longest run its seed gives (here 457 rounds)
+    # the cap is over 3x the longest run this seed gives (307 rounds)
     stop = StopCondition(kappa=1, max_rounds=1_300)
     report = empirical_time_dominance(
         voter_rule(), voter_rule(), c0, stop, trials=100, rng=RngStream(7)
@@ -201,7 +222,7 @@ def test_empirical_time_dominance_detects_clear_gap():
     # the slow side should not appear faster
     c_fast = canonicalize([63, 1])
     c_slow = canonicalize([1] * 64)
-    stop = StopCondition(kappa=1, max_rounds=1_400)  # longest run 490 rounds
+    stop = StopCondition(kappa=1, max_rounds=1_400)  # longest run 331 rounds
     report = empirical_time_dominance(
         voter_rule(),
         voter_rule(),
@@ -230,10 +251,12 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
                 t = int(gen.integers(0, 46)) + offset
                 script[trial, side] = None if t > stop.max_rounds else max(t, 0)
 
-        def scripted(rule, c, stop, rng):
-            return script[rng.stream_id], c, int(c[0])
+        def scripted(rule, starts, stop, rng):
+            side, _, block = rng.stream_id  # one stream per (side, block)
+            first = block * block_rows(8)
+            return [(script[first + i, side], c, int(c[0])) for i, c in enumerate(starts)]
 
-        monkeypatch.setattr(dominance, "run_until", scripted)
+        monkeypatch.setattr(dominance, "run_block", scripted)
         report = empirical_time_dominance(
             voter_rule(), voter_rule(), c0, stop, trials=trials, rng=RngStream(0)
         )
@@ -261,7 +284,7 @@ def test_empirical_time_dominance_flags_reversed_order():
     # start; the CDF deficit should blow past any reasonable epsilon
     c_fast = canonicalize([1] * 64)
     c_slow = canonicalize([63, 1])
-    stop = StopCondition(kappa=1, max_rounds=900)  # longest run 305 rounds
+    stop = StopCondition(kappa=1, max_rounds=900)  # longest run 382 rounds
     report = empirical_time_dominance(
         voter_rule(),
         voter_rule(),

@@ -20,8 +20,10 @@ from consensuslab.harness import (
     write_csv_summary,
     write_jsonl,
 )
-from consensuslab.rules import h_majority_rule, step_rule, two_choices_rule, voter_rule
+from consensuslab.rules import block_rows, h_majority_rule, two_choices_rule, voter_rule
 from consensuslab.sampler import RngStream
+
+from block_replay import replay_block
 
 
 def test_initial_conditions_build():
@@ -113,22 +115,20 @@ def test_max_support_peak_covers_unrecorded_rounds():
         rules=(voter_rule(),),
         n=200,
         initial="balanced:4",
-        stop=StopCondition(kappa=2, max_rounds=1_000),  # longest run 353 rounds
+        stop=StopCondition(kappa=2, max_rounds=1_000),  # longest run 295 rounds
         trials=50,
         seed=0,
     )
     records = run_experiment(spec)
     assert len(records) == 50
+    # the 50 trials are one block: replay it row by row on its stream, for
+    # the largest support of round 0 and of every round after it
+    starts = [initial_counts(spec.initial, spec.n)] * 50
+    rng = RngStream(spec.seed, ("sim", "voter", "block", 0))
+    replayed = replay_block(voter_rule(), starts, spec.stop, rng)
     interior_peaks = 0
-    for rec in records:
-        # replay the trial round by round on simulate_to_stop's stream: the
-        # largest support of round 0 and of every round after it
-        rng = RngStream(spec.seed, ("sim", "voter", rec["trial"]))
-        c = initial_counts(spec.initial, spec.n)
-        supports = [int(c[0])]
-        while len(c) > spec.stop.kappa and len(supports) <= spec.stop.max_rounds:
-            c = step_rule(voter_rule(), c, rng)
-            supports.append(int(c[0]))
+    for rec, (_, _, rounds) in zip(records, replayed):
+        supports = [counts[0] for counts in rounds]
         assert len(supports) == rec["stop_time"] + 1
         assert rec["max_support_peak"] == max(supports)
         interior_peaks += max(supports) > max(supports[0], supports[-1])
@@ -140,7 +140,7 @@ def test_run_experiment_record_shape():
         rules=(voter_rule(), h_majority_rule(3)),
         n=32,
         initial="ncolor",
-        stop=StopCondition(kappa=1, max_rounds=300),  # longest run 104 rounds
+        stop=StopCondition(kappa=1, max_rounds=300),  # longest run 55 rounds
         trials=3,
         seed=1,
     )
@@ -156,7 +156,7 @@ def test_run_experiment_worker_count_invariance():
         rules=(voter_rule(),),
         n=32,
         initial="ncolor",
-        stop=StopCondition(kappa=1, max_rounds=350),  # longest run 120 rounds
+        stop=StopCondition(kappa=1, max_rounds=350),  # longest run 197 rounds
         trials=8,
         seed=2,
     )
@@ -166,6 +166,42 @@ def test_run_experiment_worker_count_invariance():
     # all-censored runs would be equal too: every trial must have stopped
     assert len(serial) == 8
     assert all(r["stop_time"] is not None for r in serial)
+
+
+def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
+    # 64 AC trials of 32 nodes are one block, so one job: no pool at any
+    # worker count
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+    spec = ExperimentSpec(
+        rules=(voter_rule(),),
+        n=32,
+        initial="ncolor",
+        stop=StopCondition(kappa=1, max_rounds=1_000),
+        trials=block_rows(32),
+        seed=3,
+    )
+    records = run_experiment(spec, workers=4)
+    assert [r["trial"] for r in records] == list(range(64))
+
+
+def test_run_experiment_blocks_are_worker_count_invariant():
+    # 130 trials of 16 nodes fall into blocks of 64, 64 and 2 per AC rule,
+    # next to 130 one-trial 2-Choices jobs
+    spec = ExperimentSpec(
+        rules=(voter_rule(), h_majority_rule(3), two_choices_rule()),
+        n=16,
+        initial="ncolor",
+        stop=StopCondition(kappa=1, max_rounds=2_000),
+        trials=130,
+        seed=4,
+    )
+    serial = run_experiment(spec, workers=1)
+    assert [(r["rule"], r["trial"]) for r in serial] == [
+        (rule, trial) for rule in ("voter", "hmaj:3", "2choices") for trial in range(130)
+    ]
+    assert all(r["stop_time"] is not None and r["max_support_peak"] == 16 for r in serial)
+    for workers in (2, 4):
+        assert run_experiment(spec, workers=workers) == serial
 
 
 def test_slow_start_window_derived_quantities():
@@ -241,6 +277,27 @@ def test_two_phase_check_runs():
         assert row["phase1_voter"] is not None
     assert 0.0 <= out["hmaj_not_slower_fraction"] <= 1.0
     assert out["voter_phase1_mean"] > 0
+
+
+def test_two_phase_check_starts_phase_two_from_phase_one(monkeypatch):
+    calls = []
+    real = harness.run_block
+
+    def recording(rule, starts, stop, rng):
+        out = real(rule, starts, stop, rng)
+        calls.append((rule.label(), stop.kappa, rng.stream_id, starts, [c for _, c, _ in out]))
+        return out
+
+    monkeypatch.setattr(harness, "run_block", recording)
+    out = run_two_phase_check(256, trials=3, seed=4)
+    (rule1, kappa1, stream1, _, ends), (rule2, kappa2, stream2, starts2, _), voter = calls
+    assert (rule1, kappa1, rule2, kappa2, voter[:2]) == ("hmaj:3", 4, "hmaj:3", 1, ("voter", 4))
+    # phase 2 continues every phase-1 row, in order, on the same stream
+    assert stream1 == stream2 != voter[2]
+    assert [c.tolist() for c in starts2] == [c.tolist() for c in ends]
+    assert [r["total_hmaj:3"] for r in out["rows"]] == [
+        r["phase1_hmaj:3"] + r["phase2_hmaj:3"] for r in out["rows"]
+    ]
 
 
 def test_two_phase_check_rejects_small_n():

@@ -23,6 +23,7 @@ from consensuslab.rules import (
     NotAnACProcess,
     TooManyColorsForExactH,
     UpdateRule,
+    block_sizes,
     expected_fraction_after_step,
     h_majority_rule,
     parse_rule,
@@ -30,6 +31,7 @@ from consensuslab.rules import (
     process_function,
     process_function_exact,
     node_round,
+    run_block,
     run_until,
     step_reference,
     step_rule,
@@ -37,6 +39,8 @@ from consensuslab.rules import (
     voter_rule,
 )
 from consensuslab.sampler import RngStream
+
+from block_replay import replay_block
 
 
 def test_rule_labels_and_flags():
@@ -177,6 +181,7 @@ def test_ac_only_entry_points_reject_two_choices():
     for ac_only in (
         lambda: process_function(two_choices_rule(), c),
         lambda: process_function_exact(two_choices_rule(), c),
+        lambda: run_block(two_choices_rule(), [c], StopCondition(), RngStream(0)),
     ):
         with pytest.raises(NotAnACProcess):
             ac_only()
@@ -516,9 +521,65 @@ def test_two_choices_driver_matches_stepper_loop_in_law(kappa):
         assert pv > 1e-3, (kappa, what, pv)
 
 
+# starts of 40 nodes for run_block: from 40 colours down to 1, three of them
+# already at kappa = 2 colours
+BLOCK_STARTS = ("ncolor", "balanced:20", "balanced:6", "biased:3:10", "explicit:39,1",
+                "explicit:40", "balanced:2")
+
+
+@pytest.mark.parametrize("max_rounds", [10**4, 4], ids=["stops", "censored"])
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
+def test_run_block_replays_a_per_row_loop(label, max_rounds):
+    rule, n = parse_rule(label), 40
+    # hmaj:4 keeps to few colours: its exact alpha enumerates C(k + 3, 4) sample counts
+    inits = BLOCK_STARTS[2:] if label == "hmaj:4" else BLOCK_STARTS
+    starts = [initial_counts(init, n) for init in inits] * 3
+    stop = StopCondition(kappa=2, max_rounds=max_rounds)
+    stream = ("block", label, max_rounds)
+    got = run_block(rule, starts, stop, RngStream(11, stream))
+    want = replay_block(rule, starts, stop, RngStream(11, stream))
+    assert len(got) == len(starts)
+    for (t, c, peak), (t_ref, c_ref, rounds) in zip(got, want):
+        _assert_canonical_counts(c, n)
+        assert t == t_ref and tuple(c.tolist()) == c_ref
+        assert type(peak) is int and peak == max(counts[0] for counts in rounds)
+        assert len(rounds) == (max_rounds if t is None else t) + 1
+    stops = [t for t, _, _ in got]
+    assert stops.count(0) == 9 and (None in stops) == (max_rounds == 4)
+
+
+@pytest.mark.parametrize(
+    "label, init, n", [("voter", NCOLOR, 32), ("hmaj:3", NCOLOR, 64), ("hmaj:4", "balanced:5", 60)]
+)
+def test_run_block_matches_run_until_in_law(label, init, n):
+    # a block's draws are not run_until's: compare the laws of the stop time
+    # and the peak, over blocks of 64 rows and the cut last one
+    rule, c0, trials = parse_rule(label), initial_counts(init, n), 300
+    stop = StopCondition(kappa=2, max_rounds=10**5)
+    block = [
+        (t, peak)
+        for b, size in enumerate(block_sizes(trials, n))
+        for t, _, peak in run_block(rule, [c0] * size, stop, RngStream(12, ("block", label, b)))
+    ]
+    loop = []
+    for trial in range(trials):
+        t, _, peak = run_until(rule, c0, stop, RngStream(12, ("trial", label, trial)))
+        loop.append((t, peak))
+    block, loop = np.array(block), np.array(loop)
+    for col, what in ((0, "stop time"), (1, "peak")):
+        pv = stats.ks_2samp(block[:, col], loop[:, col]).pvalue
+        assert pv > 1e-3, (label, what, pv)
+
+
 def _patch_alpha(monkeypatch, edit):
+    """Apply a 1-d alpha edit to alpha, or to each row of run_block's alpha."""
     real = rules._alpha
-    monkeypatch.setattr(rules, "_alpha", lambda rule, x: edit(real(rule, x).copy()))
+
+    def edited(rule, x):
+        a = real(rule, x).copy()
+        return edit(a) if a.ndim == 1 else np.array([edit(row) for row in a])
+
+    monkeypatch.setattr(rules, "_alpha", edited)
 
 
 def _last_entry(value):
@@ -532,7 +593,7 @@ def _last_entry(value):
     return edit
 
 
-@pytest.mark.parametrize(
+BAD_ALPHA = pytest.mark.parametrize(
     "edit",
     [
         lambda a: np.where(np.arange(len(a)) == 1, np.nan, a),
@@ -541,6 +602,9 @@ def _last_entry(value):
     ],
     ids=["nan", "below-slack", "mass-0.9"],
 )
+
+
+@BAD_ALPHA
 def test_run_until_rejects_a_bad_alpha(monkeypatch, edit):
     _patch_alpha(monkeypatch, edit)
     c = canonicalize([5, 3, 2])
@@ -549,6 +613,22 @@ def test_run_until_rejects_a_bad_alpha(monkeypatch, edit):
     # process_function runs the same check on the alpha it returns
     with pytest.raises(InvalidProbabilityVector):
         process_function(h_majority_rule(3), c)
+
+
+@BAD_ALPHA
+def test_run_block_rejects_a_bad_alpha(monkeypatch, edit):
+    # the edit reaches the middle row of three; the block must not draw from it
+    real = rules._alpha
+
+    def edited(rule, x):
+        a = real(rule, x).copy()
+        a[1] = edit(a[1])
+        return a
+
+    monkeypatch.setattr(rules, "_alpha", edited)
+    starts = [canonicalize([5, 3, 2]), canonicalize([3, 3, 2, 2]), canonicalize([4, 4, 2])]
+    with pytest.raises(InvalidProbabilityVector):
+        run_block(h_majority_rule(3), starts, StopCondition(), RngStream(0))
 
 
 def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
