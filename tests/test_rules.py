@@ -572,14 +572,8 @@ def test_run_block_matches_run_until_in_law(label, init, n):
 
 
 def _patch_alpha(monkeypatch, edit):
-    """Apply a 1-d alpha edit to alpha, or to each row of run_block's alpha."""
     real = rules._alpha
-
-    def edited(rule, x):
-        a = real(rule, x).copy()
-        return edit(a) if a.ndim == 1 else np.array([edit(row) for row in a])
-
-    monkeypatch.setattr(rules, "_alpha", edited)
+    monkeypatch.setattr(rules, "_alpha", lambda rule, x: edit(real(rule, x).copy()))
 
 
 def _last_entry(value):
