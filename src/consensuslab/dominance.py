@@ -223,8 +223,9 @@ def two_sample_critical_value(trials: int, delta: float = 0.05) -> float:
     ties, as between integer stopping times, only make that rarer."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    m = 0
-    while two_sample_tail(trials, m) > delta:
+    m, tail = 0, Fraction(1)  # tail = two_sample_tail(trials, m)
+    while tail > delta:
+        tail *= Fraction(trials - m, trials + 1 + m)
         m += 1
     return m / trials
 

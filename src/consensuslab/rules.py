@@ -311,7 +311,9 @@ def run_block(
     (numpy draws nothing for a p = 0 category), so each row's rounds have
     run_until's law, though not its draws. A row leaves the array at the
     round it stops. Once the widest live row has shrunk by a quarter, the
-    rows are sorted non-increasing and trimmed to its width.
+    rows are sorted non-increasing and trimmed to its width. One start runs
+    through run_until's rounds and draws, which skip the block's per-round
+    set-up.
 
     Every start must be canonical counts of the same n. Returns, per start
     and in order, run_until's (t, c_t, peak); no starts give [].
@@ -326,6 +328,8 @@ def run_block(
     if any(int(c.sum()) != n for c in starts):
         raise ValueError("run_block: every start must have the same n")
     gen, kappa = rng.gen, stop.kappa
+    if len(starts) == 1:
+        return [_run_until(rule, starts[0], kappa, stop.max_rounds, gen, n)]
     k = np.array([len(c) for c in starts])
     counts = np.zeros((len(starts), k.max()), dtype=np.int64)
     for row, c in zip(counts, starts):
@@ -350,13 +354,7 @@ def run_block(
         if 4 * width <= 3 * counts.shape[1]:
             counts = np.sort(counts, axis=1)[:, : -width - 1 : -1]
         t += 1
-        pvals = multinomial_pvals(_alpha(rule, counts / n), rows=True)
-        # numpy's 2-d call draws its rows in order, so one 1-d call per row
-        # draws the same numbers; for a few rows that skips the 2-d set-up
-        if len(pvals) > 4:
-            counts = gen.multinomial(n, pvals)
-        else:
-            counts = np.array([gen.multinomial(n, p) for p in pvals])
+        counts = gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n), rows=True))
         k = (counts > 0).sum(axis=1)
         np.maximum(peak, counts.max(axis=1), out=peak)
     for i, r in enumerate(trial):  # censored

@@ -18,7 +18,8 @@ def replay_block(rule, starts, stop, rng):
     """Replay run_block round by round: the live rows in order, one
     gen.multinomial per row on that row's pvals, and the same trimming.
     numpy's 2-d multinomial draws its rows in this order from the same
-    generator, so the replay repeats a block's draws exactly.
+    generator, so the replay repeats a block's draws exactly. A single
+    start is sorted and trimmed every round, as run_until's rounds are.
 
     Returns, per start, (t, c_t, rounds): t and c_t as run_block gives
     them (c_t as a tuple) and the canonical counts of every round the row
@@ -39,7 +40,7 @@ def replay_block(rule, starts, stop, rng):
         if t == stop.max_rounds or not live:
             break
         widest = max(len(rounds[r][-1]) for r in live)
-        if 4 * widest <= 3 * width:
+        if len(starts) == 1 or 4 * widest <= 3 * width:
             for r in live:
                 rows[r] = sorted(rows[r], reverse=True)[:widest]
             width = widest

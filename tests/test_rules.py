@@ -548,6 +548,23 @@ def test_run_block_replays_a_per_row_loop(label, max_rounds):
     assert stops.count(0) == 9 and (None in stops) == (max_rounds == 4)
 
 
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
+def test_run_block_runs_one_start_as_run_until(label):
+    # one start takes run_until's draws, and the replay's sort-every-round
+    # loop repeats them
+    rule, n = parse_rule(label), 40
+    for i, init in enumerate(BLOCK_STARTS[2:]):
+        c0 = initial_counts(init, n)
+        for stop in (StopCondition(kappa=2), StopCondition(kappa=1, max_rounds=3)):
+            stream = ("one", label, i, stop.kappa)
+            (t, c, peak), = run_block(rule, [c0], stop, RngStream(13, stream))
+            t_ref, c_ref, peak_ref = run_until(rule, c0, stop, RngStream(13, stream))
+            assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref)
+            (t_rep, c_rep, rounds), = replay_block(rule, [c0], stop, RngStream(13, stream))
+            assert t_rep == t and c_rep == tuple(c.tolist())
+            assert peak == max(counts[0] for counts in rounds)
+
+
 @pytest.mark.parametrize(
     "label, init, n", [("voter", NCOLOR, 32), ("hmaj:3", NCOLOR, 64), ("hmaj:4", "balanced:5", 60)]
 )
