@@ -215,13 +215,17 @@ def _int_at_least(lo: int):
 
 def _parse_graph(text: str):
     parts = text.strip().split(":")
-    if parts[0] == "complete" and len(parts) == 2:
-        return complete_graph(int(parts[1]))
-    if parts[0] == "cycle" and len(parts) == 2:
-        return cycle_graph(int(parts[1]))
     if parts[0] == "file" and len(parts) == 2:
         with open(parts[1]) as fh:
             return graph_from_edge_list(fh.read())
+    build = {"complete": complete_graph, "cycle": cycle_graph}.get(parts[0])
+    if build and len(parts) == 2:
+        try:
+            n = int(parts[1])
+        except ValueError:
+            pass
+        else:
+            return build(n)
     raise UsageError(f"graph: cannot parse {text!r} (want complete:<n>|cycle:<n>|file:<path>)")
 
 

@@ -244,7 +244,7 @@ def empirical_time_dominance(
 
     Runs both rules `trials` times from c0 until at most kappa colors remain
     (c0_slow starts the slow rule elsewhere, for pairwise-start experiments),
-    in blocks of rules.block_rows(n) trials, one stream per (side, block):
+    in blocks of rules.block_rows(rule, n) trials, one stream per (side, block):
     the two sides draw independently. Dominance verdict: the
     slow rule's empirical CDF must exceed the fast one's by less than
     epsilon at every t; by default epsilon is two_sample_critical_value at
@@ -265,7 +265,7 @@ def empirical_time_dominance(
     def stop_times(rule, start, side):
         return [
             t
-            for block, size in enumerate(block_sizes(trials, int(start.sum())))
+            for block, size in enumerate(block_sizes(rule, trials, int(start.sum())))
             for t, _, _ in run_block(rule, [start] * size, stop, rng.child(side, "block", block))
         ]
 

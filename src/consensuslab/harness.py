@@ -3,10 +3,9 @@ experiment with its coupled dominating Binomial process, the two-phase
 timing check, and JSON-lines/CSV output.
 
 All Monte-Carlo entry points derive one RngStream per (seed, purpose,
-rule, block) for a block of AC trials run in lockstep, or per (seed,
-purpose, rule, trial) for a trial run alone. A block's trials are a
-function of (trials, n) (rules.block_rows), so results are independent of
-worker count and scheduling. Logs
+rule, block); a block's trials are a function of (rule, trials, n)
+(rules.block_rows: one trial for 2-Choices), so results are independent
+of worker count and scheduling. Logs
 use natural log throughout (the CLI records this in its output metadata).
 """
 
@@ -31,7 +30,6 @@ from .rules import (
     h_majority_rule,
     node_round,
     run_block,
-    run_until,
     two_choices_rule,
     voter_rule,
 )
@@ -109,36 +107,23 @@ class ExperimentSpec:
             raise ValueError("rules: need at least one rule")
 
 
-def simulate_to_stop(
-    rule: UpdateRule, spec: ExperimentSpec, trial: int
-) -> tuple[Optional[int], int]:
-    """One seeded trial; returns (stopping time or None if censored, peak),
-    where peak is the largest support over every round, round 0 included.
-    run_experiment runs 2-Choices trials through it."""
-    rng = RngStream(spec.seed, ("sim", rule.label(), trial))
-    stop_time, _, peak = run_until(rule, initial_counts(spec.initial, spec.n), spec.stop, rng)
-    return stop_time, peak
-
-
 def simulate_block(
     rule: UpdateRule, spec: ExperimentSpec, block: int
 ) -> list[tuple[Optional[int], int]]:
-    """The seeded AC trials of one block, trials block*B .. block*B + B - 1
-    (B = block_rows(n), the last block cut at spec.trials), in lockstep on
-    one stream; returns (stopping time or None, peak) per trial."""
-    starts = [initial_counts(spec.initial, spec.n)] * block_sizes(spec.trials, spec.n)[block]
+    """The seeded trials of one block, trials block*B .. block*B + B - 1
+    (B = block_rows(rule, n), the last block cut at spec.trials), on one
+    stream; returns (stopping time or None, peak) per trial, where peak is
+    the largest support over every round, round 0 included."""
+    rows = block_rows(rule, spec.n)
+    starts = [initial_counts(spec.initial, spec.n)] * min(rows, spec.trials - block * rows)
     rng = RngStream(spec.seed, ("sim", rule.label(), "block", block))
     return [(t, peak) for t, _, peak in run_block(rule, starts, spec.stop, rng)]
 
 
 def _records(job) -> list[dict]:
-    """The records of one job: one block of AC trials, or one 2-Choices trial."""
-    spec, rule, index = job
-    if rule.is_ac:
-        first = index * block_rows(spec.n)
-        runs = simulate_block(rule, spec, index)
-    else:
-        first, runs = index, [simulate_to_stop(rule, spec, index)]
+    """The records of one job: one block of trials."""
+    spec, rule, block = job
+    first = block * block_rows(rule, spec.n)
     return [
         {
             "rule": rule.label(),
@@ -150,19 +135,18 @@ def _records(job) -> list[dict]:
             "censored": stop_time is None,
             "max_support_peak": peak,
         }
-        for i, (stop_time, peak) in enumerate(runs)
+        for i, (stop_time, peak) in enumerate(simulate_block(rule, spec, block))
     ]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """Run every trial of every rule: AC trials in blocks, 2-Choices trials
-    one by one. Records come in (rule, trial) order whatever the scheduling;
-    no process pool starts for fewer than two jobs, nor more workers than
-    jobs."""
+    """Run every trial of every rule, one job per block. Records come in
+    (rule, trial) order whatever the scheduling; no process pool starts for
+    fewer than two jobs, nor more workers than jobs."""
     jobs = [
-        (spec, rule, index)
+        (spec, rule, block)
         for rule in spec.rules
-        for index in range(len(block_sizes(spec.trials, spec.n)) if rule.is_ac else spec.trials)
+        for block in range(len(block_sizes(rule, spec.trials, spec.n)))
     ]
     workers = min(workers, len(jobs))
     if workers <= 1:
@@ -284,7 +268,7 @@ def run_two_phase_check(
 
     Phase 1 ends at <= k_split colors (default ceil(n**0.25)); phase 2 runs
     3-majority on to consensus from phase 1's last counts, on the same
-    stream. Trials run in blocks of rules.block_rows(n), one stream per
+    stream. Trials run in blocks of rules.block_rows(rule, n), one stream per
     (rule, block); the two rules draw independently. Each phase is capped
     at the default StopCondition's max_rounds.
     """
@@ -295,7 +279,7 @@ def run_two_phase_check(
     c0 = initial_counts("ncolor", n)
     split = StopCondition(kappa=k)
     rows: list[dict] = []
-    for block, size in enumerate(block_sizes(trials, n)):
+    for block, size in enumerate(block_sizes(hm3, trials, n)):
         starts = [c0] * size
         stream = RngStream(seed, ("two-phase", hm3.label(), "block", block))
         phase1 = run_block(hm3, starts, split, stream)

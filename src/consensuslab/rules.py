@@ -25,7 +25,7 @@ BLOCK_ROWS = 64
 BLOCK_CELLS = 2**21
 
 
-class NotAnACProcess(TypeError):
+class NotAnACProcess(ValueError):
     """2-Choices has no process function: adoption depends on own color."""
 
 
@@ -248,30 +248,17 @@ def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
     return _round(rule, c, int(c.sum()), rng.gen)
 
 
-def run_until(
-    rule: UpdateRule, c: np.ndarray, stop: StopCondition, rng: RngStream
-) -> tuple[Optional[int], np.ndarray, int]:
-    """Step `rule` from canonical counts c until at most stop.kappa colors
-    remain. Each round has step_rule's law; for an AC rule, and for
-    2-Choices from a start with sum(c_i^2)/n > k, the draws are step_rule's.
-
-    Returns (t, c_t, peak): t is the first round with at most kappa colors
-    (0 if c already has them), or None if max_rounds pass first; c_t is the
-    last round's canonical counts; peak is the largest support of any round
-    from 0 to the last.
-    """
-    check_canonical(c)
-    return _run_until(rule, c, stop.kappa, stop.max_rounds, rng.gen, int(c.sum()))
-
-
 def _run_until(
     rule: UpdateRule, c: np.ndarray, kappa: int, max_rounds: int, gen: np.random.Generator,
     above: int,
 ) -> tuple[Optional[int], np.ndarray, int]:
-    """run_until's rounds, which also stop at the first round whose largest
-    support exceeds `above` (no support exceeds n, so above = n never
-    stops them). 2-Choices starts with the mover-priced rounds and hands
-    its counts to the closed-form round when those stop being cheaper."""
+    """The rounds of one trial, from canonical counts c until at most kappa
+    colors remain, max_rounds pass, or the largest support exceeds `above`
+    (no support exceeds n, so above = n never stops them). Each round has
+    step_rule's law; for an AC rule, and for 2-Choices from a start with
+    sum(c_i^2)/n > k, the draws are step_rule's. 2-Choices starts with the
+    mover-priced rounds and hands its counts to the closed-form round when
+    those stop being cheaper. Returns run_block's (t, c_t, peak) for c."""
     n, t, peak = int(c.sum()), 0, int(c[0])
     if rule.kind == TWO_CHOICES and len(c) > kappa:
         t, c, peak = _two_choices_movers(c, n, kappa, max_rounds, gen, above)
@@ -286,40 +273,46 @@ def _run_until(
     return None, c, peak
 
 
-def block_rows(n: int) -> int:
-    """Rows per block of n-node trials: min(64, max(1, 2^21 // n)). A
-    function of n alone, so how trials fall into blocks, and with it every
-    draw, does not depend on the worker count."""
+def block_rows(rule: UpdateRule, n: int) -> int:
+    """Rows per block of n-node trials of `rule`: 1 for 2-Choices, whose
+    trials do not step in lockstep, else min(64, max(1, 2^21 // n)). A
+    function of the rule and n alone, so how trials fall into blocks, and
+    with it every draw, does not depend on the worker count."""
+    if not rule.is_ac:
+        return 1
     return min(BLOCK_ROWS, max(1, BLOCK_CELLS // n))
 
 
-def block_sizes(trials: int, n: int) -> list[int]:
-    """The row counts of the blocks that run `trials` trials of n nodes:
-    block_rows(n) each, the last one cut at `trials`."""
-    rows = block_rows(n)
+def block_sizes(rule: UpdateRule, trials: int, n: int) -> list[int]:
+    """The row counts of the blocks that run `trials` trials of `rule` on n
+    nodes: block_rows(rule, n) each, the last one cut at `trials`."""
+    rows = block_rows(rule, n)
     return [min(rows, trials - first) for first in range(0, trials, rows)]
 
 
 def run_block(
     rule: UpdateRule, starts: Sequence[np.ndarray], stop: StopCondition, rng: RngStream
 ) -> list[tuple[Optional[int], np.ndarray, int]]:
-    """run_until for a block of AC trials, one per start, stepped in lockstep.
+    """Step `rule` from each start until at most stop.kappa colors remain:
+    the one round-and-stop driver, for every rule.
 
-    The live trials are the rows of one zero-padded int64 array; a round
-    draws every row at once with one gen.multinomial(n, A), A holding each
-    row's checked alpha. A padded zero changes neither alpha nor the draw
-    (numpy draws nothing for a p = 0 category), so each row's rounds have
-    run_until's law, though not its draws. A row leaves the array at the
-    round it stops. Once the widest live row has shrunk by a quarter, the
-    rows are sorted non-increasing and trimmed to its width. One start runs
-    through run_until's rounds and draws, which skip the block's per-round
-    set-up.
+    AC trials step in lockstep. The live trials are the rows of one
+    zero-padded int64 array; a round draws every row at once with one
+    gen.multinomial(n, A), A holding each row's checked alpha. A padded
+    zero changes neither alpha nor the draw (numpy draws nothing for a
+    p = 0 category), so each row's rounds have step_rule's law, though not
+    a step_rule loop's draws. A row leaves the array at the round it stops.
+    Once the widest live row has shrunk by a quarter, the rows are sorted
+    non-increasing and trimmed to its width. 2-Choices rows, and a block of
+    one start, run one after another through _run_until on the block's
+    generator.
 
     Every start must be canonical counts of the same n. Returns, per start
-    and in order, run_until's (t, c_t, peak); no starts give [].
+    and in order, (t, c_t, peak): t is the first round with at most kappa
+    colors (0 if the start already has them), or None if max_rounds pass
+    first; c_t is the last round's canonical counts; peak is the largest
+    support of any round from 0 to the last. No starts give [].
     """
-    if not rule.is_ac:
-        raise NotAnACProcess("run_block steps AC rules; 2-Choices runs through run_until")
     for c in starts:
         check_canonical(c)
     if not starts:
@@ -328,8 +321,8 @@ def run_block(
     if any(int(c.sum()) != n for c in starts):
         raise ValueError("run_block: every start must have the same n")
     gen, kappa = rng.gen, stop.kappa
-    if len(starts) == 1:
-        return [_run_until(rule, starts[0], kappa, stop.max_rounds, gen, n)]
+    if not rule.is_ac or len(starts) == 1:
+        return [_run_until(rule, c, kappa, stop.max_rounds, gen, n) for c in starts]
     k = np.array([len(c) for c in starts])
     counts = np.zeros((len(starts), k.max()), dtype=np.int64)
     for row, c in zip(counts, starts):

@@ -19,7 +19,7 @@ def replay_block(rule, starts, stop, rng):
     gen.multinomial per row on that row's pvals, and the same trimming.
     numpy's 2-d multinomial draws its rows in this order from the same
     generator, so the replay repeats a block's draws exactly. A single
-    start is sorted and trimmed every round, as run_until's rounds are.
+    start is sorted and trimmed every round, as _run_until's rounds are.
 
     Returns, per start, (t, c_t, rounds): t and c_t as run_block gives
     them (c_t as a tuple) and the canonical counts of every round the row

@@ -195,6 +195,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "block-two-choices-rows-from-first-start",
+        "rules.py",
+        "return [_run_until(rule, c, kappa, stop.max_rounds, gen, n) for c in starts]",
+        # every 2-Choices row runs from the block's first start
+        "return [_run_until(rule, c if rule.is_ac else starts[0], kappa, stop.max_rounds, gen, n)"
+        " for c in starts]",
+        (
+            "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[stops]",
+            "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[censored]",
+        ),
+    ),
+    Mutant(
+        "block-rows-two-choices-as-ac",
+        "rules.py",
+        "    if not rule.is_ac:\n        return 1\n",
+        "",  # 2-Choices trials share a block's stream, 64 to a block
+        ("tests/test_harness.py::test_two_choices_records_come_from_one_stream_per_trial",),
+    ),
+    Mutant(
         "block-row-check-skipped",
         "rules.py",
         "multinomial_pvals(_alpha(rule, counts / n), rows=True)",

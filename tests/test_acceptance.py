@@ -45,7 +45,7 @@ from consensuslab.rules import (
     h_majority_rule,
     process_function,
     process_function_exact,
-    run_until,
+    run_block,
     step_reference,
     two_choices_rule,
     voter_rule,
@@ -173,7 +173,7 @@ def test_07_two_choices_separation_and_coupling():
         for rule, tag in ((h_majority_rule(3), "hmaj"), (two_choices_rule(), "2ch")):
             rng = RngStream(70, ("sep", trial, tag))
             stop = StopCondition(kappa=1, max_rounds=rounds)
-            times[tag], _, _ = run_until(rule, canonicalize([1] * n), stop, rng)
+            times[tag], _, _ = run_block(rule, [canonicalize([1] * n)], stop, rng)[0]
         # 3-Majority must reach consensus within the cap and strictly before
         # 2-Choices, a censored 2-Choices run counting as later. Colour
         # counts at the cap would tie whenever 2-Choices has also finished,

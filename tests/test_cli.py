@@ -251,6 +251,15 @@ def test_compare_subcommand():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rec["passed"] is True
+    # 2-Choices on either side runs through the same block driver
+    for fast, slow, n, init in (("hmaj:3", "2choices", "512", "ncolor"),
+                                ("2choices", "voter", "64", "balanced:3")):
+        proc = run_cli("compare", "--fast", fast, "--slow", slow, "--n", n, "--init", init,
+                       "--trials", "100", "--expect-pass")
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert (rec["rule_fast"], rec["rule_slow"]) == (fast, slow)
+        assert rec["censored_fast"] == rec["censored_slow"] == 0
 
 
 def test_dominance_check_exit_codes():
@@ -357,6 +366,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["drift-bound", "--form", "additive", "--x0", "77"], "--x0"),
         (["drift-bound", "--form", "lw14", "--k-prime", "2"], "--k-prime"),
         (["drift-bound", "--form", "generalized", "--c", "2"], "--c"),
+        # 2-Choices has no process function to check dominance with
+        (["dominance-check", "--p", "2choices", "--q", "voter", "--n", "5"], "not an AC process"),
+        # a graph size that is not an integer
+        (["duality", "--graph", "complete:abc"], "graph: cannot parse 'complete:abc'"),
+        (["duality", "--graph", "cycle:x"], "graph: cannot parse 'cycle:x'"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()

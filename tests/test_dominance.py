@@ -253,7 +253,7 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
 
         def scripted(rule, starts, stop, rng):
             side, _, block = rng.stream_id  # one stream per (side, block)
-            first = block * block_rows(8)
+            first = block * block_rows(rule, 8)
             return [(script[first + i, side], c, int(c[0])) for i, c in enumerate(starts)]
 
         monkeypatch.setattr(dominance, "run_block", scripted)

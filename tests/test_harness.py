@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from consensuslab import harness
+from consensuslab import harness, rules
 from consensuslab.core import StopCondition, canonicalize
 from consensuslab.harness import (
     CouplingViolation,
@@ -15,7 +15,7 @@ from consensuslab.harness import (
     run_experiment,
     run_lower_bound_experiment,
     run_two_phase_check,
-    simulate_to_stop,
+    simulate_block,
     slow_start_window,
     write_csv_summary,
     write_jsonl,
@@ -77,7 +77,7 @@ def test_simulate_to_stop_reaches_consensus():
         trials=1,
         seed=5,
     )
-    t, peak = simulate_to_stop(voter_rule(), spec, trial=0)
+    (t, peak), = simulate_block(voter_rule(), spec, block=0)
     assert t is not None and t >= 1
     assert peak == 32  # consensus: one colour holds every node
 
@@ -92,7 +92,7 @@ def test_simulate_to_stop_peak_counts_round_zero():
         trials=1,
         seed=5,
     )
-    assert simulate_to_stop(voter_rule(), spec, trial=0) == (0, 20)
+    assert simulate_block(voter_rule(), spec, block=0) == [(0, 20)]
 
 
 def test_simulate_to_stop_censors():
@@ -104,7 +104,7 @@ def test_simulate_to_stop_censors():
         trials=1,
         seed=5,
     )
-    t, _ = simulate_to_stop(voter_rule(), spec, trial=0)
+    (t, _), = simulate_block(voter_rule(), spec, block=0)
     assert t is None
 
 
@@ -177,7 +177,7 @@ def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
         n=32,
         initial="ncolor",
         stop=StopCondition(kappa=1, max_rounds=1_000),
-        trials=block_rows(32),
+        trials=block_rows(voter_rule(), 32),
         seed=3,
     )
     records = run_experiment(spec, workers=4)
@@ -186,7 +186,7 @@ def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
 
 def test_run_experiment_blocks_are_worker_count_invariant():
     # 130 trials of 16 nodes fall into blocks of 64, 64 and 2 per AC rule,
-    # next to 130 one-trial 2-Choices jobs
+    # next to 130 one-trial 2-Choices blocks
     spec = ExperimentSpec(
         rules=(voter_rule(), h_majority_rule(3), two_choices_rule()),
         n=16,
@@ -202,6 +202,27 @@ def test_run_experiment_blocks_are_worker_count_invariant():
     assert all(r["stop_time"] is not None and r["max_support_peak"] == 16 for r in serial)
     for workers in (2, 4):
         assert run_experiment(spec, workers=workers) == serial
+
+
+def test_two_choices_records_come_from_one_stream_per_trial():
+    # a 2-Choices block holds one trial: record i runs on stream
+    # ("sim", "2choices", "block", i) through the driver's own rounds
+    spec = ExperimentSpec(
+        rules=(two_choices_rule(),),
+        n=24,
+        initial="ncolor",
+        stop=StopCondition(kappa=1, max_rounds=10**4),
+        trials=5,
+        seed=6,
+    )
+    c0 = initial_counts(spec.initial, spec.n)
+    records = run_experiment(spec)
+    assert [r["trial"] for r in records] == list(range(5))
+    for i, rec in enumerate(records):
+        gen = RngStream(spec.seed, ("sim", "2choices", "block", i)).gen
+        t, _, peak = rules._run_until(two_choices_rule(), c0, 1, 10**4, gen, spec.n)
+        assert (rec["stop_time"], rec["max_support_peak"]) == (t, peak)
+    assert len({r["stop_time"] for r in records}) > 1  # the trials draw independently
 
 
 def test_slow_start_window_derived_quantities():

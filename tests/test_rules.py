@@ -32,7 +32,6 @@ from consensuslab.rules import (
     process_function_exact,
     node_round,
     run_block,
-    run_until,
     step_reference,
     step_rule,
     two_choices_rule,
@@ -181,7 +180,6 @@ def test_ac_only_entry_points_reject_two_choices():
     for ac_only in (
         lambda: process_function(two_choices_rule(), c),
         lambda: process_function_exact(two_choices_rule(), c),
-        lambda: run_block(two_choices_rule(), [c], StopCondition(), RngStream(0)),
     ):
         with pytest.raises(NotAnACProcess):
             ac_only()
@@ -314,7 +312,7 @@ def test_step_reference_matches_exact_ac_law(label):
 
 
 def _driver_round(c, rng):
-    t, out, _ = run_until(two_choices_rule(), c, StopCondition(max_rounds=1), rng)
+    t, out, _ = run_block(two_choices_rule(), [c], StopCondition(max_rounds=1), rng)[0]
     # one round at most: stopped at round 1 at consensus, else censored
     assert t == (1 if len(out) == 1 else None)
     return tuple(out.tolist())
@@ -358,9 +356,9 @@ def test_two_choices_driver_invariants(monkeypatch, counts, kappa):
     monkeypatch.setattr(rules, "_two_choices_round", no_closed_form)
     c0, stopped = canonicalize(counts), 0
     for seed in range(300):
-        t, c, peak = run_until(
-            two_choices_rule(), c0, StopCondition(kappa=kappa, max_rounds=5), RngStream(seed)
-        )
+        t, c, peak = run_block(
+            two_choices_rule(), [c0], StopCondition(kappa=kappa, max_rounds=5), RngStream(seed)
+        )[0]
         assert (len(c) <= kappa) == (t is not None), (seed, t, c.tolist())
         assert c[0] <= peak <= c0.sum() and c.sum() == c0.sum()
         stopped += t is not None
@@ -456,8 +454,8 @@ def test_absorbing_consensus():
 
 
 def _stepper_loop(rule, c, stop, rng):
-    """run_until written as a literal step_rule loop: its oracle. Also
-    returns every round's counts, round 0 included."""
+    """run_block on one start, written as a literal step_rule loop: its
+    oracle. Also returns every round's counts, round 0 included."""
     seen = [tuple(c.tolist())]
     if len(c) <= stop.kappa:
         return 0, c, seen
@@ -490,7 +488,7 @@ BALANCED6, NCOLOR = "balanced:6", "ncolor"
 def test_run_until_matches_stepper_loop(rule, init, n, stop):
     c0 = initial_counts(init, n)
     stream = ("oracle", rule.label(), init, n)
-    t, c, peak = run_until(rule, c0, stop, RngStream(5, stream))
+    t, c, peak = run_block(rule, [c0], stop, RngStream(5, stream))[0]
     t_ref, c_ref, seen = _stepper_loop(rule, c0, stop, RngStream(5, stream))
     assert t == t_ref
     assert np.array_equal(c, c_ref)
@@ -507,7 +505,8 @@ def test_two_choices_driver_matches_stepper_loop_in_law(kappa):
     stop = StopCondition(kappa=kappa, max_rounds=10**5)
     runs = {"driver": [], "loop": []}
     for trial in range(trials):
-        t, c, peak = run_until(two_choices_rule(), c0, stop, RngStream(6, ("driver", kappa, trial)))
+        rng = RngStream(6, ("driver", kappa, trial))
+        t, c, peak = run_block(two_choices_rule(), [c0], stop, rng)[0]
         assert t is not None and len(c) <= kappa and c[0] <= peak <= n
         runs["driver"].append((t, peak))
         t, _, seen = _stepper_loop(two_choices_rule(), c0, stop, RngStream(6, ("loop", kappa, trial)))
@@ -550,7 +549,7 @@ def test_run_block_replays_a_per_row_loop(label, max_rounds):
 
 @pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
 def test_run_block_runs_one_start_as_run_until(label):
-    # one start takes run_until's draws, and the replay's sort-every-round
+    # one start takes _run_until's draws, and the replay's sort-every-round
     # loop repeats them
     rule, n = parse_rule(label), 40
     for i, init in enumerate(BLOCK_STARTS[2:]):
@@ -558,7 +557,8 @@ def test_run_block_runs_one_start_as_run_until(label):
         for stop in (StopCondition(kappa=2), StopCondition(kappa=1, max_rounds=3)):
             stream = ("one", label, i, stop.kappa)
             (t, c, peak), = run_block(rule, [c0], stop, RngStream(13, stream))
-            t_ref, c_ref, peak_ref = run_until(rule, c0, stop, RngStream(13, stream))
+            gen = RngStream(13, stream).gen
+            t_ref, c_ref, peak_ref = rules._run_until(rule, c0, stop.kappa, stop.max_rounds, gen, n)
             assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref)
             (t_rep, c_rep, rounds), = replay_block(rule, [c0], stop, RngStream(13, stream))
             assert t_rep == t and c_rep == tuple(c.tolist())
@@ -569,23 +569,41 @@ def test_run_block_runs_one_start_as_run_until(label):
     "label, init, n", [("voter", NCOLOR, 32), ("hmaj:3", NCOLOR, 64), ("hmaj:4", "balanced:5", 60)]
 )
 def test_run_block_matches_run_until_in_law(label, init, n):
-    # a block's draws are not run_until's: compare the laws of the stop time
+    # a block's draws are not a lone start's: compare the laws of the stop time
     # and the peak, over blocks of 64 rows and the cut last one
     rule, c0, trials = parse_rule(label), initial_counts(init, n), 300
     stop = StopCondition(kappa=2, max_rounds=10**5)
     block = [
         (t, peak)
-        for b, size in enumerate(block_sizes(trials, n))
+        for b, size in enumerate(block_sizes(rule, trials, n))
         for t, _, peak in run_block(rule, [c0] * size, stop, RngStream(12, ("block", label, b)))
     ]
     loop = []
     for trial in range(trials):
-        t, _, peak = run_until(rule, c0, stop, RngStream(12, ("trial", label, trial)))
+        t, _, peak = run_block(rule, [c0], stop, RngStream(12, ("trial", label, trial)))[0]
         loop.append((t, peak))
     block, loop = np.array(block), np.array(loop)
     for col, what in ((0, "stop time"), (1, "peak")):
         pv = stats.ks_2samp(block[:, col], loop[:, col]).pvalue
         assert pv > 1e-3, (label, what, pv)
+
+
+@pytest.mark.parametrize("max_rounds", [10**4, 3], ids=["stops", "censored"])
+def test_run_block_runs_two_choices_rows_one_after_another(max_rounds):
+    # 2-Choices rows do not step in lockstep: each runs _run_until in turn on
+    # the block's generator. From ncolor the first row runs mover-priced
+    # rounds, from balanced:4 closed-form ones; the last start is at kappa
+    n = 40
+    starts = [initial_counts(init, n) for init in ("ncolor", "balanced:4", "explicit:39,1")]
+    stop = StopCondition(kappa=1, max_rounds=max_rounds)
+    got = run_block(two_choices_rule(), starts, stop, RngStream(14, ("2ch-block", max_rounds)))
+    gen = RngStream(14, ("2ch-block", max_rounds)).gen
+    want = [rules._run_until(two_choices_rule(), c, 1, max_rounds, gen, n) for c in starts]
+    assert len(got) == len(starts)
+    for (t, c, peak), (t_ref, c_ref, peak_ref) in zip(got, want):
+        _assert_canonical_counts(c, n)
+        assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref)
+    assert (None in [t for t, _, _ in got]) == (max_rounds == 3)
 
 
 def _patch_alpha(monkeypatch, edit):
@@ -620,7 +638,7 @@ def test_run_until_rejects_a_bad_alpha(monkeypatch, edit):
     _patch_alpha(monkeypatch, edit)
     c = canonicalize([5, 3, 2])
     with pytest.raises(InvalidProbabilityVector):
-        run_until(h_majority_rule(3), c, StopCondition(), RngStream(0))
+        run_block(h_majority_rule(3), [c], StopCondition(), RngStream(0))
     # process_function runs the same check on the alpha it returns
     with pytest.raises(InvalidProbabilityVector):
         process_function(h_majority_rule(3), c)
@@ -653,7 +671,8 @@ def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
         return pvals[-1]
 
     monkeypatch.setattr(rules, "multinomial_pvals", recording)
-    run_until(h_majority_rule(3), canonicalize([5, 3, 2]), StopCondition(max_rounds=1), RngStream(0))
+    c = canonicalize([5, 3, 2])
+    run_block(h_majority_rule(3), [c], StopCondition(max_rounds=1), RngStream(0))
     (p,) = pvals
     assert p.min() == 0.0 and p[-1] == 0.0
     assert abs(p.sum() - 1.0) <= 4 * np.finfo(float).eps
@@ -675,20 +694,22 @@ def test_every_producer_returns_canonical_counts():
     rng = RngStream(41)
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
         _assert_canonical_counts(step_rule(rule, c, rng.child(rule.label())), 20)
-    # from 20 colours the 2-Choices rounds of run_until are the mover-priced ones
+    # from 20 colours the 2-Choices rounds of run_block are the mover-priced ones
     c20 = initial_counts(NCOLOR, 20)
-    t, out, _ = run_until(two_choices_rule(), c20, StopCondition(max_rounds=10**4), rng.child("tc"))
+    stop = StopCondition(max_rounds=10**4)
+    t, out, _ = run_block(two_choices_rule(), [c20], stop, rng.child("tc"))[0]
     assert t is not None and t >= 1
     _assert_canonical_counts(out, 20)
-    t, out, _ = run_until(two_choices_rule(), c20, StopCondition(max_rounds=1), rng.child("tc1"))
+    stop = StopCondition(max_rounds=1)
+    t, out, _ = run_block(two_choices_rule(), [c20], stop, rng.child("tc1"))[0]
     assert t is None
     _assert_canonical_counts(out, 20)
     for rule in (voter_rule(), two_choices_rule(), h_majority_rule(3), h_majority_rule(4)):
         _assert_canonical_counts(step_reference(rule, c, rng.child("ref", rule.label())), 20)
-    t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=500), rng.child("steps"))
+    t, out, _ = run_block(voter_rule(), [c], StopCondition(max_rounds=500), rng.child("steps"))[0]
     assert t is not None and t >= 1
     _assert_canonical_counts(out, 20)
-    t, out, _ = run_until(voter_rule(), c, StopCondition(max_rounds=1), rng.child("censors"))
+    t, out, _ = run_block(voter_rule(), [c], StopCondition(max_rounds=1), rng.child("censors"))[0]
     assert t is None
     _assert_canonical_counts(out, 20)
     for cfg in enumerate_configurations(7):
@@ -699,12 +720,12 @@ def test_entry_points_reject_non_canonical_counts():
     # a start already at consensus would run a round and report t = 1; an
     # unsorted one would give alpha in that order
     with pytest.raises(InvalidConfiguration):
-        run_until(voter_rule(), np.array([5, 0]), StopCondition(), RngStream(0))
+        run_block(voter_rule(), [np.array([5, 0])], StopCondition(), RngStream(0))
     with pytest.raises(InvalidConfiguration):
         process_function(h_majority_rule(3), np.array([1, 3]))
     entries = (
         lambda c: step_rule(two_choices_rule(), c, RngStream(0)),
-        lambda c: run_until(voter_rule(), c, StopCondition(max_rounds=5), RngStream(0)),
+        lambda c: run_block(voter_rule(), [c], StopCondition(max_rounds=5), RngStream(0)),
         lambda c: process_function(voter_rule(), c),
         lambda c: process_function_exact(h_majority_rule(3), c),
         lambda c: expected_fraction_after_step(two_choices_rule(), c),
