@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -151,6 +150,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [rec for job in jobs for rec in _records(job)]
+    # imported here, where a pool starts: a process that starts none skips its cost
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(_records, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
         return [rec for chunk in chunks for rec in chunk]

@@ -8,6 +8,8 @@ module, where the duality coupling requires it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,25 +102,79 @@ def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
 def plurality_enumeration_alpha(x: np.ndarray, h: int) -> np.ndarray:
     """Exact h-sample plurality adoption probabilities by enumeration.
 
-    Iterates over all count vectors of the h samples (multinomial support);
-    a color attaining the maximum multiplicity wins, ties split uniformly
-    among the tied sampled colors. Accumulates in x's dtype, so an object
-    array of Fractions gives the exact rational alpha.
+    Sums over all count vectors of the h samples (multinomial support); a
+    color attaining the maximum multiplicity wins, ties split uniformly
+    among the tied sampled colors. Computes in x's dtype, so an object
+    array of Fractions gives the exact rational alpha. On floats the result
+    is bit-identical to a loop over _compositions with _multinomial_pmf:
+    each pmf multiplies in color order and alpha accumulates in
+    _compositions order.
     """
     k = len(x)
     if k**h > ENUM_BUDGET:
         raise TooManyColorsForExactH(f"k^h = {k}^{h} exceeds enumeration budget")
+    table = _sample_table(h, k)
+    # x_i**c by _multinomial_pmf's scalar expression (an array power may
+    # round differently), and c!, both at index i * (h + 1) + c
+    power = np.array([xi**c for xi in x for c in range(h + 1)], dtype=x.dtype)
+    factorial = np.array(table.factorials, dtype=x.dtype)
+    p = math.factorial(h)
+    for run in table.runs:
+        p = p * power[run] / factorial[run]
+    share = p / table.ties
     alpha = np.zeros(k, dtype=x.dtype)
-    for counts in _compositions(h, k):
-        p = _multinomial_pmf(counts, x)
-        if p == 0.0:
-            continue
-        mx = max(counts)
-        winners = [i for i, c in enumerate(counts) if c == mx]
-        share = p / len(winners)
-        for i in winners:
-            alpha[i] += share
+    np.add.at(alpha, table.winner, share[table.winner_row])
     return alpha
+
+
+@dataclass(frozen=True)
+class _SampleTable:
+    """Every multiset of h samples from k colors, one row each, in
+    _compositions order.
+
+    runs[j, r] is row r's j-th sampled color i, in increasing i, with its
+    count c, as i * (h + 1) + c; a row of fewer than min(h, k) colors is
+    padded with 0, the index of x_0**0 / 0!. ties[r] counts the colors that
+    share row r's largest count; winner_row and winner list each such
+    (row, color) pair, rows in order and colors increasing within a row.
+    factorials holds c! at every i * (h + 1) + c, as Python ints.
+    """
+
+    runs: np.ndarray
+    ties: np.ndarray
+    winner_row: np.ndarray
+    winner: np.ndarray
+    factorials: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_table(h: int, k: int) -> _SampleTable:
+    """The _SampleTable of (h, k), read-only, built without a Python loop
+    over its rows."""
+    rows, m = math.comb(k + h - 1, h), min(h, k)
+    # the sorted sample tuples come in the reverse of _compositions order
+    samples = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), h)),
+        dtype=np.intp, count=rows * h,
+    ).reshape(rows, h)[::-1]
+    new_color = np.ones((rows, h), dtype=bool)
+    new_color[:, 1:] = samples[:, 1:] != samples[:, :-1]
+    cell = np.arange(rows)[:, None] * m + np.cumsum(new_color, axis=1) - 1
+    count = np.bincount(cell.ravel(), minlength=rows * m).reshape(rows, m)
+    color = np.zeros((rows, m), dtype=np.intp)
+    np.put(color, cell, samples)
+    win = count == count.max(axis=1, keepdims=True)
+    winner_row, winner_run = np.nonzero(win)
+    table = _SampleTable(
+        runs=np.ascontiguousarray((color * (h + 1) + count).T),
+        ties=win.sum(axis=1),
+        winner_row=winner_row,
+        winner=color[winner_row, winner_run],
+        factorials=tuple(math.factorial(c) for c in range(h + 1)) * k,
+    )
+    for a in (table.runs, table.ties, table.winner_row, table.winner):
+        a.flags.writeable = False
+    return table
 
 
 def _compositions(total: int, parts: int):

@@ -245,11 +245,31 @@ MUTANTS = (
     Mutant(
         "plurality-no-tie-split",
         "rules.py",
-        "share = p / len(winners)\n        for i in winners:",
-        "share = p\n        for i in winners[:1]:",  # the first tied colour takes all
+        "win = count == count.max(axis=1, keepdims=True)",
+        "win = np.arange(m) == count.argmax(axis=1)[:, None]",  # the first tied colour takes all
         (
             "tests/test_rules.py::test_h_majority_alpha_matches_per_node_simulation",
             "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
+        ),
+    ),
+    Mutant(
+        "plurality-table-forward-order",
+        "rules.py",
+        ").reshape(rows, h)[::-1]",
+        ").reshape(rows, h)",  # alpha sums its rows in another order
+        (
+            "tests/test_rules.py::test_plurality_alpha_equals_the_enumeration_loop[4]",
+            "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
+        ),
+    ),
+    Mutant(
+        "plurality-float-factorials",
+        "rules.py",
+        "factorials=tuple(math.factorial(c) for",
+        "factorials=tuple(float(math.factorial(c)) for",  # a Fraction over a float is a float
+        (
+            "tests/test_rules.py::test_process_function_exact_keeps_python_int_fractions",
+            "tests/test_rules.py::test_plurality_alpha_equals_the_enumeration_loop[4]",
         ),
     ),
     Mutant(

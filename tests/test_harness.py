@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -171,7 +172,9 @@ def test_run_experiment_worker_count_invariance():
 def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
     # 64 AC trials of 32 nodes are one block, so one job: no pool at any
     # worker count
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started")
+    )
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=32,

@@ -154,6 +154,51 @@ def test_plurality_enumeration_budget_guard():
         plurality_enumeration_alpha(x, 6)
 
 
+def _enumeration_loop(x, h):
+    """plurality_enumeration_alpha as a Python loop over _compositions: its
+    oracle, exact in floats as well as in Fractions."""
+    alpha = np.zeros(len(x), dtype=x.dtype)
+    for counts in rules._compositions(h, len(x)):
+        p = rules._multinomial_pmf(counts, x)
+        if p == 0.0:
+            continue
+        mx = max(counts)
+        winners = [i for i, c in enumerate(counts) if c == mx]
+        share = p / len(winners)
+        for i in winners:
+            alpha[i] += share
+    return alpha
+
+
+@pytest.mark.parametrize("h", [4, 5, 6, 7])
+def test_plurality_alpha_equals_the_enumeration_loop(h):
+    rng = np.random.default_rng(h)
+    for k in range(1, 13):
+        if k**h > rules.ENUM_BUDGET:
+            continue
+        # the sample table lists the count vectors in _compositions order
+        table = rules._sample_table(h, k)
+        rows = np.arange(table.runs.shape[1])
+        counts = np.zeros((len(rows), k), dtype=np.int64)
+        np.add.at(counts, (rows, table.runs // (h + 1)), table.runs % (h + 1))
+        assert tuple(counts[0]) == (0,) * (k - 1) + (h,)
+        assert counts.tolist() == [list(c) for c in rules._compositions(h, k)]
+        # floats with ties, then with zeros: bit-identical to the loop
+        v = rng.random(k)
+        v[rng.integers(0, k, size=k // 2 + 1)] = v[0]
+        w = rng.random(k)
+        w[rng.integers(0, k, size=k // 3 + 1)] = 0.0
+        for x in (v / v.sum(), w / w.sum() if w.any() else w):
+            assert np.array_equal(plurality_enumeration_alpha(x, h), _enumeration_loop(x, h))
+        # Fractions with ties and zeros: equal to the loop's exact alpha
+        c = rng.integers(0, 4, size=k)
+        c[rng.integers(0, k)] = 0
+        n = max(int(c.sum()), 1)
+        x = np.array([Fraction(int(ci), n) for ci in c], dtype=object)
+        got = plurality_enumeration_alpha(x, h)
+        assert got.dtype == object and (got == _enumeration_loop(x, h)).all()
+
+
 def test_h_majority_alpha_matches_per_node_simulation():
     # empirical adoption frequencies of the literal h-sample plurality rule
     c = canonicalize([3, 2, 1])
@@ -530,9 +575,7 @@ BLOCK_STARTS = ("ncolor", "balanced:20", "balanced:6", "biased:3:10", "explicit:
 @pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
 def test_run_block_replays_a_per_row_loop(label, max_rounds):
     rule, n = parse_rule(label), 40
-    # hmaj:4 keeps to few colours: its exact alpha enumerates C(k + 3, 4) sample counts
-    inits = BLOCK_STARTS[2:] if label == "hmaj:4" else BLOCK_STARTS
-    starts = [initial_counts(init, n) for init in inits] * 3
+    starts = [initial_counts(init, n) for init in BLOCK_STARTS] * 3
     stop = StopCondition(kappa=2, max_rounds=max_rounds)
     stream = ("block", label, max_rounds)
     got = run_block(rule, starts, stop, RngStream(11, stream))
