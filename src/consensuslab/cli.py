@@ -21,7 +21,7 @@ from .coalescing import (
     graph_from_edge_list,
 )
 from .core import StopCondition
-from .dominance import check_dominance, empirical_time_dominance
+from .dominance import check_dominance, empirical_time_dominance, time_dominance_epsilon
 from .drift import (
     additive_drift_bound,
     power_law,
@@ -33,6 +33,7 @@ from .harness import (
     initial_counts,
     run_experiment,
     run_lower_bound_experiment,
+    run_trials,
     run_two_phase_check,
     write_csv_summary,
     write_jsonl,
@@ -161,15 +162,12 @@ def cmd_compare(args) -> int:
     rule_slow = parse_rule(args.slow)
     c0 = initial_counts(args.init, args.n)
     stop = StopCondition(kappa=args.kappa, max_rounds=args.max_rounds)
-    report = empirical_time_dominance(
-        rule_fast,
-        rule_slow,
-        c0,
-        stop,
-        trials=args.trials,
-        rng=RngStream(args.seed, ("compare",)),
-        epsilon=args.epsilon,
-    )
+    # checked before any trial runs
+    epsilon = time_dominance_epsilon(args.trials, args.epsilon)
+    rng = RngStream(args.seed, ("compare",))
+    fast = [t for t, _ in run_trials(rule_fast, c0, args.trials, stop, rng.child("fast"))]
+    slow = [t for t, _ in run_trials(rule_slow, c0, args.trials, stop, rng.child("slow"))]
+    report = empirical_time_dominance(fast, slow, stop.max_rounds, epsilon)
     out = {
         "rule_fast": rule_fast.label(),
         "rule_slow": rule_slow.label(),
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("two-phase", help="phase-split timing for 3-majority")
-    p.add_argument("--k-split", type=int, default=None)
+    p.add_argument("--k-split", type=_int_at_least(1), default=None)
     common(p, with_init=False, with_stop=False)
     p.set_defaults(func=cmd_two_phase)
 

@@ -11,26 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     PREFIX_SLACK,
-    StopCondition,
     canonical_counts,
     majorizes,
     multinomial_pvals,
     prefix_sums,
 )
-from .rules import (
-    UpdateRule,
-    _compositions,
-    _multinomial_pmf,
-    block_sizes,
-    process_function,
-    run_block,
-)
+from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function
 from .sampler import RngStream, sample_multinomial
 
 MAX_ENUM_N = 40
@@ -192,8 +184,6 @@ def exact_prefix_expectations(theta, m: int) -> np.ndarray:
 
 @dataclass
 class TimeDominanceReport:
-    rule_fast: UpdateRule
-    rule_slow: UpdateRule
     trials: int
     times_fast: list[float]
     times_slow: list[float]
@@ -230,49 +220,45 @@ def two_sample_critical_value(trials: int, delta: float = 0.05) -> float:
     return m / trials
 
 
-def empirical_time_dominance(
-    rule_fast: UpdateRule,
-    rule_slow: UpdateRule,
-    c0: np.ndarray,
-    stop: StopCondition,
-    trials: int,
-    rng: RngStream,
-    epsilon: Optional[float] = None,
-    c0_slow: Optional[np.ndarray] = None,
-) -> TimeDominanceReport:
-    """Empirical CDF comparison of stopping times from independent samples.
+def time_dominance_epsilon(trials: int, epsilon: Optional[float] = None) -> float:
+    """The epsilon the stopping-time check applies to two samples of `trials`
+    each: `epsilon` if given, else two_sample_critical_value(trials). Raises
+    ValueError for fewer than 100 trials or an epsilon that is not a finite
+    number > 0, so a caller can check its inputs before it draws a sample."""
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials, got {trials}")
+    # `not <` also rejects NaN; an infinite epsilon has no count gap to reach
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
+    return two_sample_critical_value(trials) if epsilon is None else epsilon
 
-    Runs both rules `trials` times from c0 until at most kappa colors remain
-    (c0_slow starts the slow rule elsewhere, for pairwise-start experiments),
-    in blocks of rules.block_rows(rule, n) trials, one stream per (side, block):
-    the two sides draw independently. Dominance verdict: the
-    slow rule's empirical CDF must exceed the fast one's by less than
-    epsilon at every t; by default epsilon is two_sample_critical_value at
+
+def empirical_time_dominance(
+    runs_fast: Sequence[Optional[int]],
+    runs_slow: Sequence[Optional[int]],
+    max_rounds: int,
+    epsilon: Optional[float] = None,
+) -> TimeDominanceReport:
+    """Empirical CDF comparison of two independent, equal-size samples of
+    stopping times (None for a trial censored at max_rounds).
+
+    Dominance verdict: the slow sample's empirical CDF must exceed the fast
+    one's by less than epsilon at every t; epsilon is
+    time_dominance_epsilon's, by default two_sample_critical_value at
     delta = 0.05. The report's delta is two_sample_tail at the epsilon used:
     the chance that two samples of one continuous law fail the check.
     Censored trials are biased against the hypothesis: +inf for the slow
-    rule, max_rounds for the fast one.
+    sample, max_rounds for the fast one.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    eps = two_sample_critical_value(trials) if epsilon is None else epsilon
+    trials = len(runs_fast)
+    if len(runs_slow) != trials:
+        raise ValueError(f"samples differ in size: {trials} fast, {len(runs_slow)} slow")
+    eps = time_dominance_epsilon(trials, epsilon)
     # the least count gap whose deficit reaches eps; the tolerance keeps a
     # decimal epsilon such as 0.08 at T = 300 on its lattice point
     reach = math.ceil(eps * trials - 1e-9)
-
-    def stop_times(rule, start, side):
-        return [
-            t
-            for block, size in enumerate(block_sizes(rule, trials, int(start.sum())))
-            for t, _, _ in run_block(rule, [start] * size, stop, rng.child(side, "block", block))
-        ]
-
-    runs_fast = stop_times(rule_fast, c0, "fast")
-    runs_slow = stop_times(rule_slow, c0 if c0_slow is None else c0_slow, "slow")
     censored_fast, censored_slow = runs_fast.count(None), runs_slow.count(None)
-    times_fast = [float(stop.max_rounds) if t is None else float(t) for t in runs_fast]
+    times_fast = [float(max_rounds) if t is None else float(t) for t in runs_fast]
     times_slow = [math.inf if t is None else float(t) for t in runs_slow]
     fast = np.sort(np.array(times_fast))
     slow = np.sort(np.array(times_slow))
@@ -283,8 +269,6 @@ def empirical_time_dominance(
     at_slow = np.searchsorted(slow, grid, side="right")
     deficit = max(0.0, float((at_slow / trials - at_fast / trials).max()))
     return TimeDominanceReport(
-        rule_fast=rule_fast,
-        rule_slow=rule_slow,
         trials=trials,
         times_fast=times_fast,
         times_slow=times_slow,

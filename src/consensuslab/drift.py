@@ -82,11 +82,12 @@ def power_law(a: float, b: float, x_min: float, x_max: float) -> DriftFunction:
     return DriftFunction(x_min=x_min, x_max=x_max, a=a, b=b)
 
 
-def tabulated(grid_x, grid_h, x_min=None, x_max=None) -> DriftFunction:
+def tabulated(grid_x, grid_h) -> DriftFunction:
+    """A drift tabulated on a grid, defined from its first abscissa to its last."""
     gx = tuple(float(v) for v in grid_x)
     return DriftFunction(
-        x_min=gx[0] if x_min is None else x_min,
-        x_max=gx[-1] if x_max is None else x_max,
+        x_min=gx[0],
+        x_max=gx[-1],
         grid_x=gx,
         grid_h=tuple(float(v) for v in grid_h),
     )

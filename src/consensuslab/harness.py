@@ -2,11 +2,13 @@
 experiment with its coupled dominating Binomial process, the two-phase
 timing check, and JSON-lines/CSV output.
 
-All Monte-Carlo entry points derive one RngStream per (seed, purpose,
-rule, block); a block's trials are a function of (rule, trials, n)
-(rules.block_rows: one trial for 2-Choices), so results are independent
-of worker count and scheduling. Logs
-use natural log throughout (the CLI records this in its output metadata).
+Every seeded run of trials goes through _blocks, which lays the trials of
+one rule out in blocks of rules.block_rows(rule, n) (one trial for
+2-Choices) and puts block b on its purpose's stream child ("block", b); so
+results are independent of worker count and scheduling. _run runs the
+blocks, in a process pool when asked; run_trials runs one rule's trials in
+this process. Logs use natural log throughout (the CLI records this in its
+output metadata).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .rules import (
     UpdateRule,
     _run_until,
     block_rows,
-    block_sizes,
     h_majority_rule,
     node_round,
     run_block,
@@ -91,7 +92,7 @@ def initial_counts(text: str, n: int) -> np.ndarray:
 class ExperimentSpec:
     rules: tuple[UpdateRule, ...]
     n: int
-    initial: str  # an init spelling, built per trial by initial_counts
+    initial: str  # an init spelling, built once per run by initial_counts
     stop: StopCondition
     trials: int
     seed: int
@@ -106,56 +107,76 @@ class ExperimentSpec:
             raise ValueError("rules: need at least one rule")
 
 
-def simulate_block(
-    rule: UpdateRule, spec: ExperimentSpec, block: int
+def _blocks(
+    rule: UpdateRule, start: np.ndarray, trials: int, stop: StopCondition, rng: RngStream
+) -> list[tuple]:
+    """run_block's arguments for `trials` trials of `rule` from canonical
+    counts `start`: blocks of block_rows(rule, n) trials, the last one cut
+    at `trials`, block b on rng.child("block", b). The one place where
+    trials fall into blocks and blocks onto streams."""
+    rows = block_rows(rule, int(start.sum()))
+    return [
+        (rule, [start] * min(rows, trials - first), stop, rng.child("block", b))
+        for b, first in enumerate(range(0, trials, rows))
+    ]
+
+
+def _stops(job) -> list[tuple[Optional[int], int]]:
+    """(stopping time or None, peak) per trial of one block."""
+    return [(t, peak) for t, _, peak in run_block(*job)]
+
+
+def _run(jobs: list[tuple], workers: int) -> list[tuple[Optional[int], int]]:
+    """(stopping time or None, peak) of every trial of `jobs`, in order
+    whatever the scheduling; peak is the largest support over every round,
+    round 0 included. No process pool starts for fewer than two jobs, nor
+    more workers than jobs."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [out for job in jobs for out in _stops(job)]
+    # imported here, where a pool starts: a process that starts none skips its cost
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(_stops, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+        return [out for chunk in chunks for out in chunk]
+
+
+def run_trials(
+    rule: UpdateRule, start: np.ndarray, trials: int, stop: StopCondition, rng: RngStream
 ) -> list[tuple[Optional[int], int]]:
-    """The seeded trials of one block, trials block*B .. block*B + B - 1
-    (B = block_rows(rule, n), the last block cut at spec.trials), on one
-    stream; returns (stopping time or None, peak) per trial, where peak is
-    the largest support over every round, round 0 included."""
-    rows = block_rows(rule, spec.n)
-    starts = [initial_counts(spec.initial, spec.n)] * min(rows, spec.trials - block * rows)
-    rng = RngStream(spec.seed, ("sim", rule.label(), "block", block))
-    return [(t, peak) for t, _, peak in run_block(rule, starts, spec.stop, rng)]
+    """(stopping time or None, peak) of `trials` seeded trials of `rule`
+    from canonical counts `start`, in this process, block b on
+    rng.child("block", b)."""
+    return _run(_blocks(rule, start, trials, stop, rng), 1)
 
 
-def _records(job) -> list[dict]:
-    """The records of one job: one block of trials."""
-    spec, rule, block = job
-    first = block * block_rows(rule, spec.n)
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
+    """Run every trial of every rule, one job per block, rule r's blocks on
+    ("sim", r). Records come in (rule, trial) order; all rules share one
+    pool of up to `workers` processes."""
+    start, rng = initial_counts(spec.initial, spec.n), RngStream(spec.seed, ("sim",))
+    jobs = [
+        job
+        for rule in spec.rules
+        for job in _blocks(rule, start, spec.trials, spec.stop, rng.child(rule.label()))
+    ]
+    stops = iter(_run(jobs, workers))
     return [
         {
             "rule": rule.label(),
             "n": spec.n,
             "kappa": spec.stop.kappa,
             "seed": spec.seed,
-            "trial": first + i,
+            "trial": trial,
             "stop_time": stop_time,
             "censored": stop_time is None,
             "max_support_peak": peak,
         }
-        for i, (stop_time, peak) in enumerate(simulate_block(rule, spec, block))
-    ]
-
-
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """Run every trial of every rule, one job per block. Records come in
-    (rule, trial) order whatever the scheduling; no process pool starts for
-    fewer than two jobs, nor more workers than jobs."""
-    jobs = [
-        (spec, rule, block)
         for rule in spec.rules
-        for block in range(len(block_sizes(rule, spec.trials, spec.n)))
+        # range first: zip stops at the rule's last trial without taking the next rule's
+        for trial, (stop_time, peak) in zip(range(spec.trials), stops)
     ]
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [rec for job in jobs for rec in _records(job)]
-    # imported here, where a pool starts: a process that starts none skips its cost
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_records, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
-        return [rec for chunk in chunks for rec in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +290,10 @@ def run_two_phase_check(
     """Phase-split timing for 3-majority vs Voter from the n-color start.
 
     Phase 1 ends at <= k_split colors (default ceil(n**0.25)); phase 2 runs
-    3-majority on to consensus from phase 1's last counts, on the same
-    stream. Trials run in blocks of rules.block_rows(rule, n), one stream per
-    (rule, block); the two rules draw independently. Each phase is capped
-    at the default StopCondition's max_rounds.
+    3-majority on to consensus from phase 1's last counts, on the stream of
+    the block that ran phase 1. Both rules' trials are laid out by _blocks,
+    on ("two-phase", rule); the two rules draw independently. Each phase is
+    capped at the default StopCondition's max_rounds.
     """
     if n < 256:
         raise ValueError("two-phase check needs n >= 256")
@@ -280,15 +301,14 @@ def run_two_phase_check(
     hm3, voter = h_majority_rule(3), voter_rule()
     c0 = initial_counts("ncolor", n)
     split = StopCondition(kappa=k)
+    rng = RngStream(seed, ("two-phase",))
+    voter_times = run_trials(voter, c0, trials, split, rng.child(voter.label()))
     rows: list[dict] = []
-    for block, size in enumerate(block_sizes(hm3, trials, n)):
-        starts = [c0] * size
-        stream = RngStream(seed, ("two-phase", hm3.label(), "block", block))
+    for _, starts, _, stream in _blocks(hm3, c0, trials, split, rng.child(hm3.label())):
         phase1 = run_block(hm3, starts, split, stream)
         ended = [c for t, c, _ in phase1 if t is not None]
         phase2 = iter(run_block(hm3, ended, StopCondition(kappa=1), stream))
-        voter_stream = RngStream(seed, ("two-phase", voter.label(), "block", block))
-        for (t1, _, _), (t_voter, _, _) in zip(phase1, run_block(voter, starts, split, voter_stream)):
+        for t1, _, _ in phase1:
             t2 = None if t1 is None else next(phase2)[0]
             rows.append(
                 {
@@ -296,7 +316,7 @@ def run_two_phase_check(
                     "phase1_hmaj:3": t1,
                     "phase2_hmaj:3": t2,
                     "total_hmaj:3": None if t2 is None else t1 + t2,
-                    "phase1_voter": t_voter,
+                    "phase1_voter": voter_times[len(rows)][0],
                 }
             )
     paired = [

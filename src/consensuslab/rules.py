@@ -339,13 +339,6 @@ def block_rows(rule: UpdateRule, n: int) -> int:
     return min(BLOCK_ROWS, max(1, BLOCK_CELLS // n))
 
 
-def block_sizes(rule: UpdateRule, trials: int, n: int) -> list[int]:
-    """The row counts of the blocks that run `trials` trials of `rule` on n
-    nodes: block_rows(rule, n) each, the last one cut at `trials`."""
-    rows = block_rows(rule, n)
-    return [min(rows, trials - first) for first in range(0, trials, rows)]
-
-
 def run_block(
     rule: UpdateRule, starts: Sequence[np.ndarray], stop: StopCondition, rng: RngStream
 ) -> list[tuple[Optional[int], np.ndarray, int]]:

@@ -211,7 +211,10 @@ MUTANTS = (
         "rules.py",
         "    if not rule.is_ac:\n        return 1\n",
         "",  # 2-Choices trials share a block's stream, 64 to a block
-        ("tests/test_harness.py::test_two_choices_records_come_from_one_stream_per_trial",),
+        (
+            "tests/test_harness.py::test_two_choices_records_come_from_one_stream_per_trial",
+            "tests/test_harness.py::test_run_trials_lays_out_blocks_and_streams",
+        ),
     ),
     Mutant(
         "block-row-check-skipped",
@@ -227,9 +230,9 @@ MUTANTS = (
     Mutant(
         "time-dominance-one-sample-radius",
         "dominance.py",
-        "eps = two_sample_critical_value(trials) if epsilon is None else epsilon",
+        "return two_sample_critical_value(trials) if epsilon is None else epsilon",
         # the DKW radius of one empirical CDF, applied to the gap between two
-        "eps = math.sqrt(math.log(2.0 / 0.05) / (2.0 * trials)) if epsilon is None else epsilon",
+        "return math.sqrt(math.log(2.0 / 0.05) / (2.0 * trials)) if epsilon is None else epsilon",
         ("tests/test_dominance.py::test_empirical_time_dominance_fails_equal_laws_at_rate_delta",),
     ),
     Mutant(
@@ -302,6 +305,13 @@ MUTANTS = (
             "tests/test_harness.py::test_initial_condition_validation",
             "tests/test_cli.py::test_usage_errors_exit_one",
         ),
+    ),
+    Mutant(
+        "blocks-stream-by-first-trial",
+        "harness.py",
+        'stop, rng.child("block", b))',
+        'stop, rng.child("block", first))',  # block b's stream keyed by its first trial
+        ("tests/test_harness.py::test_run_trials_lays_out_blocks_and_streams",),
     ),
     Mutant(
         "lower-bound-vacuous-window-strict",

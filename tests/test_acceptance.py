@@ -39,6 +39,7 @@ from consensuslab.drift import (
 )
 from consensuslab.harness import (
     run_coupled_dominating_process,
+    run_trials,
     slow_start_window,
 )
 from consensuslab.rules import (
@@ -147,15 +148,10 @@ def test_06_stopping_time_cdf_dominance():
     # about 3x the longest of these seeds' runs (6,159 rounds): a stop check
     # that never fires fails here instead of running 10^6 rounds per trial
     stop = StopCondition(kappa=1, max_rounds=20_000)
-    report = empirical_time_dominance(
-        h_majority_rule(3),
-        voter_rule(),
-        c0,
-        stop,
-        trials=300,
-        rng=RngStream(60, ("cdf",)),
-        epsilon=0.08,
-    )
+    rng = RngStream(60, ("cdf",))
+    fast = [t for t, _ in run_trials(h_majority_rule(3), c0, 300, stop, rng.child("fast"))]
+    slow = [t for t, _ in run_trials(voter_rule(), c0, 300, stop, rng.child("slow"))]
+    report = empirical_time_dominance(fast, slow, stop.max_rounds, epsilon=0.08)
     ok = report.passed and report.censored_fast == 0 and report.censored_slow == 0
     _verdict(
         "06 stopping-time CDF dominance, 3-majority vs voter at n=1024",

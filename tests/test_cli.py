@@ -347,6 +347,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["drift-bound", "--form", "lw14", "--x-min", "0"], "x_min"),
         (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "-1", "--expect-pass"],
          "epsilon"),
+        (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "inf"], "epsilon"),
         (["lower-bound", "--gamma", "inf"], "gamma"),
         # an init spelling with an extra, empty or non-integer field
         (["simulate", "--init", "ncolor:7", "--n", "8"], "init: cannot parse 'ncolor:7'"),
@@ -371,11 +372,25 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # a graph size that is not an integer
         (["duality", "--graph", "complete:abc"], "graph: cannot parse 'complete:abc'"),
         (["duality", "--graph", "cycle:x"], "graph: cannot parse 'cycle:x'"),
+        # two-phase has no --kappa: its split's error names --k-split
+        (["two-phase", "--k-split", "0"], "--k-split"),
+        (["two-phase", "--k-split", "-3"], "--k-split"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
         assert name in captured.err, (argv, captured.err)
+
+
+@pytest.mark.parametrize(
+    "flags, named", [(["--trials", "50"], "got 50"), (["--epsilon", "-1"], "epsilon must be > 0")]
+)
+def test_compare_checks_its_inputs_before_any_trial(monkeypatch, capsys, flags, named):
+    monkeypatch.setattr(cli, "run_trials", lambda *a, **k: pytest.fail("a trial ran"))
+    assert main(["compare", "--fast", "3maj", "--slow", "voter", *flags]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert named in captured.err, captured.err
 
 
 def test_main_callable_in_process(capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from consensuslab import dominance
 from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes
 from consensuslab.dominance import (
     EnumerationBudgetExceeded,
@@ -20,7 +19,8 @@ from consensuslab.dominance import (
     two_sample_critical_value,
     two_sample_tail,
 )
-from consensuslab.rules import block_rows, h_majority_rule, process_function, voter_rule
+from consensuslab.harness import run_trials
+from consensuslab.rules import h_majority_rule, process_function, voter_rule
 from consensuslab.sampler import RngStream
 
 
@@ -185,6 +185,11 @@ def test_two_sample_critical_value_matches_the_closed_form():
     assert two_sample_tail(100, 0) == 1 and two_sample_tail(100, 101) == 0
 
 
+def _stop_times(rule, c0, trials, stop, rng):
+    """The stopping times of run_trials: one sample for the time check."""
+    return [t for t, _ in run_trials(rule, c0, trials, stop, rng)]
+
+
 def test_empirical_time_dominance_fails_equal_laws_at_rate_delta():
     # hmaj:2 has exactly Voter's law, so over independent seeds the check
     # must fail at a rate within a binomial CI of its delta at T = 100:
@@ -193,12 +198,12 @@ def test_empirical_time_dominance_fails_equal_laws_at_rate_delta():
     # three times as often.
     c0, stop, seeds = canonicalize([1] * 10), StopCondition(kappa=1, max_rounds=10**4), 300
     delta = math.comb(200, 82) / math.comb(200, 100)
-    reports = [
-        empirical_time_dominance(
-            h_majority_rule(2), voter_rule(), c0, stop, trials=100, rng=RngStream(seed, ("size",))
-        )
-        for seed in range(seeds)
-    ]
+    reports = []
+    for seed in range(seeds):
+        rng = RngStream(seed, ("size",))
+        fast = _stop_times(h_majority_rule(2), c0, 100, stop, rng.child("fast"))
+        slow = _stop_times(voter_rule(), c0, 100, stop, rng.child("slow"))
+        reports.append(empirical_time_dominance(fast, slow, stop.max_rounds))
     failed = sum(1 for report in reports if not report.passed)
     pv = stats.binomtest(failed, seeds, delta).pvalue
     assert pv > 1e-3, (failed, seeds, delta, pv)
@@ -209,9 +214,9 @@ def test_empirical_time_dominance_same_rule_passes():
     c0 = canonicalize([1] * 64)
     # the cap is over 3x the longest run this seed gives (307 rounds)
     stop = StopCondition(kappa=1, max_rounds=1_300)
-    report = empirical_time_dominance(
-        voter_rule(), voter_rule(), c0, stop, trials=100, rng=RngStream(7)
-    )
+    fast = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("fast"))
+    slow = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("slow"))
+    report = empirical_time_dominance(fast, slow, stop.max_rounds)
     assert report.passed
     assert report.max_cdf_deficit <= report.epsilon
     assert len(report.times_fast) == 100
@@ -223,25 +228,18 @@ def test_empirical_time_dominance_detects_clear_gap():
     c_fast = canonicalize([63, 1])
     c_slow = canonicalize([1] * 64)
     stop = StopCondition(kappa=1, max_rounds=1_400)  # longest run 331 rounds
-    report = empirical_time_dominance(
-        voter_rule(),
-        voter_rule(),
-        c_fast,
-        stop,
-        trials=100,
-        rng=RngStream(8),
-        c0_slow=c_slow,
-    )
+    fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(8).child("fast"))
+    slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(8).child("slow"))
+    report = empirical_time_dominance(fast, slow, stop.max_rounds)
     assert report.passed
 
 
-def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
+def test_empirical_time_dominance_deficit_matches_per_t_loop():
     # scripted stopping times (None = censored) in place of real runs; the
     # deficit must equal a literal loop over every observed t, bit for bit
     gen = np.random.default_rng(21)
     stop = StopCondition(kappa=1, max_rounds=40)
     trials = 100
-    c0 = canonicalize([1] * 8)
     deficits, censored = [], 0
     for case in range(12):
         shift = 4 * (6 - case)  # slow times from well above to well below the fast ones
@@ -250,15 +248,10 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
             for side, offset in (("fast", 0), ("slow", shift)):
                 t = int(gen.integers(0, 46)) + offset
                 script[trial, side] = None if t > stop.max_rounds else max(t, 0)
-
-        def scripted(rule, starts, stop, rng):
-            side, _, block = rng.stream_id  # one stream per (side, block)
-            first = block * block_rows(rule, 8)
-            return [(script[first + i, side], c, int(c[0])) for i, c in enumerate(starts)]
-
-        monkeypatch.setattr(dominance, "run_block", scripted)
         report = empirical_time_dominance(
-            voter_rule(), voter_rule(), c0, stop, trials=trials, rng=RngStream(0)
+            [script[i, "fast"] for i in range(trials)],
+            [script[i, "slow"] for i in range(trials)],
+            stop.max_rounds,
         )
         fast = [float(stop.max_rounds) if script[i, "fast"] is None else float(script[i, "fast"])
                 for i in range(trials)]
@@ -279,21 +272,24 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop(monkeypatch):
     assert min(deficits) == 0.0 and max(deficits) > 0.3 and censored > 0
 
 
+def test_empirical_time_dominance_checks_its_samples():
+    with pytest.raises(ValueError, match="samples differ in size: 100 fast, 99 slow"):
+        empirical_time_dominance([1] * 100, [1] * 99, 10)
+    with pytest.raises(ValueError, match="need at least 100 trials, got 50"):
+        empirical_time_dominance([1] * 50, [1] * 50, 10)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be > 0 and finite"):
+            empirical_time_dominance([1] * 100, [1] * 100, 10, epsilon=epsilon)
+
+
 def test_empirical_time_dominance_flags_reversed_order():
     # deliberately claim the n-color start is faster than the near-consensus
     # start; the CDF deficit should blow past any reasonable epsilon
     c_fast = canonicalize([1] * 64)
     c_slow = canonicalize([63, 1])
     stop = StopCondition(kappa=1, max_rounds=900)  # longest run 382 rounds
-    report = empirical_time_dominance(
-        voter_rule(),
-        voter_rule(),
-        c_fast,
-        stop,
-        trials=100,
-        rng=RngStream(9),
-        epsilon=0.2,
-        c0_slow=c_slow,
-    )
+    fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(9).child("fast"))
+    slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(9).child("slow"))
+    report = empirical_time_dominance(fast, slow, stop.max_rounds, epsilon=0.2)
     assert not report.passed
     assert report.max_cdf_deficit > 0.2

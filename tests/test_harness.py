@@ -15,13 +15,19 @@ from consensuslab.harness import (
     run_coupled_dominating_process,
     run_experiment,
     run_lower_bound_experiment,
+    run_trials,
     run_two_phase_check,
-    simulate_block,
     slow_start_window,
     write_csv_summary,
     write_jsonl,
 )
-from consensuslab.rules import block_rows, h_majority_rule, two_choices_rule, voter_rule
+from consensuslab.rules import (
+    block_rows,
+    h_majority_rule,
+    run_block,
+    two_choices_rule,
+    voter_rule,
+)
 from consensuslab.sampler import RngStream
 
 from block_replay import replay_block
@@ -69,6 +75,13 @@ def test_biased_configuration_mass_and_bias():
     assert c[0] - c[1] >= 8
 
 
+def _run_trials(spec):
+    """run_trials on the spec's one Voter rule, on simulate's stream for it."""
+    c0 = initial_counts(spec.initial, spec.n)
+    rng = RngStream(spec.seed, ("sim", "voter"))
+    return run_trials(voter_rule(), c0, spec.trials, spec.stop, rng)
+
+
 def test_simulate_to_stop_reaches_consensus():
     spec = ExperimentSpec(
         rules=(voter_rule(),),
@@ -78,7 +91,7 @@ def test_simulate_to_stop_reaches_consensus():
         trials=1,
         seed=5,
     )
-    (t, peak), = simulate_block(voter_rule(), spec, block=0)
+    (t, peak), = _run_trials(spec)
     assert t is not None and t >= 1
     assert peak == 32  # consensus: one colour holds every node
 
@@ -93,7 +106,7 @@ def test_simulate_to_stop_peak_counts_round_zero():
         trials=1,
         seed=5,
     )
-    assert simulate_block(voter_rule(), spec, block=0) == [(0, 20)]
+    assert _run_trials(spec) == [(0, 20)]
 
 
 def test_simulate_to_stop_censors():
@@ -105,7 +118,7 @@ def test_simulate_to_stop_censors():
         trials=1,
         seed=5,
     )
-    (t, _), = simulate_block(voter_rule(), spec, block=0)
+    (t, _), = _run_trials(spec)
     assert t is None
 
 
@@ -228,6 +241,26 @@ def test_two_choices_records_come_from_one_stream_per_trial():
     assert len({r["stop_time"] for r in records}) > 1  # the trials draw independently
 
 
+def test_run_trials_lays_out_blocks_and_streams():
+    # 130 Voter trials of 16 nodes are blocks of 64, 64 and 2, block b on
+    # rng.child("block", b); a 2-Choices block holds one trial
+    stop, rng = StopCondition(kappa=1, max_rounds=2_000), RngStream(15, ("layout",))
+    c0 = initial_counts("ncolor", 16)
+    expected = [
+        (t, peak)
+        for b, size in enumerate((64, 64, 2))
+        for t, _, peak in run_block(voter_rule(), [c0] * size, stop, rng.child("block", b))
+    ]
+    assert run_trials(voter_rule(), c0, 130, stop, rng) == expected
+    assert len(set(expected)) > 1  # the trials draw independently
+    expected = [
+        (t, peak)
+        for b in range(3)
+        for t, _, peak in run_block(two_choices_rule(), [c0], stop, rng.child("block", b))
+    ]
+    assert run_trials(two_choices_rule(), c0, 3, stop, rng) == expected
+
+
 def test_slow_start_window_derived_quantities():
     ell_prime, t0 = slow_start_window(1000, 1, 4.0)
     assert ell_prime == max(2, math.ceil(4.0 * math.log(1000)))
@@ -314,7 +347,7 @@ def test_two_phase_check_starts_phase_two_from_phase_one(monkeypatch):
 
     monkeypatch.setattr(harness, "run_block", recording)
     out = run_two_phase_check(256, trials=3, seed=4)
-    (rule1, kappa1, stream1, _, ends), (rule2, kappa2, stream2, starts2, _), voter = calls
+    voter, (rule1, kappa1, stream1, _, ends), (rule2, kappa2, stream2, starts2, _) = calls
     assert (rule1, kappa1, rule2, kappa2, voter[:2]) == ("hmaj:3", 4, "hmaj:3", 1, ("voter", 4))
     # phase 2 continues every phase-1 row, in order, on the same stream
     assert stream1 == stream2 != voter[2]

@@ -23,7 +23,6 @@ from consensuslab.rules import (
     NotAnACProcess,
     TooManyColorsForExactH,
     UpdateRule,
-    block_sizes,
     expected_fraction_after_step,
     h_majority_rule,
     parse_rule,
@@ -613,12 +612,12 @@ def test_run_block_runs_one_start_as_run_until(label):
 )
 def test_run_block_matches_run_until_in_law(label, init, n):
     # a block's draws are not a lone start's: compare the laws of the stop time
-    # and the peak, over blocks of 64 rows and the cut last one
+    # and the peak, over 300 trials in blocks of 64 rows and a cut last one of 44
     rule, c0, trials = parse_rule(label), initial_counts(init, n), 300
     stop = StopCondition(kappa=2, max_rounds=10**5)
     block = [
         (t, peak)
-        for b, size in enumerate(block_sizes(rule, trials, n))
+        for b, size in enumerate([64] * 4 + [44])
         for t, _, peak in run_block(rule, [c0] * size, stop, RngStream(12, ("block", label, b)))
     ]
     loop = []
