@@ -180,18 +180,6 @@ def duality_check(g: Graph, t_max: int, rng: RngStream) -> bool:
     return True
 
 
-@dataclass
-class StoppingTimeSample:
-    target: int
-    times: list[float]
-    censored: int = 0
-
-    @property
-    def mean(self) -> float:
-        finite = [t for t in self.times if np.isfinite(t)]
-        return float(np.mean(finite)) if finite else float("inf")
-
-
 def _walk_classes(g: Graph) -> int:
     """Classes of walks that never meet: per connected component, 2 if it is
     bipartite (each move flips every walk's side), else 1."""
@@ -214,14 +202,14 @@ def _walk_classes(g: Graph) -> int:
 
 def coalescence_time_stats(
     g: Graph, k: int, trials: int, rng: RngStream, max_rounds: int = 10**6
-) -> StoppingTimeSample:
-    """Empirical samples of the time for the walk count to drop to <= k."""
+) -> list[Optional[int]]:
+    """Per trial, the first round at which the walk count is <= k, or None
+    for a trial censored at max_rounds. Trial j draws from rng.child(j)."""
     if not 1 <= k <= g.n:
         raise ValueError("need 1 <= k <= n")
     if k < _walk_classes(g):  # no trial can finish: report all censored unrun
-        return StoppingTimeSample(target=k, times=[float("inf")] * trials, censored=trials)
-    times: list[float] = []
-    censored = 0
+        return [None] * trials
+    times: list[Optional[int]] = []
     for trial in range(trials):
         gen = rng.child(trial).gen
         pos = np.arange(g.n)
@@ -229,60 +217,23 @@ def coalescence_time_stats(
         while pos.size > k and t < max_rounds:
             pos = np.unique(g.random_neighbors(pos, gen))  # meeting walks merge
             t += 1
-        if pos.size > k:
-            censored += 1
-            times.append(float("inf"))
-        else:
-            times.append(float(t))
-    return StoppingTimeSample(target=k, times=times, censored=censored)
-
-
-def _one_walk_step(g: Graph, x: int, gen: np.random.Generator) -> int:
-    """Place x walks on distinct uniform nodes, move each once, count the
-    distinct positions: one step of the walk-count chain."""
-    pos = gen.permutation(g.n)[:x]
-    return int(np.unique(g.random_neighbors(pos, gen)).size)
-
-
-@dataclass
-class DriftEstimate:
-    x: int
-    mean: float
-    sigma: float  # standard error of the mean
-
-
-def empirical_one_step_drift(
-    g: Graph, x: int, samples: int, rng: RngStream
-) -> DriftEstimate:
-    """Monte-Carlo estimate of E[X_{t+1} | X_t = x] on the complete graph.
-
-    Walks are placed on x distinct uniform nodes, matching the conditional
-    state up to exchangeability.
-    """
-    if not g.is_complete:
-        raise ValueError("drift estimation is implemented for the complete graph")
-    if not 2 <= x <= g.n:
-        raise ValueError("need 2 <= x <= n")
-    gen = rng.gen
-    outcomes = np.empty(samples)
-    for s in range(samples):
-        outcomes[s] = _one_walk_step(g, x, gen)
-    mean = float(outcomes.mean())
-    sigma = float(outcomes.std(ddof=1) / np.sqrt(samples))
-    return DriftEstimate(x=x, mean=mean, sigma=sigma)
+        times.append(t if pos.size <= k else None)
+    return times
 
 
 def walk_count_chain(n: int):
-    """Walk-count step sampler for drift validation on the complete graph.
-
-    State x -> place x walks on distinct uniform nodes, move once, count
-    distinct positions.
+    """The walk-count chain on the complete graph, as a drift.validate_bound
+    chain: step(x, gen) puts x walks on nodes 0..x-1, moves each once and
+    counts the distinct positions. K_n maps any x-set of nodes onto any
+    other, so this is the law of the next count from any x distinct nodes.
     """
-
     g = complete_graph(n)
 
-    def step(x: float, rng: RngStream) -> float:
-        return float(_one_walk_step(g, int(round(x)), rng.gen))
+    def step(x: float, gen: np.random.Generator) -> float:
+        x = int(round(x))
+        if not 1 <= x <= n:
+            raise ValueError(f"need 1 <= x <= n = {n}, got x = {x}")
+        return float(np.unique(g.random_neighbors(np.arange(x), gen)).size)
 
     return step
 

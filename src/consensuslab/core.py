@@ -140,19 +140,22 @@ def check_canonical(c: np.ndarray) -> None:
 
 
 def _sorted_values(x: VectorLike) -> np.ndarray:
-    return np.sort(np.asarray(x, dtype=float))[::-1]
+    return np.sort(np.asarray(x, dtype=float))[..., ::-1]
 
 
 def prefix_sums(x: VectorLike, d: int) -> np.ndarray:
-    """Prefix sums of x sorted non-increasingly, truncated or padded to length d.
+    """Prefix sums of x sorted non-increasingly, truncated or padded to length d;
+    an x of more dimensions gets them along its last axis, row by row.
 
     Padding repeats the last cumulative sum, which is the total mass: the
     zero-padded vector has the same prefix sums. Every majorization
     comparison of the package goes through this one format.
     """
-    cum = np.cumsum(_sorted_values(x))
-    out = np.full(d, cum[-1] if len(cum) else 0.0)
-    out[: len(cum)] = cum[:d]
+    cum = np.cumsum(_sorted_values(x), axis=-1)
+    out = np.zeros(cum.shape[:-1] + (d,))
+    if cum.shape[-1]:
+        out[...] = cum[..., -1:]
+        out[..., : cum.shape[-1]] = cum[..., :d]
     return out
 
 

@@ -23,7 +23,7 @@ from .core import (
     prefix_sums,
 )
 from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function
-from .sampler import RngStream, sample_multinomial
+from .sampler import RngStream
 
 MAX_ENUM_N = 40
 
@@ -140,20 +140,16 @@ def empirical_stochastic_majorization(
     theta1 mean is below the theta2 mean plus 3 standard errors for all j.
     Both thetas are probability vectors (array-likes), checked on entry.
     """
-    multinomial_pvals(theta1)  # the check; the samplers rescale on their own
-    multinomial_pvals(theta2)
+    p1, p2 = multinomial_pvals(theta1), multinomial_pvals(theta2)
     if not majorizes(theta2, theta1):
         raise NotMajorized("theta2 must majorize theta1")
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
     d = max(len(theta1), len(theta2))
-    gen1 = rng.child("low")
-    gen2 = rng.child("high")
-    phi1 = np.zeros((draws, d))
-    phi2 = np.zeros((draws, d))
-    for t in range(draws):
-        phi1[t] = prefix_sums(sample_multinomial(m, theta1, gen1), d)
-        phi2[t] = prefix_sums(sample_multinomial(m, theta2, gen2), d)
+    # one (draws, len(theta)) multinomial call per side: the stream of
+    # `draws` single draws, in order
+    phi1 = prefix_sums(rng.child("low").gen.multinomial(m, p1, size=draws), d)
+    phi2 = prefix_sums(rng.child("high").gen.multinomial(m, p2, size=draws), d)
     mean1 = phi1.mean(axis=0)
     mean2 = phi2.mean(axis=0)
     sigma = np.sqrt(phi1.var(axis=0) / draws + phi2.var(axis=0) / draws)

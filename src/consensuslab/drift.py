@@ -1,4 +1,5 @@
-"""Drift-theorem bound calculators and an empirical validator.
+"""Drift-theorem bound calculators, the one-step moment estimator and an
+empirical validator.
 
 Three forms: the additive lemma E[T] <= (m - k')/c, the LW14 variable form
 x_min/h(x_min) + integral of 1/h, and the generalized variable form
@@ -172,18 +173,31 @@ def variable_drift_bound_generalized(
     )
 
 
+def step_moments(
+    chain: Callable[[float, np.random.Generator], float],
+    x: float,
+    samples: int,
+    gen: np.random.Generator,
+) -> tuple[float, float]:
+    """(mean, standard error) of the chain's next state from x, over
+    `samples` independent steps drawn from gen."""
+    nxt = np.array([chain(x, gen) for _ in range(samples)])
+    return float(nxt.mean()), float(nxt.std(ddof=1) / math.sqrt(samples))
+
+
 @dataclass
 class BoundValidationReport:
     drift_ok: bool
     drift_points: list[tuple[float, float, float]]  # (x, empirical drop, required h(x))
     bound: float
-    empirical_mean_time: float
+    empirical_mean_time: float  # inf once a trial is censored
     mean_time_sigma: float
     bound_ok: bool
+    censored: int  # trials still above k after max_rounds steps
 
 
 def validate_bound(
-    chain: Callable[[float, RngStream], float],
+    chain: Callable[[float, np.random.Generator], float],
     x0: float,
     k: float,
     h: DriftFunction,
@@ -194,9 +208,13 @@ def validate_bound(
 ) -> BoundValidationReport:
     """Check the drift hypothesis and the concluded bound on a supplied chain.
 
-    (a) estimates E[X_t - X_{t+1} | X_t = x] at a few states and requires it
-    to reach h(x) within 3 standard errors; (b) measures E[T] over full
-    trajectories and requires it to stay below the computed bound + 3 sigma.
+    chain(x, gen) draws the next state from x. (a) estimates
+    E[X_t - X_{t+1} | X_t = x] at a few states, state i from
+    rng.child("drift", i), and requires it to reach h(x) within 3 standard
+    errors; (b) runs trial j from rng.child("time", j) until X <= k and
+    requires the mean hitting time to stay below the computed bound +
+    3 sigma. A trial still above k after max_rounds steps is censored: its
+    time is unknown, so the bound fails.
     """
     # (a) drift hypothesis at sampled states
     xs = np.unique(
@@ -205,12 +223,8 @@ def validate_bound(
     drift_points = []
     drift_ok = True
     for i, x in enumerate(xs):
-        stream = rng.child("drift", i)
-        drops = np.empty(drift_samples)
-        for s in range(drift_samples):
-            drops[s] = x - chain(float(x), stream.child(s))
-        mean_drop = float(drops.mean())
-        sigma = float(drops.std(ddof=1) / math.sqrt(drift_samples))
+        mean, sigma = step_moments(chain, float(x), drift_samples, rng.child("drift", i).gen)
+        mean_drop = float(x) - mean
         required = h(float(x))
         drift_points.append((float(x), mean_drop, required))
         if mean_drop < required - 3 * sigma:
@@ -220,22 +234,26 @@ def validate_bound(
 
     # (b) hitting-time bound
     bound = variable_drift_bound_lw14(replace(h, x_min=max(k, h.x_min)), x0).bound
-    times = np.empty(trials)
+    times: list[Optional[int]] = []
     for trial in range(trials):
-        stream = rng.child("time", trial)
+        gen = rng.child("time", trial).gen
         x = float(x0)
         t = 0
         while x > k and t < max_rounds:
-            x = chain(x, stream.child(t))
+            x = chain(x, gen)
             t += 1
-        times[trial] = t
-    mean_time = float(times.mean())
-    sigma_t = float(times.std(ddof=1) / math.sqrt(trials))
+        times.append(t if x <= k else None)
+    censored = times.count(None)
+    mean_time, sigma_t = math.inf, math.nan
+    if not censored:
+        mean_time = float(np.mean(times))
+        sigma_t = float(np.std(times, ddof=1) / math.sqrt(trials))
     return BoundValidationReport(
         drift_ok=drift_ok,
         drift_points=drift_points,
         bound=bound,
         empirical_mean_time=mean_time,
         mean_time_sigma=sigma_t,
-        bound_ok=mean_time <= bound + 3 * sigma_t,
+        bound_ok=not censored and mean_time <= bound + 3 * sigma_t,
+        censored=censored,
     )

@@ -2,13 +2,14 @@
 experiment with its coupled dominating Binomial process, the two-phase
 timing check, and JSON-lines/CSV output.
 
-Every seeded run of trials goes through _blocks, which lays the trials of
-one rule out in blocks of rules.block_rows(rule, n) (one trial for
-2-Choices) and puts block b on its purpose's stream child ("block", b); so
-results are independent of worker count and scheduling. _run runs the
-blocks, in a process pool when asked; run_trials runs one rule's trials in
-this process. Logs use natural log throughout (the CLI records this in its
-output metadata).
+The stopping-time runs go through _blocks, which lays the trials of one
+rule out in blocks of rules.block_rows(rule, n) (one trial for 2-Choices)
+and puts block b on its purpose's stream child ("block", b); so results are
+independent of worker count and scheduling. _run runs the blocks, in a
+process pool when asked; run_trials runs one rule's trials in this process.
+run_lower_bound_experiment is the exception: trial j runs rules._run_until
+on its own stream rng.child(j), with no blocks. Logs use natural log
+throughout (the CLI records this in its output metadata).
 """
 
 from __future__ import annotations

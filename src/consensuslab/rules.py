@@ -487,7 +487,4 @@ def expected_fraction_after_step(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
     2-Choices has the 3-majority alpha as its expectation, the
     identical-expectation fact that makes their runtime gap surprising.
     """
-    if rule.kind == TWO_CHOICES:
-        check_canonical(c)
-        return _checked(_three_majority_alpha(c / c.sum()))
-    return process_function(rule, c)
+    return process_function(h_majority_rule(3) if rule.kind == TWO_CHOICES else rule, c)

@@ -56,7 +56,7 @@ def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
     numpy's generator realizes exactly the sequential conditional-binomial
     construction (category i ~ Binomial(remaining, theta_i / remaining mass))
     that sample_multinomial_conditional spells out as its oracle. The Monte-
-    Carlo majorization check samples here; rules draws its rounds itself.
+    Carlo majorization check and the rules draw from numpy directly.
     """
     if m < 0:
         raise ValueError("trial count must be >= 0")

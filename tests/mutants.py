@@ -321,6 +321,24 @@ MUTANTS = (
         ("tests/test_harness.py::test_lower_bound_window_nothing_can_exceed",),
     ),
     Mutant(
+        "walks-placed-with-replacement",
+        "coalescing.py",
+        "g.random_neighbors(np.arange(x), gen)",
+        "g.random_neighbors(gen.integers(0, g.n, size=x), gen)",  # two walks may share a node
+        (
+            "tests/test_coalescing.py::test_empirical_drift_matches_occupancy_oracle",
+            "tests/test_coalescing.py::test_walk_count_chain_matches_direct_estimate",
+            "tests/test_coalescing.py::test_walk_count_chain_starts_walks_on_distinct_nodes",
+        ),
+    ),
+    Mutant(
+        "validate-bound-censored-as-finished",
+        "drift.py",
+        "times.append(t if x <= k else None)",
+        "times.append(t)",  # a trial cut at max_rounds counts as finishing there
+        ("tests/test_drift.py::test_validate_bound_fails_a_censored_chain",),
+    ),
+    Mutant(
         "complete-graph-self-loops",
         "coalescing.py",
         "return np.where(r >= nodes, r + 1, r)",

@@ -20,7 +20,6 @@ from consensuslab.coalescing import (
     complete_graph,
     cycle_graph,
     duality_check,
-    empirical_one_step_drift,
     walk_count_chain,
 )
 from consensuslab.core import StopCondition, canonicalize, majorizes
@@ -33,6 +32,7 @@ from consensuslab.dominance import (
 from consensuslab.drift import (
     additive_drift_bound,
     power_law,
+    step_moments,
     tabulated,
     validate_bound,
     variable_drift_bound_lw14,
@@ -129,17 +129,19 @@ def test_05_coalescence_time_and_drift_bounds():
     details = []
     ok = True
     for k in (5, 20, 100):
-        sample = coalescence_time_stats(
+        times = coalescence_time_stats(
             g, k=k, trials=200, rng=RngStream(50, ("coal", k))
         )
         budget = 20 * n / k
-        ok = ok and sample.censored == 0 and sample.mean <= budget
-        details.append(f"k={k}: {sample.mean:.1f}<={budget:.0f}")
+        mean = np.mean(times) if None not in times else math.inf
+        ok = ok and mean <= budget
+        details.append(f"k={k}: {mean:.1f}<={budget:.0f}")
+    chain = walk_count_chain(n)
     for x in (2, 100, 250, 500, 1000):
-        est = empirical_one_step_drift(g, x, samples=10**4, rng=RngStream(51, ("dr", x)))
+        mean, sigma = step_moments(chain, x, 10**4, RngStream(51, ("dr", x)).gen)
         target = x - x * x / (10 * n)
-        ok = ok and est.mean <= target + 3 * est.sigma
-        details.append(f"x={x}: {est.mean:.2f}<={target:.2f}+3s")
+        ok = ok and mean <= target + 3 * sigma
+        details.append(f"x={x}: {mean:.2f}<={target:.2f}+3s")
     _verdict("05 coalescence time and one-step drift bounds", ok, "; ".join(details))
 
 

@@ -12,13 +12,13 @@ from consensuslab.coalescing import (
     cycle_graph,
     draw_map_table,
     duality_check,
-    empirical_one_step_drift,
     expected_distinct_after_step,
     graph_from_edge_list,
     run_coalescence,
     run_voter_with_maps,
     walk_count_chain,
 )
+from consensuslab.drift import step_moments
 from consensuslab.sampler import RngStream
 
 
@@ -160,41 +160,58 @@ def test_expected_distinct_after_step_single_walk():
 
 
 def test_empirical_drift_matches_occupancy_oracle():
-    g = complete_graph(50)
+    chain = walk_count_chain(50)
     for x in (2, 10, 25, 50):
-        est = empirical_one_step_drift(g, x, samples=4000, rng=RngStream(4, (x,)))
+        mean, sigma = step_moments(chain, x, 4000, RngStream(4, (x,)).gen)
         oracle = expected_distinct_after_step(50, x)
-        assert abs(est.mean - oracle) <= 4 * est.sigma + 1e-9
+        assert abs(mean - oracle) <= 4 * sigma + 1e-9
 
 
 def test_walk_count_chain_matches_direct_estimate():
     n, x = 40, 15
     chain = walk_count_chain(n)
-    rng = RngStream(6)
-    vals = np.array([chain(x, rng.child(t)) for t in range(4000)])
+    gen = RngStream(6).gen
+    vals = np.array([chain(x, gen) for _ in range(4000)])
     oracle = expected_distinct_after_step(n, x)
     assert abs(vals.mean() - oracle) <= 4 * vals.std(ddof=1) / np.sqrt(len(vals)) + 1e-9
 
 
+def test_walk_count_chain_starts_walks_on_distinct_nodes():
+    # on K_2 two walks on distinct nodes swap places, so the count stays 2;
+    # walks placed with replacement would share a node half the time. The
+    # occupancy tests cannot see that placement at n = 40 or 50: it moves
+    # E[X_{t+1}] by about x^2 q^x / (2n (n-2)^2), under 0.004
+    chain, gen = walk_count_chain(2), RngStream(7).gen
+    assert [chain(2, gen) for _ in range(200)] == [2.0] * 200
+
+
+def test_walk_count_chain_rejects_counts_outside_one_to_n():
+    chain, gen = walk_count_chain(10), RngStream(8).gen
+    assert chain(1, gen) == 1.0
+    for x in (0, 11, -3):
+        with pytest.raises(ValueError, match="need 1 <= x <= n = 10"):
+            chain(x, gen)
+
+
 def test_coalescence_time_stats_small():
     g = complete_graph(30)
-    sample = coalescence_time_stats(g, k=1, trials=50, rng=RngStream(10))
-    assert sample.censored == 0
-    assert all(t >= 1 for t in sample.times)
+    times = coalescence_time_stats(g, k=1, trials=50, rng=RngStream(10))
+    assert None not in times
+    assert all(t >= 1 for t in times)
     # complete-graph meeting times scale like n; 20n is a generous ceiling
-    assert sample.mean <= 20 * g.n
+    assert np.mean(times) <= 20 * g.n
 
 
 def test_coalescence_time_stats_on_cycles():
     # an odd cycle is not bipartite, so all walks meet; on an even cycle
     # walks at odd distance never do, so k = 1 is always censored
     odd = coalescence_time_stats(cycle_graph(9), k=1, trials=20, rng=RngStream(12))
-    assert odd.censored == 0
-    assert all(1 <= t < 10**4 for t in odd.times)
+    assert None not in odd
+    assert all(1 <= t < 10**4 for t in odd)
     even = coalescence_time_stats(cycle_graph(8), k=1, trials=5, rng=RngStream(12), max_rounds=500)
-    assert even.censored == 5
+    assert even.count(None) == 5
     # from 8 walks, neighbor moves keep the two parity classes apart
-    assert coalescence_time_stats(cycle_graph(8), k=2, trials=5, rng=RngStream(13)).censored == 0
+    assert None not in coalescence_time_stats(cycle_graph(8), k=2, trials=5, rng=RngStream(13))
 
 
 def test_coalescence_time_stats_censors_unreachable_k_without_stepping(monkeypatch):
@@ -209,13 +226,11 @@ def test_coalescence_time_stats_censors_unreachable_k_without_stepping(monkeypat
 
     monkeypatch.setattr(Graph, "random_neighbors", no_step)
     for g, k in ((cycle_graph(8), 1), (complete_graph(2), 1), (two_triangles, 1), (square_and_triangle, 2)):
-        sample = coalescence_time_stats(g, k, trials=3, rng=RngStream(14))
-        assert sample.censored == 3
-        assert sample.times == [float("inf")] * 3
+        assert coalescence_time_stats(g, k, trials=3, rng=RngStream(14)) == [None] * 3
     monkeypatch.undo()
     # one walk class per triangle, two on the square: these k are reachable
     for g, k in ((two_triangles, 2), (square_and_triangle, 3)):
-        assert coalescence_time_stats(g, k, trials=3, rng=RngStream(14)).censored == 0
+        assert None not in coalescence_time_stats(g, k, trials=3, rng=RngStream(14))
 
 
 def test_explicit_graph_random_neighbors_match_adjacency():
@@ -229,8 +244,7 @@ def test_explicit_graph_random_neighbors_match_adjacency():
 
 def test_coalescence_time_stats_k_equals_n_is_zero():
     g = complete_graph(10)
-    sample = coalescence_time_stats(g, k=10, trials=5, rng=RngStream(11))
-    assert sample.mean == 0.0
+    assert coalescence_time_stats(g, k=10, trials=5, rng=RngStream(11)) == [0] * 5
 
 
 def test_coalescence_time_stats_validates_k():

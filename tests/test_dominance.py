@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes
+from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes, prefix_sums
 from consensuslab.dominance import (
     EnumerationBudgetExceeded,
     NotMajorized,
@@ -21,7 +21,7 @@ from consensuslab.dominance import (
 )
 from consensuslab.harness import run_trials
 from consensuslab.rules import h_majority_rule, process_function, voter_rule
-from consensuslab.sampler import RngStream
+from consensuslab.sampler import RngStream, sample_multinomial
 
 
 def test_enumerate_configurations_counts_partitions():
@@ -160,6 +160,28 @@ def test_empirical_stochastic_majorization_agrees_with_exact():
     for j in range(len(report.mean_low)):
         assert abs(report.mean_low[j] - e1[j]) <= 4 * report.sigma[j] + 1e-9
         assert abs(report.mean_high[j] - e2[j]) <= 4 * report.sigma[j] + 1e-9
+
+
+@pytest.mark.parametrize(
+    "theta1, theta2",
+    [((0.4, 0.35, 0.25), (0.6, 0.3, 0.1)), ((0.4, 0.3, 0.2, 0.1), (0.6, 0.4))],
+    ids=["equal-length", "unequal-length"],
+)
+def test_stochastic_majorization_batched_draw_equals_the_draw_loop(theta1, theta2):
+    m, draws, rng = 6, 1000, RngStream(15)
+    report = empirical_stochastic_majorization(theta1, theta2, m, draws, rng)
+    # the oracle: one multinomial draw at a time from each side's stream
+    d = max(len(theta1), len(theta2))
+    phi = []
+    for theta, side in ((theta1, "low"), (theta2, "high")):
+        stream = rng.child(side)
+        phi.append(np.array([prefix_sums(sample_multinomial(m, theta, stream), d) for _ in range(draws)]))
+    mean1, mean2 = phi[0].mean(axis=0), phi[1].mean(axis=0)
+    sigma = np.sqrt(phi[0].var(axis=0) / draws + phi[1].var(axis=0) / draws)
+    assert report.mean_low == mean1.tolist()
+    assert report.mean_high == mean2.tolist()
+    assert report.sigma == sigma.tolist()
+    assert report.passed == bool(np.all(mean1 <= mean2 + 3 * sigma))
 
 
 def test_empirical_stochastic_majorization_requires_majorization():

@@ -115,3 +115,22 @@ def test_validate_bound_rejects_false_hypothesis():
             chain, x0=float(n), k=5.0, h=h, trials=10, rng=RngStream(124),
             drift_samples=400,
         )
+
+
+def test_validate_bound_fails_a_censored_chain():
+    # a drop of 1 per step on the sampled states 10..100, and none below 10:
+    # the chain passes the drift check but never reaches k = 0. Each trial
+    # is still above k after max_rounds, so E[T] is unknown and the bound
+    # cannot be confirmed, although max_rounds = 50 < bound = 100
+    def chain(x, gen):
+        return x - 1 if x >= 10 else x
+
+    h = power_law(a=1.0, b=0.0, x_min=10.0, x_max=100.0)
+    report = validate_bound(
+        chain, x0=100.0, k=0.0, h=h, trials=20, rng=RngStream(125),
+        drift_samples=10, max_rounds=50,
+    )
+    assert report.drift_ok
+    assert report.bound == 100.0
+    assert report.censored == 20
+    assert report.bound_ok is False
