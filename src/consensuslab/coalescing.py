@@ -236,16 +236,3 @@ def walk_count_chain(n: int):
         return float(np.unique(g.random_neighbors(np.arange(x), gen)).size)
 
     return step
-
-
-def expected_distinct_after_step(n: int, x: int) -> float:
-    """Exact E[X_{t+1} | X_t = x] for complete-graph neighbor-only moves.
-
-    Occupancy computation: each node v is missed by a walk at u != v with
-    probability 1 - 1/(n-1), so P(v unoccupied) = (1-1/(n-1))^(x - [v occupied]).
-    """
-    q = 1.0 - 1.0 / (n - 1)
-    # occupied nodes cannot be hit by their own walk
-    occupied = x * (1.0 - q ** (x - 1))
-    free = (n - x) * (1.0 - q**x)
-    return occupied + free

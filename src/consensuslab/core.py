@@ -12,7 +12,7 @@ that passes multinomial_pvals' check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,16 +67,20 @@ def multinomial_pvals(probs, rows: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Stop once at most `kappa` colors remain, or after `max_rounds`."""
+    """Stop once at most `kappa` colors remain, once a support exceeds
+    `above` (None: never), or after `max_rounds`."""
 
     kappa: int = 1
     max_rounds: int = 1_000_000
+    above: Optional[int] = None
 
     def __post_init__(self):
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.above is not None and self.above < 1:
+            raise ValueError("above must be >= 1")
 
 
 VectorLike = Union[Sequence[float], np.ndarray]
@@ -180,10 +184,3 @@ def majorizes(a: VectorLike, b: VectorLike) -> bool:
         slack = PREFIX_SLACK + abs(ta - tb)
     d = max(len(sa), len(sb))
     return bool(np.all(prefix_sums(sa, d) >= prefix_sums(sb, d) - slack))
-
-
-def prefix_functional(x: VectorLike, j: int) -> float:
-    """Sum of the j largest components (a Schur-convex test function)."""
-    if j < 1:
-        raise ValueError("prefix length must be >= 1")
-    return float(prefix_sums(x, j)[-1])

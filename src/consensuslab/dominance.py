@@ -168,7 +168,7 @@ def exact_prefix_expectations(theta, m: int) -> np.ndarray:
     """E[phi_j(Mult(m, theta))] for all j, by enumerating the full support.
 
     Oracle for the Monte-Carlo path; feasible for small m and few categories.
-    theta is checked and rescaled exactly as sample_multinomial does.
+    theta is checked and rescaled by multinomial_pvals, as for numpy's draw.
     """
     arr = multinomial_pvals(theta)
     k = len(arr)

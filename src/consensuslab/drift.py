@@ -47,24 +47,27 @@ class DriftFunction:
     grid_h: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        # every check is a `not (...)` comparison, so a NaN fails it
         if not self.x_min < self.x_max:
             raise DriftDomainError("need x_min < x_max")
         if self.is_power_law:
-            if self.a <= 0:
-                raise ValueError("power-law coefficient must be positive")
-            if self.b < 0:
-                raise ValueError("power-law exponent must be non-negative (h non-decreasing)")
+            if not self.a > 0:
+                raise ValueError(f"power-law coefficient must be positive, got a = {self.a}")
+            if not self.b >= 0:
+                raise ValueError(
+                    f"power-law exponent must be non-negative (h non-decreasing), got b = {self.b}"
+                )
         else:
             if self.grid_x is None or self.grid_h is None:
                 raise ValueError("need either (a, b) or a tabulated grid")
             gx, gh = np.asarray(self.grid_x), np.asarray(self.grid_h)
             if len(gx) < 2 or len(gx) != len(gh):
                 raise ValueError("grid needs >= 2 aligned points")
-            if np.any(np.diff(gx) <= 0):
+            if not np.all(np.diff(gx) > 0):
                 raise ValueError("grid abscissae must be strictly increasing")
-            if np.any(gh <= 0):
+            if not np.all(gh > 0):
                 raise ValueError("h must be positive")
-            if np.any(np.diff(gh) < 0):
+            if not np.all(np.diff(gh) >= 0):
                 raise ValueError("h must be non-decreasing")
 
     @property
@@ -132,10 +135,11 @@ def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> tuple[float, fl
 
 def additive_drift_bound(m: float, k_prime: float, c: float) -> DriftBoundResult:
     """E[T] <= (m - k') / c for per-step drift at least c."""
-    if c <= 0:
-        raise NoDrift("per-step drift must be positive")
-    if m < k_prime or k_prime < 0:
-        raise DriftDomainError("need m >= k' >= 0")
+    # `not (...)`, so that a NaN fails the check
+    if not c > 0:
+        raise NoDrift(f"per-step drift must be positive, got c = {c}")
+    if not m >= k_prime >= 0:
+        raise DriftDomainError(f"need m >= k' >= 0, got m = {m}, k' = {k_prime}")
     return DriftBoundResult(bound=(m - k_prime) / c, form_used="AdditiveLemma")
 
 
@@ -156,8 +160,8 @@ def variable_drift_bound_generalized(
     h: DriftFunction, m: float, k_prime: float
 ) -> DriftBoundResult:
     """E[T] <= integral_{k'}^{m} du/h(u); k' = 0 routes through the 1/h(1) offset."""
-    if k_prime > m:
-        raise DriftDomainError("need k' <= m")
+    if not k_prime <= m:  # a NaN fails it
+        raise DriftDomainError(f"need k' <= m, got k' = {k_prime}, m = {m}")
     if k_prime == 0:
         # state space {0} union [1, inf): g carries a 1/h(1) head term
         lo = max(1.0, h.x_min)

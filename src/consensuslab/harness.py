@@ -7,9 +7,8 @@ rule out in blocks of rules.block_rows(rule, n) (one trial for 2-Choices)
 and puts block b on its purpose's stream child ("block", b); so results are
 independent of worker count and scheduling. _run runs the blocks, in a
 process pool when asked; run_trials runs one rule's trials in this process.
-run_lower_bound_experiment is the exception: trial j runs rules._run_until
-on its own stream rng.child(j), with no blocks. Logs use natural log
-throughout (the CLI records this in its output metadata).
+Logs use natural log throughout (the CLI records this in its output
+metadata).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .coalescing import CouplingViolation
 from .core import StopCondition, canonical_counts, canonicalize, check_canonical
 from .rules import (
     UpdateRule,
-    _run_until,
     block_rows,
     h_majority_rule,
     node_round,
@@ -187,13 +185,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
 def slow_start_window(n: int, ell: int, gamma: float) -> tuple[int, int]:
     """(ell_prime, t0) from a start of n nodes whose largest support is ell:
     ell_prime = max(2 ell, ceil(gamma ln n)), t0 = floor(n / (gamma ell_prime))."""
-    # t0 divides by gamma; `not >` also rejects NaN, and ceil needs a finite gamma
+    # t0 divides by gamma; `not >` also rejects NaN
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    if gamma == math.inf:
-        raise ValueError("gamma must be finite, got inf")
-    ell_prime = max(2 * ell, math.ceil(gamma * math.log(n)))
-    return ell_prime, int(n // (gamma * ell_prime))
+    # ceil and int need finite floats: a huge gamma overflows gamma ln n,
+    # a subnormal one n / (gamma ell_prime)
+    scaled_log = gamma * math.log(n)
+    if not math.isfinite(scaled_log):
+        raise ValueError(f"gamma = {gamma}: gamma ln n is not finite")
+    ell_prime = max(2 * ell, math.ceil(scaled_log))
+    t0 = n // (gamma * ell_prime)
+    if not math.isfinite(t0):
+        raise ValueError(f"gamma = {gamma}: t0 = n / (gamma ell_prime) is not finite")
+    return ell_prime, int(t0)
 
 
 def run_lower_bound_experiment(
@@ -204,19 +208,21 @@ def run_lower_bound_experiment(
 
     Reports the fraction of trials where any color's support ever exceeded
     ell_prime within the window, plus first-exceedance times (None for a
-    trial with none; every trial, without a draw, when ell_prime >= n).
+    trial with none; every trial, without a draw, when ell_prime >= n or
+    t0 = 0). The trials run through run_trials, trial j on
+    rng.child("block", j).
     """
     check_canonical(initial)
     n, ell = int(initial.sum()), int(initial[0])
     lp, t0 = slow_start_window(n, ell, gamma)
     first_exceedance: list[Optional[int]] = [None] * trials
-    # no support exceeds n, so with ell_prime >= n no trial can hit: draw nothing
-    for trial in range(trials if lp < n else 0):
-        # stops at the first round with a support above ell_prime; consensus
+    # no support exceeds n, so with ell_prime >= n no trial can hit, and
+    # t0 = 0 leaves no round: either way draw nothing
+    if lp < n and t0 >= 1:
+        # a trial stops at its first support above ell_prime; consensus
         # (kappa = 1) is such a round, since ell_prime < n
-        first_exceedance[trial], _, _ = _run_until(
-            two_choices_rule(), initial, 1, t0, rng.child(trial).gen, lp
-        )
+        stop = StopCondition(kappa=1, max_rounds=t0, above=lp)
+        first_exceedance = [t for t, _ in run_trials(two_choices_rule(), initial, trials, stop, rng)]
     exceeded = sum(1 for h in first_exceedance if h is not None)
     return {
         "n": n,

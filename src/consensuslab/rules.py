@@ -342,8 +342,9 @@ def block_rows(rule: UpdateRule, n: int) -> int:
 def run_block(
     rule: UpdateRule, starts: Sequence[np.ndarray], stop: StopCondition, rng: RngStream
 ) -> list[tuple[Optional[int], np.ndarray, int]]:
-    """Step `rule` from each start until at most stop.kappa colors remain:
-    the one round-and-stop driver, for every rule.
+    """Step `rule` from each start until at most stop.kappa colors remain or
+    a support exceeds stop.above: the one round-and-stop driver, for every
+    rule.
 
     AC trials step in lockstep. The live trials are the rows of one
     zero-padded int64 array; a round draws every row at once with one
@@ -358,9 +359,10 @@ def run_block(
 
     Every start must be canonical counts of the same n. Returns, per start
     and in order, (t, c_t, peak): t is the first round with at most kappa
-    colors (0 if the start already has them), or None if max_rounds pass
-    first; c_t is the last round's canonical counts; peak is the largest
-    support of any round from 0 to the last. No starts give [].
+    colors or a support above stop.above (0 if the start already has
+    them), or None if max_rounds pass first; c_t is the last round's
+    canonical counts; peak is the largest support of any round from 0 to
+    the last. No starts give [].
     """
     for c in starts:
         check_canonical(c)
@@ -370,8 +372,10 @@ def run_block(
     if any(int(c.sum()) != n for c in starts):
         raise ValueError("run_block: every start must have the same n")
     gen, kappa = rng.gen, stop.kappa
+    # no support exceeds n, so a ceiling of n never stops a trial
+    above = n if stop.above is None else stop.above
     if not rule.is_ac or len(starts) == 1:
-        return [_run_until(rule, c, kappa, stop.max_rounds, gen, n) for c in starts]
+        return [_run_until(rule, c, kappa, stop.max_rounds, gen, above) for c in starts]
     k = np.array([len(c) for c in starts])
     counts = np.zeros((len(starts), k.max()), dtype=np.int64)
     for row, c in zip(counts, starts):
@@ -382,8 +386,8 @@ def run_block(
     t = 0
     while True:
         # on up to 64 rows Python's min and max are faster than numpy's
-        if min(k.tolist()) <= kappa:  # some rows stop at round t
-            done = k <= kappa
+        if min(k.tolist()) <= kappa or (above < n and max(peak.tolist()) > above):
+            done = (k <= kappa) | (peak > above)  # the rows that stop at round t
             for i in np.flatnonzero(done):
                 out[trial[i]] = (t, canonical_counts(counts[i].copy()), int(peak[i]))
             keep = ~done

@@ -1,4 +1,4 @@
-"""Deterministic seeded randomness and the multinomial one-step sampler.
+"""Deterministic seeded randomness.
 
 Every Monte-Carlo routine in the package draws from an RngStream, a
 (seed, stream_id) pair that derives an independent substream per
@@ -13,10 +13,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# InvalidProbabilityVector is raised by the probability-vector check and
-# stays importable from here, next to the samplers that surface it
-from .core import InvalidProbabilityVector, multinomial_pvals
 
 
 def _id_to_int(part) -> int:
@@ -48,37 +44,3 @@ class RngStream:
     def child(self, *ids) -> "RngStream":
         """Fresh independent substream; does not advance this stream."""
         return RngStream(self.seed, self.stream_id + tuple(ids))
-
-
-def sample_multinomial(m: int, theta, rng: RngStream) -> np.ndarray:
-    """Draw counts ~ Mult(m, theta); counts always sum to m.
-
-    numpy's generator realizes exactly the sequential conditional-binomial
-    construction (category i ~ Binomial(remaining, theta_i / remaining mass))
-    that sample_multinomial_conditional spells out as its oracle. The Monte-
-    Carlo majorization check and the rules draw from numpy directly.
-    """
-    if m < 0:
-        raise ValueError("trial count must be >= 0")
-    return rng.gen.multinomial(m, multinomial_pvals(theta))
-
-
-def sample_multinomial_conditional(m: int, theta, rng: RngStream) -> np.ndarray:
-    """Explicit conditional-binomial multinomial: the labelled oracle of
-    sample_multinomial, kept for cross-validation."""
-    if m < 0:
-        raise ValueError("trial count must be >= 0")
-    arr = multinomial_pvals(theta)
-    counts = np.zeros(len(arr), dtype=np.int64)
-    remaining = m
-    mass_left = 1.0
-    for i in range(len(arr) - 1):
-        if remaining == 0 or mass_left <= 0:
-            break
-        p = min(1.0, max(0.0, arr[i] / mass_left))
-        c = int(rng.gen.binomial(remaining, p))
-        counts[i] = c
-        remaining -= c
-        mass_left -= arr[i]
-    counts[len(arr) - 1] += remaining
-    return counts

@@ -34,7 +34,8 @@ def replay_block(rule, starts, stop, rng):
     t = 0
     while True:
         for r in list(live):
-            if len(rounds[r][-1]) <= stop.kappa:
+            last = rounds[r][-1]
+            if len(last) <= stop.kappa or (stop.above is not None and last[0] > stop.above):
                 stopped_at[r] = t
                 live.remove(r)
         if t == stop.max_rounds or not live:

@@ -197,10 +197,10 @@ MUTANTS = (
     Mutant(
         "block-two-choices-rows-from-first-start",
         "rules.py",
-        "return [_run_until(rule, c, kappa, stop.max_rounds, gen, n) for c in starts]",
+        "return [_run_until(rule, c, kappa, stop.max_rounds, gen, above) for c in starts]",
         # every 2-Choices row runs from the block's first start
-        "return [_run_until(rule, c if rule.is_ac else starts[0], kappa, stop.max_rounds, gen, n)"
-        " for c in starts]",
+        "return [_run_until(rule, c if rule.is_ac else starts[0], kappa, stop.max_rounds, gen,"
+        " above) for c in starts]",
         (
             "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[stops]",
             "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[censored]",
@@ -214,6 +214,16 @@ MUTANTS = (
         (
             "tests/test_harness.py::test_two_choices_records_come_from_one_stream_per_trial",
             "tests/test_harness.py::test_run_trials_lays_out_blocks_and_streams",
+        ),
+    ),
+    Mutant(
+        "block-rows-ignore-above",
+        "rules.py",
+        "done = (k <= kappa) | (peak > above)",
+        "done = k <= kappa",  # a lockstep row runs past its first support above the ceiling
+        (
+            "tests/test_rules.py::test_run_block_stops_at_the_first_support_above[voter-5]",
+            "tests/test_rules.py::test_run_block_stops_at_the_first_support_above[hmaj:3-5]",
         ),
     ),
     Mutant(
@@ -316,8 +326,8 @@ MUTANTS = (
     Mutant(
         "lower-bound-vacuous-window-strict",
         "harness.py",
-        "for trial in range(trials if lp < n else 0):",
-        "for trial in range(trials if lp <= n else 0):",  # ell_prime == n still draws
+        "if lp < n and t0 >= 1:",
+        "if lp <= n and t0 >= 1:",  # ell_prime == n still draws
         ("tests/test_harness.py::test_lower_bound_window_nothing_can_exceed",),
     ),
     Mutant(

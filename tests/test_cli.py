@@ -349,6 +349,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
          "epsilon"),
         (["compare", "--fast", "3maj", "--slow", "voter", "--epsilon", "inf"], "epsilon"),
         (["lower-bound", "--gamma", "inf"], "gamma"),
+        # finite, but gamma ln n or n / (gamma ell') overflows a float
+        (["lower-bound", "--gamma", "1e308"], "gamma"),
+        (["lower-bound", "--gamma", "1e-310", "--n", "64"], "gamma"),
         # an init spelling with an extra, empty or non-integer field
         (["simulate", "--init", "ncolor:7", "--n", "8"], "init: cannot parse 'ncolor:7'"),
         (["simulate", "--init", "balanced:x"], "init: cannot parse 'balanced:x'"),
@@ -367,6 +370,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["drift-bound", "--form", "additive", "--x0", "77"], "--x0"),
         (["drift-bound", "--form", "lw14", "--k-prime", "2"], "--k-prime"),
         (["drift-bound", "--form", "generalized", "--c", "2"], "--c"),
+        # a NaN drift-bound number fails its range check and is named
+        (["drift-bound", "--form", "additive", "--c", "nan"], "c = nan"),
+        (["drift-bound", "--form", "additive", "--m", "nan"], "m = nan"),
+        (["drift-bound", "--form", "additive", "--k-prime", "nan"], "k' = nan"),
+        (["drift-bound", "--form", "generalized", "--m", "nan"], "m = nan"),
+        (["drift-bound", "--form", "generalized", "--a", "nan"], "a = nan"),
+        (["drift-bound", "--form", "lw14", "--b", "nan"], "b = nan"),
         # 2-Choices has no process function to check dominance with
         (["dominance-check", "--p", "2choices", "--q", "voter", "--n", "5"], "not an AC process"),
         # a graph size that is not an integer

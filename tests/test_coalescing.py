@@ -12,7 +12,6 @@ from consensuslab.coalescing import (
     cycle_graph,
     draw_map_table,
     duality_check,
-    expected_distinct_after_step,
     graph_from_edge_list,
     run_coalescence,
     run_voter_with_maps,
@@ -20,6 +19,19 @@ from consensuslab.coalescing import (
 )
 from consensuslab.drift import step_moments
 from consensuslab.sampler import RngStream
+
+
+def expected_distinct_after_step(n: int, x: int) -> float:
+    """Exact E[X_{t+1} | X_t = x] for complete-graph neighbor-only moves.
+
+    Occupancy computation: each node v is missed by a walk at u != v with
+    probability 1 - 1/(n-1), so P(v unoccupied) = (1-1/(n-1))^(x - [v occupied]).
+    """
+    q = 1.0 - 1.0 / (n - 1)
+    # occupied nodes cannot be hit by their own walk
+    occupied = x * (1.0 - q ** (x - 1))
+    free = (n - x) * (1.0 - q**x)
+    return occupied + free
 
 
 def test_complete_graph_neighbor_map_excludes_self():

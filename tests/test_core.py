@@ -11,7 +11,6 @@ from consensuslab.core import (
     canonicalize,
     majorizes,
     multinomial_pvals,
-    prefix_functional,
     prefix_sums,
 )
 from consensuslab.rules import process_function, process_function_exact, voter_rule
@@ -141,6 +140,10 @@ def test_stop_condition_validation():
         StopCondition(kappa=0, max_rounds=10)
     with pytest.raises(ValueError):
         StopCondition(kappa=1, max_rounds=0)
+    # the support ceiling: None (never) or at least 1
+    StopCondition(above=1)
+    with pytest.raises(ValueError, match="above"):
+        StopCondition(above=0)
 
 
 def test_majorizes_integer_vectors():
@@ -196,14 +199,14 @@ def test_prefix_sums_float_input_pads_with_last_cumulative_sum():
 
 def test_prefix_functional():
     x = [1, 3, 2]
-    assert prefix_functional(x, 1) == 3
-    assert prefix_functional(x, 2) == 5
-    assert prefix_functional(x, 3) == 6
+    assert prefix_sums(x, 1)[-1] == 3
+    assert prefix_sums(x, 2)[-1] == 5
+    assert prefix_sums(x, 3)[-1] == 6
     # j beyond the support saturates at the total
-    assert prefix_functional(x, 5) == 6
+    assert prefix_sums(x, 5)[-1] == 6
 
 
 def test_prefix_functional_characterizes_majorization():
     a, b = [4, 1, 1], [2, 2, 2]
-    assert all(prefix_functional(a, j) >= prefix_functional(b, j) for j in range(1, 4))
+    assert all(prefix_sums(a, j)[-1] >= prefix_sums(b, j)[-1] for j in range(1, 4))
     assert majorizes(a, b)

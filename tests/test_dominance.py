@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from consensuslab.core import PREFIX_SLACK, StopCondition, canonicalize, majorizes, prefix_sums
+from consensuslab.core import (
+    PREFIX_SLACK,
+    StopCondition,
+    canonicalize,
+    majorizes,
+    multinomial_pvals,
+    prefix_sums,
+)
 from consensuslab.dominance import (
     EnumerationBudgetExceeded,
     NotMajorized,
@@ -21,7 +28,7 @@ from consensuslab.dominance import (
 )
 from consensuslab.harness import run_trials
 from consensuslab.rules import h_majority_rule, process_function, voter_rule
-from consensuslab.sampler import RngStream, sample_multinomial
+from consensuslab.sampler import RngStream
 
 
 def test_enumerate_configurations_counts_partitions():
@@ -174,8 +181,8 @@ def test_stochastic_majorization_batched_draw_equals_the_draw_loop(theta1, theta
     d = max(len(theta1), len(theta2))
     phi = []
     for theta, side in ((theta1, "low"), (theta2, "high")):
-        stream = rng.child(side)
-        phi.append(np.array([prefix_sums(sample_multinomial(m, theta, stream), d) for _ in range(draws)]))
+        gen, pvals = rng.child(side).gen, multinomial_pvals(theta)
+        phi.append(np.array([prefix_sums(gen.multinomial(m, pvals), d) for _ in range(draws)]))
     mean1, mean2 = phi[0].mean(axis=0), phi[1].mean(axis=0)
     sigma = np.sqrt(phi[0].var(axis=0) / draws + phi[1].var(axis=0) / draws)
     assert report.mean_low == mean1.tolist()

@@ -265,8 +265,8 @@ def test_slow_start_window_derived_quantities():
     ell_prime, t0 = slow_start_window(1000, 1, 4.0)
     assert ell_prime == max(2, math.ceil(4.0 * math.log(1000)))
     assert t0 == math.floor(1000 / (4.0 * ell_prime))
-    # t0 divides by gamma, and ceil(gamma ln n) needs it finite
-    for gamma in (0.0, -1.0, math.nan, math.inf):
+    # t0 divides by gamma, and ceil(gamma ln n) and int(t0) need finite floats
+    for gamma in (0.0, -1.0, math.nan, math.inf, 1e308, 1e-310):
         with pytest.raises(ValueError, match="gamma"):
             slow_start_window(1000, 1, gamma)
 
@@ -283,15 +283,24 @@ def test_lower_bound_window_comes_from_the_start(init):
     assert out["t0"] >= 1
 
 
-def test_lower_bound_window_nothing_can_exceed(monkeypatch):
-    # ell_prime = max(2 * 5, ceil(0.1 ln 10)) = 10 = n: no support can pass
-    # it, so every trial reports None without drawing a round
+@pytest.mark.parametrize(
+    "init, n, gamma, window",
+    [
+        # ell_prime = max(2 * 5, ceil(0.1 ln 10)) = 10 = n: no support can pass it
+        ("balanced:2", 10, 0.1, (10, 10)),
+        # ell_prime = ceil(13 ln 1000) = 90 < n, t0 = floor(1000 / 1170) = 0: no round
+        ("ncolor", 1000, 13.0, (90, 0)),
+    ],
+    ids=["ell-prime-at-n", "t0-zero"],
+)
+def test_lower_bound_window_nothing_can_exceed(monkeypatch, init, n, gamma, window):
+    # every trial reports None without drawing a round
     def no_round(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(harness, "_run_until", no_round)
-    out = run_lower_bound_experiment(initial_counts("balanced:2", 10), 0.1, 3, RngStream(0))
-    assert (out["ell_prime"], out["t0"]) == (10, 10)
+    monkeypatch.setattr(harness, "run_trials", no_round)
+    out = run_lower_bound_experiment(initial_counts(init, n), gamma, 3, RngStream(0))
+    assert (out["ell_prime"], out["t0"]) == window
     assert out["first_exceedance_times"] == [None, None, None]
     assert out["exceedance_fraction"] == 0.0
 

@@ -648,6 +648,23 @@ def test_run_block_runs_two_choices_rows_one_after_another(max_rounds):
     assert (None in [t for t, _, _ in got]) == (max_rounds == 3)
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "2choices"])
+def test_run_block_stops_at_the_first_support_above(label, rows):
+    # the ceiling on every path: 2-Choices rows, one AC start and AC rows in
+    # lockstep. From 200 colours every row stops at its first support above
+    # 20, long before consensus; the AC rows repeat the replay's draws
+    rule, n = parse_rule(label), 200
+    starts, stop = [initial_counts("ncolor", n)] * rows, StopCondition(above=20)
+    got = run_block(rule, starts, stop, RngStream(16, ("above", label, rows)))
+    for t, c, peak in got:
+        _assert_canonical_counts(c, n)
+        assert t is not None and len(c) > 1 and c[0] == peak > 20, (t, c.tolist(), peak)
+    if rule.is_ac:
+        want = replay_block(rule, starts, stop, RngStream(16, ("above", label, rows)))
+        assert [(t, tuple(c.tolist())) for t, c, _ in got] == [(t, c) for t, c, _ in want]
+
+
 def _patch_alpha(monkeypatch, edit):
     real = rules._alpha
     monkeypatch.setattr(rules, "_alpha", lambda rule, x: edit(real(rule, x).copy()))
