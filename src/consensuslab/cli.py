@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
+
+# Before the first import that loads numpy: its bundled OpenBLAS otherwise
+# starts a worker thread per extra core, which burns CPU while the library's
+# one BLAS call (a 1-d dot in the 3-Majority alpha) gains nothing from it, and
+# a threaded dot rounds alpha differently with the core count. A value the
+# user sets wins; pool workers inherit the setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .coalescing import (
@@ -31,6 +40,7 @@ from .drift import (
 from .harness import (
     ExperimentSpec,
     initial_counts,
+    json_record,
     run_experiment,
     run_lower_bound_experiment,
     run_trials,
@@ -130,7 +140,7 @@ def _emit(records: list[dict], args) -> None:
         write_jsonl(records, args.out)
     else:
         for rec in records:
-            print(json.dumps(rec, sort_keys=True))
+            print(json_record(rec))
     if args.summary:
         write_csv_summary(records, args.summary)
 
@@ -139,7 +149,7 @@ def _report(out: dict, args) -> None:
     """Stamp the subcommand and metadata, print sorted JSON, write --out."""
     out["subcommand"] = args.command
     out["metadata"] = METADATA
-    print(json.dumps(out, sort_keys=True))
+    print(json_record(out))
     if args.out:
         write_jsonl([out], args.out)
 
@@ -253,14 +263,22 @@ def cmd_drift_bound(args) -> int:
     if unread:
         raise UsageError(f"drift-bound: --form {args.form} does not read {_flag(unread[0])}")
     v = {key: DRIFT_DEFAULTS[key] if getattr(args, key) is None else getattr(args, key) for key in reads}
-    if args.form == "additive":
-        res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
-    else:
-        h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
-        if args.form == "lw14":
-            res = variable_drift_bound_lw14(h, v["x0"])
+    infinite = [key for key in reads if math.isinf(v[key])]  # a NaN fails drift's range checks
+    if infinite:
+        raise UsageError(f"drift-bound: {_flag(infinite[0])} must be finite, got {v[infinite[0]]}")
+    try:
+        if args.form == "additive":
+            res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
         else:
-            res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
+            h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
+            if args.form == "lw14":
+                res = variable_drift_bound_lw14(h, v["x0"])
+            else:
+                res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
+    except ArithmeticError:  # x**b overflows, or h(x) underflows to 0 under a division
+        res = None
+    if res is None or not math.isfinite(res.bound):  # the bound includes the error estimate
+        raise UsageError("drift-bound: the bound overflows a float")
     out = {
         "form": res.form_used,
         "bound": res.bound,

@@ -348,10 +348,16 @@ def run_two_phase_check(
 # output
 
 
+def json_record(rec: dict) -> str:
+    """One record as sorted JSON. NaN or an infinity raises ValueError, since
+    JSON has no token for them."""
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
 def write_jsonl(records: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json_record(rec) + "\n")
 
 
 def write_csv_summary(records: list[dict], path: str) -> None:

@@ -355,6 +355,13 @@ MUTANTS = (
         "return np.where(r > nodes, r + 1, r)",
         ("tests/test_coalescing.py::test_complete_graph_neighbor_map_excludes_self",),
     ),
+    Mutant(
+        "cli-threaded-blas",
+        "cli.py",
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "",  # numpy's OpenBLAS starts its worker thread per extra core again
+        ("tests/test_cli.py::test_cli_runs_blas_on_one_thread",),
+    ),
 )
 
 
@@ -369,7 +376,9 @@ def _copy_tree(dest: str) -> None:
 
 def _run_pytest(tree: str, tests) -> tuple[int, list[str], float]:
     """(exit code, failed test ids, seconds) of pytest on `tests` in `tree`."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    # one BLAS thread per child: numpy's OpenBLAS would start an idle worker
+    # per extra core in each of the JOBS children; a value already set wins
+    env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     try:

@@ -310,6 +310,70 @@ def test_drift_bound_subcommand():
     assert rec["bound"] == 50.0
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # an infinite input, named by its flag
+        (["--form", "additive", "--m", "inf"], "--m must be finite, got inf"),
+        (["--form", "additive", "--m=-inf"], "--m must be finite, got -inf"),
+        (["--form", "generalized", "--m", "inf", "--x-max", "inf"], "--x-max must be finite"),
+        (["--form", "lw14", "--x-max", "inf", "--x0", "inf"], "--x-max must be finite"),
+        # finite inputs whose bound is not: (m - k')/c, x_min/h(x_min), x**b and 1/h(x)
+        (["--form", "additive", "--c", "1e-320", "--m", "1e10"], "the bound overflows"),
+        (["--form", "lw14", "--a", "1e-320"], "the bound overflows"),
+        (["--form", "lw14", "--x-min", "1e200", "--x-max", "1e201", "--x0", "1e200", "--b", "2"],
+         "the bound overflows"),
+        (["--form", "lw14", "--x-min", "1e-300", "--x-max", "2e-300", "--x0", "2e-300", "--b", "3"],
+         "the bound overflows"),
+    ],
+)
+def test_drift_bound_rejects_infinite_inputs_and_bounds(capsys, flags, named):
+    assert main(["drift-bound", *flags]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert named in captured.err, captured.err
+
+
+def test_reports_print_no_non_json_token(monkeypatch, capsys, tmp_path):
+    # JSON has no NaN or Infinity: such a report is an error, neither printed nor written
+    monkeypatch.setattr(cli, "run_two_phase_check", lambda *a, **k: {"x": float("nan")})
+    out = tmp_path / "out.jsonl"
+    assert main(["two-phase", "--out", str(out)]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "JSON" in captured.err
+    assert not out.exists()
+
+
+def _after_cli_import(openblas_threads):
+    """(Threads:, OPENBLAS_NUM_THREADS) of a fresh interpreter that has run
+    `import consensuslab.cli`, with the variable unset or given its value."""
+    env = {k: v for k, v in CLI_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    code = (
+        "import os, consensuslab.cli\n"
+        "status = dict(line.split(':', 1) for line in open('/proc/self/status'))\n"
+        "print(status['Threads'].strip(), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.split())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_cli_runs_blas_on_one_thread():
+    # numpy's OpenBLAS starts a worker per extra core unless told otherwise
+    # (on one core it starts none, and this test cannot tell)
+    assert _after_cli_import(None) == ("1", "1")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_cli_keeps_a_given_blas_thread_count():
+    assert _after_cli_import("2")[1] == "2"
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli("simulate", "--rule", "nope").returncode == USAGE_ERROR
     assert run_cli("simulate", "--rule", "voter", "--n", "0").returncode == USAGE_ERROR
