@@ -15,10 +15,9 @@ import os
 import sys
 
 # Before the first import that loads numpy: its bundled OpenBLAS otherwise
-# starts a worker thread per extra core, which burns CPU while the library's
-# one BLAS call (a 1-d dot in the 3-Majority alpha) gains nothing from it, and
-# a threaded dot rounds alpha differently with the core count. A value the
-# user sets wins; pool workers inherit the setting.
+# starts a worker thread per extra core, which burns CPU though the library
+# makes no BLAS call. A value the user sets wins; pool workers inherit the
+# setting.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
@@ -266,18 +265,15 @@ def cmd_drift_bound(args) -> int:
     infinite = [key for key in reads if math.isinf(v[key])]  # a NaN fails drift's range checks
     if infinite:
         raise UsageError(f"drift-bound: {_flag(infinite[0])} must be finite, got {v[infinite[0]]}")
-    try:
-        if args.form == "additive":
-            res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
+    if args.form == "additive":
+        res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
+    else:
+        h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
+        if args.form == "lw14":
+            res = variable_drift_bound_lw14(h, v["x0"])
         else:
-            h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
-            if args.form == "lw14":
-                res = variable_drift_bound_lw14(h, v["x0"])
-            else:
-                res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
-    except ArithmeticError:  # x**b overflows, or h(x) underflows to 0 under a division
-        res = None
-    if res is None or not math.isfinite(res.bound):  # the bound includes the error estimate
+            res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
+    if not math.isfinite(res.bound):  # the bound includes the error estimate
         raise UsageError("drift-bound: the bound overflows a float")
     out = {
         "form": res.form_used,

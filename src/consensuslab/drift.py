@@ -77,9 +77,15 @@ class DriftFunction:
     def __call__(self, x: float) -> float:
         if not (self.x_min - 1e-12 <= x <= self.x_max + 1e-12):
             raise DriftDomainError(f"x = {x} outside [{self.x_min}, {self.x_max}]")
-        if self.is_power_law:
-            return self.a * x**self.b
-        return float(np.interp(x, self.grid_x, self.grid_h))
+        if not self.is_power_law:
+            return float(np.interp(x, self.grid_x, self.grid_h))
+        try:
+            value = self.a * x**self.b
+        except OverflowError:
+            value = math.inf
+        if not 0 < value < math.inf:  # the bounds divide by h
+            raise DriftDomainError(f"the bound overflows a float: h({x}) is out of range")
+        return value
 
 
 def power_law(a: float, b: float, x_min: float, x_max: float) -> DriftFunction:
@@ -114,7 +120,10 @@ def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> tuple[float, fl
         a, b = h.a, h.b
         if b == 1.0:
             return math.log(hi / lo) / a, 0.0
-        val = (hi ** (1.0 - b) - lo ** (1.0 - b)) / (a * (1.0 - b))
+        try:
+            val = (hi ** (1.0 - b) - lo ** (1.0 - b)) / (a * (1.0 - b))
+        except ArithmeticError:  # y**(1 - b) overflows, or a * (1 - b) underflows to 0
+            raise DriftDomainError(f"the bound overflows a float: 1/h over [{lo}, {hi}]") from None
         return val, 0.0
     # composite trapezoid on the grid restricted to [lo, hi], with the
     # standard (b-a) h_step^2 / 12 * max|f''| estimate via divided differences

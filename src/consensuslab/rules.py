@@ -9,7 +9,6 @@ module, where the duality coupling requires it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,19 +19,15 @@ import numpy as np
 from .core import StopCondition, canonical_counts, check_canonical, multinomial_pvals
 from .sampler import RngStream
 
-ENUM_BUDGET = 10**7  # guard on k**h for the exact plurality enumeration
 # run_block's rows: at most BLOCK_ROWS, and at most BLOCK_CELLS counts once n
 # exceeds BLOCK_CELLS / BLOCK_ROWS, so an int64 block stays within 16 MB
 BLOCK_ROWS = 64
 BLOCK_CELLS = 2**21
+DP_NUMBERS = 2**22  # plurality_alpha's working numbers per slice of rows: 32 MB of floats
 
 
 class NotAnACProcess(ValueError):
     """2-Choices has no process function: adoption depends on own color."""
-
-
-class TooManyColorsForExactH(ValueError):
-    pass
 
 
 VOTER = "Voter"
@@ -93,88 +88,91 @@ def parse_rule(text: str) -> UpdateRule:
 
 
 def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
-    # alpha_i = x_i * (1 + x_i - ||x||_2^2) along the last axis; exact on an
-    # object array of Fractions
-    sq = x.dot(x) if x.ndim == 1 else np.einsum("ij,ij->i", x, x)[:, None]
+    # alpha_i = x_i * (1 + x_i - ||x||_2^2) along the last axis; one einsum for
+    # every shape calls no BLAS kernel, and is exact on Fractions
+    sq = np.expand_dims(np.einsum("...i,...i->...", x, x), -1)
     return x * (1 + x - sq)
 
 
-def plurality_enumeration_alpha(x: np.ndarray, h: int) -> np.ndarray:
-    """Exact h-sample plurality adoption probabilities by enumeration.
+@functools.cache
+def _plurality_layout(h: int, exact: bool) -> tuple[np.ndarray, ...]:
+    """plurality_alpha's DP for h samples, as read-only arrays (start, step,
+    prefix, suffix, count, weight, factorial).
 
-    Sums over all count vectors of the h samples (multinomial support); a
-    color attaining the maximum multiplicity wins, ties split uniformly
-    among the tied sampled colors. Computes in x's dtype, so an object
-    array of Fractions gives the exact rational alpha. On floats the result
-    is bit-identical to a loop over _compositions with _multinomial_pmf:
-    each pmf multiplies in color order and alpha accumulates in
-    _compositions order.
+    State (m, r, t), for each winning count m in 1..h: the colors seen so
+    far took r <= h - m samples, none more than m, and t of them exactly m;
+    start is 1 at r = 0. Index S, one past the last state, is a zero slot.
+    step[c, s] is the state from which a color taking c samples reaches s
+    (S if none). Pair p joins prefix state prefix[p] and suffix state
+    suffix[p] of equal m = count[p] whose r add up to h - m, with weight
+    h! / (t + 1), t the colors of both tied at m. factorial holds c! at
+    c = 0..h. Numbers are Python ints and Fractions in object arrays when
+    exact, floats otherwise.
     """
-    k = len(x)
-    if k**h > ENUM_BUDGET:
-        raise TooManyColorsForExactH(f"k^h = {k}^{h} exceeds enumeration budget")
-    table = _sample_table(h, k)
-    # x_i**c by _multinomial_pmf's scalar expression (an array power may
-    # round differently), and c!, both at index i * (h + 1) + c
-    power = np.array([xi**c for xi in x for c in range(h + 1)], dtype=x.dtype)
-    factorial = np.array(table.factorials, dtype=x.dtype)
-    p = math.factorial(h)
-    for run in table.runs:
-        p = p * power[run] / factorial[run]
-    share = p / table.ties
-    alpha = np.zeros(k, dtype=x.dtype)
-    np.add.at(alpha, table.winner, share[table.winner_row])
-    return alpha
-
-
-@dataclass(frozen=True)
-class _SampleTable:
-    """Every multiset of h samples from k colors, one row each, in
-    _compositions order.
-
-    runs[j, r] is row r's j-th sampled color i, in increasing i, with its
-    count c, as i * (h + 1) + c; a row of fewer than min(h, k) colors is
-    padded with 0, the index of x_0**0 / 0!. ties[r] counts the colors that
-    share row r's largest count; winner_row and winner list each such
-    (row, color) pair, rows in order and colors increasing within a row.
-    factorials holds c! at every i * (h + 1) + c, as Python ints.
-    """
-
-    runs: np.ndarray
-    ties: np.ndarray
-    winner_row: np.ndarray
-    winner: np.ndarray
-    factorials: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=32)
-def _sample_table(h: int, k: int) -> _SampleTable:
-    """The _SampleTable of (h, k), read-only, built without a Python loop
-    over its rows."""
-    rows, m = math.comb(k + h - 1, h), min(h, k)
-    # the sorted sample tuples come in the reverse of _compositions order
-    samples = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), h)),
-        dtype=np.intp, count=rows * h,
-    ).reshape(rows, h)[::-1]
-    new_color = np.ones((rows, h), dtype=bool)
-    new_color[:, 1:] = samples[:, 1:] != samples[:, :-1]
-    cell = np.arange(rows)[:, None] * m + np.cumsum(new_color, axis=1) - 1
-    count = np.bincount(cell.ravel(), minlength=rows * m).reshape(rows, m)
-    color = np.zeros((rows, m), dtype=np.intp)
-    np.put(color, cell, samples)
-    win = count == count.max(axis=1, keepdims=True)
-    winner_row, winner_run = np.nonzero(win)
-    table = _SampleTable(
-        runs=np.ascontiguousarray((color * (h + 1) + count).T),
-        ties=win.sum(axis=1),
-        winner_row=winner_row,
-        winner=color[winner_row, winner_run],
-        factorials=tuple(math.factorial(c) for c in range(h + 1)) * k,
-    )
-    for a in (table.runs, table.ties, table.winner_row, table.winner):
+    states = [
+        (m, r, t) for m in range(1, h + 1) for r in range(h - m + 1) for t in range(r // m + 1)
+    ]
+    index = {s: i for i, s in enumerate(states)}
+    zero = len(states)
+    step = np.full((h + 1, zero + 1), zero, dtype=np.intp)
+    for i, (m, r, t) in enumerate(states):
+        for c in range(min(m, r) + 1):  # no other color takes more than m
+            step[c, i] = index.get((m, r - c, t - (c == m)), zero)
+    pairs = [
+        (index[m, r, t], index[m, h - m - r, u], m, Fraction(math.factorial(h), t + u + 1))
+        for m, r, t in states
+        for u in range((h - m - r) // m + 1)
+    ]
+    prefix, suffix, count, weight = (np.array(column) for column in zip(*pairs))
+    dtype = object if exact else np.float64
+    start = np.array([int(r == 0) for m, r, t in states] + [0], dtype=dtype)
+    factorial = np.array([Fraction(math.factorial(c)) for c in range(h + 1)], dtype=dtype)
+    layout = (start, step, prefix, suffix, count, weight.astype(dtype), factorial)
+    for a in layout:
         a.flags.writeable = False
-    return table
+    return layout
+
+
+def plurality_alpha(x: np.ndarray, h: int) -> np.ndarray:
+    """Exact h-sample plurality adoption probabilities of fractions x, 1-d
+    or one configuration per row: the largest of the h samples' counts
+    wins, and a tie splits uniformly among the tied colors.
+
+    A DP over the colors: a prefix and a suffix pass carry, per
+    _plurality_layout state, the sum of prod x_i^c_i / c_i! over the counts
+    c_i of the colors before (after) color j, and color j's share joins the
+    two with x_j^m / m!. Computes in x's dtype: Fractions give the exact
+    alpha. A zero color leaves every state as it is, so zeros anywhere in a
+    row leave the other entries' bits as they are without them.
+    """
+    start, step, prefix, suffix, count, weight, factorial = _plurality_layout(h, x.dtype == object)
+    rows = x.reshape(-1, x.shape[-1])
+    k, size = rows.shape[1], len(start)
+    alpha = np.empty_like(rows)
+    # per entry of x the DP holds two states and a number per pair: the rows
+    # go through in slices that keep those within DP_NUMBERS
+    per = max(1, DP_NUMBERS // (k * (2 * size + len(prefix))))
+    for first in range(0, len(rows), per):
+        xt = rows[first : first + per].T
+        power = [np.ones_like(xt)]
+        for _ in range(h):
+            power.append(power[-1] * xt)
+        coef = np.stack(power, axis=-1) / factorial  # [j, row, c] = x_j^c / c!
+        # run[j] holds, row by row, the prefix state before color j, then
+        # the suffix state after color k - 1 - j: one gather per color for both
+        nrows = xt.shape[1]
+        run = np.empty((k, 2 * nrows, size), dtype=x.dtype)
+        run[0] = start
+        both = np.concatenate((coef[:-1], coef[:0:-1]), axis=1)[..., None]
+        source = step + size * np.arange(2 * nrows)[:, None, None]
+        for j in range(1, k):
+            moved = run[j - 1].take(source)
+            moved *= both[j - 1]
+            np.add.reduce(moved, axis=1, out=run[j])
+        share = run[:, :nrows, prefix] * run[::-1, nrows:, suffix]
+        share *= weight * coef[..., count]
+        alpha[first : first + per] = np.add.reduce(share, axis=-1).T
+    return alpha.reshape(x.shape)
 
 
 def _compositions(total: int, parts: int):
@@ -209,13 +207,7 @@ def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
         return x
     if rule.h == 3:
         return _three_majority_alpha(x)
-    if x.ndim == 1:
-        return plurality_enumeration_alpha(x, rule.h)
-    alpha = np.zeros_like(x)
-    for row, a in zip(x, alpha):  # each row on its own colors: the k^h guard sees its k
-        live = row > 0
-        a[live] = plurality_enumeration_alpha(row[live], rule.h)
-    return alpha
+    return plurality_alpha(x, rule.h)
 
 
 def _checked(alpha: np.ndarray) -> np.ndarray:
@@ -233,8 +225,7 @@ def process_function(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
 
 
 def process_function_exact(rule: UpdateRule, c: np.ndarray) -> list[Fraction]:
-    """Process function over exact rationals, for every AC rule (h >= 4
-    within the enumeration's k^h guard)."""
+    """Process function over exact rationals, for every AC rule."""
     check_canonical(c)
     # Fractions of Python ints: int64 parts would overflow silently in x**h
     counts = c.tolist()

@@ -256,34 +256,42 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "plurality-no-tie-split",
+        "plurality-tie-weight-one",
         "rules.py",
-        "win = count == count.max(axis=1, keepdims=True)",
-        "win = np.arange(m) == count.argmax(axis=1)[:, None]",  # the first tied colour takes all
-        (
-            "tests/test_rules.py::test_h_majority_alpha_matches_per_node_simulation",
-            "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
-        ),
-    ),
-    Mutant(
-        "plurality-table-forward-order",
-        "rules.py",
-        ").reshape(rows, h)[::-1]",
-        ").reshape(rows, h)",  # alpha sums its rows in another order
+        "Fraction(math.factorial(h), t + u + 1)",
+        "Fraction(math.factorial(h))",  # every tied colour takes the whole share
         (
             "tests/test_rules.py::test_plurality_alpha_equals_the_enumeration_loop[4]",
-            "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
+            "tests/test_rules.py::test_h_majority_alpha_matches_per_node_simulation",
         ),
     ),
     Mutant(
-        "plurality-float-factorials",
+        "plurality-float-tie-weight",
         "rules.py",
-        "factorials=tuple(math.factorial(c) for",
-        "factorials=tuple(float(math.factorial(c)) for",  # a Fraction over a float is a float
+        "Fraction(math.factorial(h), t + u + 1)",
+        "math.factorial(h) / (t + u + 1)",  # a Fraction times a float is a float
         (
             "tests/test_rules.py::test_process_function_exact_keeps_python_int_fractions",
             "tests/test_rules.py::test_plurality_alpha_equals_the_enumeration_loop[4]",
         ),
+    ),
+    Mutant(
+        "plurality-others-above-winner",
+        "rules.py",
+        "for c in range(min(m, r) + 1):",
+        "for c in range(r + 1):",  # a colour counted as losing may out-sample the winner
+        (
+            "tests/test_rules.py::test_plurality_alpha_equals_the_enumeration_loop[4]",
+            "tests/test_dominance.py::test_check_dominance_report_is_bit_stable",
+        ),
+    ),
+    Mutant(
+        "three-majority-blas-dot",
+        "rules.py",
+        'sq = np.expand_dims(np.einsum("...i,...i->...", x, x), -1)',
+        # the 1-d path through OpenBLAS, whose kernel the CPU picks
+        'sq = x.dot(x) if x.ndim == 1 else np.expand_dims(np.einsum("...i,...i->...", x, x), -1)',
+        ("tests/test_dominance.py::test_check_dominance_report_is_the_same_under_every_blas_kernel",),
     ),
     Mutant(
         "exact-alpha-int64-fractions",

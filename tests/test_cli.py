@@ -206,6 +206,19 @@ def test_simulate_spec_file_combines_with_output_flags(tmp_path, capsys):
     assert summary.read_text().startswith("rule,")
 
 
+@pytest.mark.parametrize(
+    "rule, init, n", [("hmaj:4", "ncolor", "256"), ("hmaj:5", "balanced:40", "400")]
+)
+def test_simulate_h_majority_from_many_colors(capsys, rule, init, n):
+    # C(259, 4) ~ 1.8e8 sample multisets at the start: the plurality DP
+    # walks the 256 colors, with no limit on k^h
+    code = main(["simulate", "--rule", rule, "--init", init, "--n", n, "--trials", "4", "--seed", "0"])
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["trial"] for r in records] == [0, 1, 2, 3]
+    assert all(r["stop_time"] >= 1 for r in records)
+
+
 def test_simulate_flag_defaults():
     args = cli.build_parser().parse_args(["simulate"])
     assert cli._spec_from_args(args) == ExperimentSpec(

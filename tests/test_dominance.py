@@ -1,12 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import consensuslab
 from consensuslab.core import (
     PREFIX_SLACK,
     StopCondition,
@@ -104,12 +110,12 @@ def _dominance_oracle(rule_p, rule_q, n):
         (
             h_majority_rule(4),
             h_majority_rule(3),
-            "b46d312332343a8174f48a7f60ddc9835fe46b023aa51518d44e6a59ca1e78d6",
+            "259b8cab66dd46650e9cc08adfa8241b8f5712d8fd4eb5e9718ac585ac8a7c29",
         ),
         (
             voter_rule(),
             h_majority_rule(3),
-            "21b560d670bcec73a901301da9edb37426cdd5b29fe41c197522bc8a850b3e26",
+            "343c6dce619e69e6a576c31482cedcc176ccfae3c5d3ace3195f4c8b34ca3bd5",
         ),
     ],
     ids=["hmaj4-hmaj3", "voter-hmaj3"],
@@ -120,6 +126,34 @@ def test_check_dominance_report_is_bit_stable(rule_p, rule_q, digest):
     report = check_dominance(rule_p, rule_q, 12).to_dict()
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+_REPORT_CODE = """
+import json, sys
+from consensuslab.dominance import check_dominance
+from consensuslab.rules import h_majority_rule
+report = check_dominance(h_majority_rule(4), h_majority_rule(3), 12).to_dict()
+sys.stdout.write(json.dumps(report, sort_keys=True))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
+)
+def test_check_dominance_report_is_the_same_under_every_blas_kernel():
+    # numpy's OpenBLAS picks its kernels by CPU; Prescott's, the oldest
+    # x86-64 one, must give the report this process gives, byte for byte
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(consensuslab.__file__).resolve().parents[1]),
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_CODE], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = check_dominance(h_majority_rule(4), h_majority_rule(3), 12).to_dict()
+    assert proc.stdout == json.dumps(report, sort_keys=True)
 
 
 @pytest.mark.parametrize(

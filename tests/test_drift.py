@@ -60,6 +60,24 @@ def test_generalized_bound_zero_floor_adds_head_term():
     assert np.isclose(r.bound, 0.5 + 9.0 / 2.0)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        # h(x_min) = (1e-300)**3 underflows to 0 under the head's division
+        lambda: variable_drift_bound_lw14(power_law(1, 3, 1e-300, 2e-300), 2e-300),
+        # x**2 overflows at x = 1e200 and beyond
+        lambda: variable_drift_bound_lw14(power_law(1, 2, 1e200, 1e201), 1e201),
+        lambda: power_law(1, 2, 1e200, 1e201)(1e201),
+        # a * (1 - b) underflows to 0 under the integral's division
+        lambda: variable_drift_bound_generalized(power_law(5e-324, 1.5, 1.0, 10.0), 10.0, 2.0),
+    ],
+    ids=["h-underflows", "bound-overflows", "h-overflows", "integral-divides-by-zero"],
+)
+def test_bounds_out_of_float_range_raise_drift_domain_error(bound):
+    with pytest.raises(DriftDomainError, match="the bound overflows a float"):
+        bound()
+
+
 def test_quadrature_matches_closed_form_random_power_laws():
     gen = RngStream(77).gen
     for trial in range(20):

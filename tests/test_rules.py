@@ -21,12 +21,11 @@ from consensuslab.harness import (
 )
 from consensuslab.rules import (
     NotAnACProcess,
-    TooManyColorsForExactH,
     UpdateRule,
     expected_fraction_after_step,
     h_majority_rule,
     parse_rule,
-    plurality_enumeration_alpha,
+    plurality_alpha,
     process_function,
     process_function_exact,
     node_round,
@@ -105,8 +104,7 @@ def test_three_majority_closed_form_matches_enumeration():
         c = canonicalize(counts)
         x = c / c.sum()
         closed = process_function(h_majority_rule(3), c)
-        enum = plurality_enumeration_alpha(x, 3)
-        assert np.allclose(closed, enum, atol=1e-12)
+        assert np.allclose(closed, _enumeration_loop(x, 3), atol=1e-12)
 
 
 def test_three_majority_exact_value():
@@ -140,22 +138,23 @@ def test_process_function_exact_keeps_python_int_fractions():
 def test_plurality_alpha_is_probability_vector():
     x = np.array([0.4, 0.3, 0.2, 0.1])
     for h in (3, 4, 5):
-        alpha = plurality_enumeration_alpha(x, h)
+        alpha = plurality_alpha(x, h)
         assert np.isclose(alpha.sum(), 1.0)
         assert (alpha >= 0).all()
         # heavier colors never end up less likely
         assert np.all(np.diff(alpha) <= 1e-12)
 
 
-def test_plurality_enumeration_budget_guard():
-    x = np.full(100, 0.01)
-    with pytest.raises(TooManyColorsForExactH):
-        plurality_enumeration_alpha(x, 6)
+def test_plurality_alpha_from_many_colors():
+    # C(105, 6) ~ 1.6e9 sample multisets: the DP walks 100 colors instead
+    alpha = plurality_alpha(np.full(100, 0.01), 6)
+    assert np.allclose(alpha, 0.01, rtol=1e-13, atol=0)
+    assert math.isclose(alpha.sum(), 1.0, rel_tol=1e-13)
 
 
 def _enumeration_loop(x, h):
-    """plurality_enumeration_alpha as a Python loop over _compositions: its
-    oracle, exact in floats as well as in Fractions."""
+    """plurality_alpha as a Python loop over _compositions: its oracle,
+    exact in Fractions."""
     alpha = np.zeros(len(x), dtype=x.dtype)
     for counts in rules._compositions(h, len(x)):
         p = rules._multinomial_pmf(counts, x)
@@ -173,29 +172,43 @@ def _enumeration_loop(x, h):
 def test_plurality_alpha_equals_the_enumeration_loop(h):
     rng = np.random.default_rng(h)
     for k in range(1, 13):
-        if k**h > rules.ENUM_BUDGET:
-            continue
-        # the sample table lists the count vectors in _compositions order
-        table = rules._sample_table(h, k)
-        rows = np.arange(table.runs.shape[1])
-        counts = np.zeros((len(rows), k), dtype=np.int64)
-        np.add.at(counts, (rows, table.runs // (h + 1)), table.runs % (h + 1))
-        assert tuple(counts[0]) == (0,) * (k - 1) + (h,)
-        assert counts.tolist() == [list(c) for c in rules._compositions(h, k)]
-        # floats with ties, then with zeros: bit-identical to the loop
-        v = rng.random(k)
-        v[rng.integers(0, k, size=k // 2 + 1)] = v[0]
-        w = rng.random(k)
-        w[rng.integers(0, k, size=k // 3 + 1)] = 0.0
-        for x in (v / v.sum(), w / w.sum() if w.any() else w):
-            assert np.array_equal(plurality_enumeration_alpha(x, h), _enumeration_loop(x, h))
-        # Fractions with ties and zeros: equal to the loop's exact alpha
+        # counts with ties and zeros: equal to the loop's exact alpha
         c = rng.integers(0, 4, size=k)
         c[rng.integers(0, k)] = 0
         n = max(int(c.sum()), 1)
         x = np.array([Fraction(int(ci), n) for ci in c], dtype=object)
-        got = plurality_enumeration_alpha(x, h)
-        assert got.dtype == object and (got == _enumeration_loop(x, h)).all()
+        exact = _enumeration_loop(x, h)
+        got = plurality_alpha(x, h)
+        assert got.dtype == object and all(type(a) is Fraction for a in got)
+        assert (got == exact).all()
+        # floats: within 1e-14 of the exact rational
+        approx = plurality_alpha(c / n, h)
+        assert np.max(np.abs(approx - exact.astype(float))) <= 1e-14
+
+
+@pytest.mark.parametrize("h", [4, 5, 8])
+def test_plurality_alpha_rows_ignore_zeros(h, monkeypatch):
+    # a zero color anywhere in a row of a block leaves the other entries'
+    # bits as the 1-d call on the row's nonzero entries gives them, whether
+    # the block goes through whole or (DP_NUMBERS = 1) one row at a time
+    rng = np.random.default_rng(h)
+    for k in range(1, 10):
+        v = rng.random(k)
+        v[rng.integers(0, k, size=k // 2)] = v[0]  # ties
+        v /= v.sum()
+        block = np.zeros((4, k + 6))
+        live = [np.sort(rng.choice(k + 6, size=k, replace=False)) for _ in block]
+        live[0] = np.arange(k)
+        for row, cols in zip(block, live):
+            row[cols] = v
+        alpha = plurality_alpha(block, h)
+        want = plurality_alpha(v, h)
+        for a, cols in zip(alpha, live):
+            assert np.array_equal(a[cols], want)
+            assert not np.delete(a, cols).any()
+        with monkeypatch.context() as patch:
+            patch.setattr(rules, "DP_NUMBERS", 1)
+            assert np.array_equal(plurality_alpha(block, h), alpha)
 
 
 def test_h_majority_alpha_matches_per_node_simulation():
