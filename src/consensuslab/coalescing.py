@@ -118,17 +118,17 @@ def _distinct_per_row(a: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
 
 
-def run_coalescence(g: Graph, maps: np.ndarray) -> np.ndarray:
-    """Walk count at every t in 0..t_max of walks run through the map table:
-    X_t = Y_{t-1}(X_{t-1})."""
-    pos = np.empty((len(maps) + 1, g.n), dtype=np.int64)
-    pos[0] = np.arange(g.n)
+def run_coalescence(maps: np.ndarray) -> np.ndarray:
+    """Walk count at every t in 0..t_max of walks run through the (t_max, n)
+    map table: X_t = Y_{t-1}(X_{t-1})."""
+    pos = np.empty((len(maps) + 1, maps.shape[1]), dtype=np.int64)
+    pos[0] = np.arange(maps.shape[1])
     for t, row in enumerate(maps):
         pos[t + 1] = row[pos[t]]
     return _distinct_per_row(pos)
 
 
-def run_voter_with_maps(g: Graph, maps: np.ndarray, tau: int) -> int:
+def run_voter_with_maps(maps: np.ndarray, tau: int) -> int:
     """Opinion count after tau Voter rounds run through the reversed maps.
 
     The literal per-tau oracle of `_voter_counts_all_horizons`. Every node
@@ -137,14 +137,14 @@ def run_voter_with_maps(g: Graph, maps: np.ndarray, tau: int) -> int:
     """
     if tau > len(maps):
         raise ValueError("tau exceeds available map rounds")
-    opinions = np.arange(g.n)
+    opinions = np.arange(maps.shape[1])
     for r in range(1, tau + 1):
         opinions = opinions[maps[tau - r]]
     return int(np.unique(opinions).size)
 
 
-def _voter_counts_all_horizons(g: Graph, maps: np.ndarray) -> np.ndarray:
-    """`run_voter_with_maps(g, maps, tau)` for every tau in 0..t_max at once.
+def _voter_counts_all_horizons(maps: np.ndarray) -> np.ndarray:
+    """`run_voter_with_maps(maps, tau)` for every tau in 0..t_max at once.
 
     Binary lifting: horizon tau pulls through one window of 2^j rounds per
     set bit j of tau, lowest bit first, so the windows run from round tau-1
@@ -153,7 +153,7 @@ def _voter_counts_all_horizons(g: Graph, maps: np.ndarray) -> np.ndarray:
     """
     t_max = len(maps)
     taus = np.arange(t_max + 1)
-    opinions = np.tile(np.arange(g.n), (t_max + 1, 1))
+    opinions = np.tile(np.arange(maps.shape[1]), (t_max + 1, 1))
     window = maps
     length = 1
     while length <= t_max:
@@ -166,18 +166,18 @@ def _voter_counts_all_horizons(g: Graph, maps: np.ndarray) -> np.ndarray:
     return _distinct_per_row(opinions)
 
 
-def duality_check(g: Graph, t_max: int, rng: RngStream) -> bool:
-    """Assert the exact duality: voter opinions == walk count at every tau."""
+def duality_check(g: Graph, t_max: int, rng: RngStream) -> None:
+    """Check the exact duality on one map table drawn on g: voter opinions
+    == walk count at every tau, else raise CouplingViolation."""
     maps = draw_map_table(g, t_max, rng)
-    walks = run_coalescence(g, maps)
-    voter = _voter_counts_all_horizons(g, maps)
+    walks = run_coalescence(maps)
+    voter = _voter_counts_all_horizons(maps)
     bad = np.flatnonzero(voter != walks)
     if bad.size:
         tau = int(bad[0])
         raise CouplingViolation(
             f"tau={tau}: voter has {voter[tau]} opinions, walks number {walks[tau]}"
         )
-    return True
 
 
 def _walk_classes(g: Graph) -> int:

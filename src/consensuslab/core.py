@@ -40,8 +40,10 @@ class InvalidProbabilityVector(ValueError):
 def multinomial_pvals(probs, rows: bool = False) -> np.ndarray:
     """The probability-vector check, then probs (any array-like) clipped at 0
     and rescaled to sum 1, for numpy's multinomial. With rows=True probs is
-    a 2-d array whose rows are checked and rescaled each as a 1-d vector."""
-    arr = np.asarray(probs, dtype=float)
+    a 2-d array whose rows are checked and rescaled each as a 1-d vector.
+    probs is read in C order: the rounding of a row's sum depends on the
+    memory layout, and the pvals must not."""
+    arr = np.asarray(probs, dtype=float, order="C")
     if arr.ndim != 1 + rows or arr.size == 0:
         raise InvalidProbabilityVector(
             f"probability {'rows' if rows else 'vector'} must be non-empty and "

@@ -200,7 +200,6 @@ def step_moments(
 
 @dataclass
 class BoundValidationReport:
-    drift_ok: bool
     drift_points: list[tuple[float, float, float]]  # (x, empirical drop, required h(x))
     bound: float
     empirical_mean_time: float  # inf once a trial is censored
@@ -223,26 +222,25 @@ def validate_bound(
 
     chain(x, gen) draws the next state from x. (a) estimates
     E[X_t - X_{t+1} | X_t = x] at a few states, state i from
-    rng.child("drift", i), and requires it to reach h(x) within 3 standard
-    errors; (b) runs trial j from rng.child("time", j) until X <= k and
-    requires the mean hitting time to stay below the computed bound +
-    3 sigma. A trial still above k after max_rounds steps is censored: its
-    time is unknown, so the bound fails.
+    rng.child("drift", i), and raises HypothesisFailed unless it reaches
+    h(x) within 3 standard errors at each; (b) runs trial j from
+    rng.child("time", j) until X <= k and requires the mean hitting time to
+    stay below the computed bound + 3 sigma. A trial still above k after
+    max_rounds steps is censored: its time is unknown, so the bound fails.
     """
     # (a) drift hypothesis at sampled states
     xs = np.unique(
         np.clip(np.linspace(max(k + 1, h.x_min), min(x0, h.x_max), 5).round(), k + 1, x0)
     )
     drift_points = []
-    drift_ok = True
+    failed = False
     for i, x in enumerate(xs):
         mean, sigma = step_moments(chain, float(x), drift_samples, rng.child("drift", i).gen)
         mean_drop = float(x) - mean
         required = h(float(x))
         drift_points.append((float(x), mean_drop, required))
-        if mean_drop < required - 3 * sigma:
-            drift_ok = False
-    if not drift_ok:
+        failed = failed or mean_drop < required - 3 * sigma
+    if failed:
         raise HypothesisFailed(f"empirical drift below h at {drift_points}")
 
     # (b) hitting-time bound
@@ -262,7 +260,6 @@ def validate_bound(
         mean_time = float(np.mean(times))
         sigma_t = float(np.std(times, ddof=1) / math.sqrt(trials))
     return BoundValidationReport(
-        drift_ok=drift_ok,
         drift_points=drift_points,
         bound=bound,
         empirical_mean_time=mean_time,

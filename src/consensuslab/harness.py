@@ -35,25 +35,6 @@ from .rules import (
 from .sampler import RngStream
 
 
-def biased_configuration(n: int, k: int, bias: int) -> np.ndarray:
-    """Deterministic family with c1 - c2 = bias.
-
-    Colors 2..k share floor((n - c1)/(k - 1)) each, remainder on the last
-    color; c1 is chosen so that c1 - c2 = bias.
-    """
-    if k < 2:
-        raise ValueError("biased: need k >= 2")
-    c2 = (n - bias) // k
-    c1 = c2 + bias
-    if c2 < 1 or c1 > n:
-        raise ValueError(f"bias {bias} infeasible for n={n}, k={k}")
-    rest = n - c1 - (k - 2) * c2
-    counts = [c1] + [c2] * (k - 2) + [rest]
-    if rest < 1:
-        raise ValueError(f"bias {bias} infeasible for n={n}, k={k}")
-    return canonicalize(counts)
-
-
 # the number of ':'-separated fields after each init kind
 _INIT_FIELDS = {"ncolor": 0, "balanced": 1, "biased": 2, "explicit": 1}
 
@@ -61,7 +42,12 @@ _INIT_FIELDS = {"ncolor": 0, "balanced": 1, "biased": 2, "explicit": 1}
 def initial_counts(text: str, n: int) -> np.ndarray:
     """Canonical counts of n nodes from an init spelling: ncolor,
     balanced:<k>, biased:<k>:<bias> or explicit:<c1>,<c2>,... (case and
-    surrounding space ignored). The one parser of that spelling."""
+    surrounding space ignored). The one parser of that spelling.
+
+    biased:<k>:<bias> has k colors with c1 - c2 = bias: c2 = ceil((n - bias)/k),
+    c1 = c2 + bias, one more color at c2, and the other k - 2 colors split
+    the rest as evenly as balanced:<k - 2> would. It raises ValueError where
+    no k-part start of n has that gap."""
     kind, *fields = text.strip().lower().split(":")
     try:
         if len(fields) != _INIT_FIELDS[kind]:
@@ -80,7 +66,14 @@ def initial_counts(text: str, n: int) -> np.ndarray:
         base, rem = divmod(n, k)
         return canonicalize([base + (1 if i < rem else 0) for i in range(k)])
     if kind == "biased":
-        return biased_configuration(n, *ints)
+        k, bias = ints
+        if k < 2 or bias < 0:
+            raise ValueError(f"biased: need k >= 2 and bias >= 0, got k = {k}, bias = {bias}")
+        c2 = -((bias - n) // k)  # ceil((n - bias) / k)
+        rest = n - bias - 2 * c2
+        if c2 < 1 or rest < k - 2:
+            raise ValueError(f"biased: no start of n = {n} has {k} colors and c1 - c2 = {bias}")
+        return canonicalize([c2 + bias, c2] + [(rest + i) // (k - 2) for i in range(k - 2)])
     c = canonicalize(ints)
     if c.sum() != n:
         raise ValueError(f"explicit counts sum to {c.sum()}, expected n = {n}")
@@ -237,54 +230,41 @@ def run_lower_bound_experiment(
 
 
 def run_coupled_dominating_process(
-    initial: np.ndarray, gamma: float, color: int, rounds: int, rng: RngStream
+    initial: np.ndarray, gamma: float, rounds: int, rng: RngStream
 ) -> list[tuple[int, int]]:
     """2-Choices and the dominating Binomial process on shared randomness.
 
-    n and ell are the sum and largest support of `initial`; P starts at ell.
-    Node j's indicator for "both samples show the tracked color" is dominated
-    by Bernoulli(p), p = (ell_prime/n)^2: with slots ordered so the tracked
-    color occupies a prefix, a sample hits it iff its slot index i < c_color,
-    and c_color <= ell_prime implies i < ell_prime, an event of probability
-    exactly ell_prime/n. Asserts c_color(t) <= P(t) for every round before
-    c_color first exceeds ell_prime.
+    n and ell are the sum and largest support of `initial`; the tracked
+    color is the largest one, and P starts at ell. Node j's indicator for
+    "both samples show the tracked color" is dominated by Bernoulli(p),
+    p = (ell_prime/n)^2: with slots ordered so the tracked color occupies a
+    prefix, a sample hits it iff its slot index i < c_0, and
+    c_0 <= ell_prime implies i < ell_prime, an event of probability exactly
+    ell_prime/n. Asserts c_0(t) <= P(t) for every round before c_0 first
+    exceeds ell_prime.
     """
     check_canonical(initial)
     k0 = len(initial)
-    if not 0 <= color < k0 + 1:
-        raise ValueError("tracked color index out of range")
     lp, _ = slow_start_window(int(initial.sum()), int(initial[0]), gamma)
     gen = rng.gen
+    slot_colors = np.repeat(np.arange(k0), initial)
 
-    # relabel so the tracked color is id 0 and occupies the first slots;
-    # color == k0 means "absent color" (support 0)
-    counts = np.zeros(k0 + 1, dtype=np.int64)
-    if color < k0:
-        counts[0] = initial[color]
-        counts[1:k0] = np.delete(initial, color)
-    else:
-        counts[1:] = initial
-    slot_colors = np.repeat(np.arange(k0 + 1), counts)
-
-    c_col = int(counts[0])
-    p_val = int(initial[0])
+    c_col = p_val = int(initial[0])
     pairs = [(c_col, p_val)]
     exceeded = c_col > lp
     for _ in range(rounds):
         slot_colors, idx = node_round(two_choices_rule(), slot_colors, gen)
         p_val += int(np.count_nonzero((idx < lp).all(axis=0)))
-        cnts = np.bincount(slot_colors, minlength=k0 + 1)
+        cnts = np.bincount(slot_colors, minlength=k0)
         c_col = int(cnts[0])
         pairs.append((c_col, p_val))
         if not exceeded:
             if c_col > lp:
                 exceeded = True
             elif c_col > p_val:
-                raise CouplingViolation(
-                    f"c_color = {c_col} > P = {p_val} before first exceedance"
-                )
-        # keep tracked color in the leading slots
-        slot_colors = np.repeat(np.arange(k0 + 1), cnts)
+                raise CouplingViolation(f"c_0 = {c_col} > P = {p_val} before first exceedance")
+        # keep the tracked color in the leading slots
+        slot_colors = np.repeat(np.arange(k0), cnts)
     return pairs
 
 

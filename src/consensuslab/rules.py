@@ -210,18 +210,14 @@ def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
     return plurality_alpha(x, rule.h)
 
 
-def _checked(alpha: np.ndarray) -> np.ndarray:
-    """alpha, a fresh float64 array, made read-only once it passes the
-    probability-vector check."""
+def process_function(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
+    """Adoption-probability vector alpha(c) for an AC rule, read-only once
+    it passes the probability-vector check."""
+    check_canonical(c)
+    alpha = _alpha(rule, c / c.sum())
     multinomial_pvals(alpha)  # the check; the pvals are not kept
     alpha.flags.writeable = False
     return alpha
-
-
-def process_function(rule: UpdateRule, c: np.ndarray) -> np.ndarray:
-    """Adoption-probability vector alpha(c) for an AC rule, read-only."""
-    check_canonical(c)
-    return _checked(_alpha(rule, c / c.sum()))
 
 
 def process_function_exact(rule: UpdateRule, c: np.ndarray) -> list[Fraction]:

@@ -31,12 +31,18 @@ class RngStream:
     stream_id: tuple = ()
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the seed is one 64-bit entropy word; masking a wider one would
+        # alias it to another seed that records tell apart
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
             # the depth word keeps ("a",) and ("a", 0) distinct: SeedSequence
             # treats trailing zero entropy words as absent
-            entropy = [int(self.seed) & 0xFFFFFFFFFFFFFFFF, len(self.stream_id)]
+            entropy = [int(self.seed), len(self.stream_id)]
             entropy.extend(_id_to_int(p) for p in self.stream_id)
             self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         return self._gen

@@ -71,6 +71,23 @@ MUTANTS = (
         ("tests/test_rules.py::test_entry_points_reject_non_canonical_counts",),
     ),
     Mutant(
+        "pvals-any-order",
+        "core.py",
+        'arr = np.asarray(probs, dtype=float, order="C")',
+        "arr = np.asarray(probs, dtype=float)",  # a row sum rounds by memory layout
+        ("tests/test_core.py::test_multinomial_pvals_rows_ignore_memory_layout",),
+    ),
+    Mutant(
+        "seed-wraps",
+        "sampler.py",
+        "        if not 0 <= self.seed < 2**64:\n",
+        "        if False:\n",  # a seed past 64 bits runs as some other seed
+        (
+            "tests/test_sampler.py::test_rng_stream_rejects_seeds_outside_64_bits",
+            "tests/test_cli.py::test_usage_errors_exit_one",
+        ),
+    ),
+    Mutant(
         "run-until-no-peak",
         "rules.py",
         "        if c[0] > peak:\n            peak = int(c[0])\n",
@@ -303,9 +320,12 @@ MUTANTS = (
     Mutant(
         "biased-off-by-one",
         "harness.py",
-        "c1 = c2 + bias\n",
-        "c1 = c2 + bias - 1\n",
-        ("tests/test_harness.py::test_biased_configuration_mass_and_bias",),
+        "canonicalize([c2 + bias, c2]",
+        "canonicalize([c2 + bias - 1, c2]",
+        (
+            "tests/test_harness.py::test_biased_start_has_the_gap_it_spells",
+            "tests/test_harness.py::test_biased_start_exists_exactly_where_a_partition_has_the_gap",
+        ),
     ),
     Mutant(
         "lower-bound-ell-from-smallest",

@@ -415,6 +415,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     bad_graph.write_text("3 2\n0 1\n1 -1\n")
     looped_graph = tmp_path / "looped.txt"
     looped_graph.write_text("3 3\n0 0\n0 1\n1 2\n")
+    seed_spec = tmp_path / "seed.json"
+    seed_spec.write_text(json.dumps({**SPEC, "seed": -1}))
     # out-of-range numbers and malformed inputs: each error names its flag, parameter or line
     for argv, name in (
         (["lower-bound", "--gamma", "0"], "gamma"),
@@ -462,6 +464,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # two-phase has no --kappa: its split's error names --k-split
         (["two-phase", "--k-split", "0"], "--k-split"),
         (["two-phase", "--k-split", "-3"], "--k-split"),
+        # a seed outside [0, 2**64) is not wrapped onto one inside it
+        (["simulate", "--seed", "-1"], "seed -1"),
+        (["simulate", "--seed", str(2**64)], f"seed {2**64}"),
+        (["compare", "--fast", "3maj", "--slow", "voter", "--seed", "-1"], "seed -1"),
+        (["compare", "--fast", "3maj", "--slow", "voter", "--seed", str(2**64)], f"seed {2**64}"),
+        (["duality", "--seed", "-1"], "seed -1"),
+        (["duality", "--seed", str(2**64)], f"seed {2**64}"),
+        (["simulate", "--spec", str(seed_spec)], "seed -1"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()
@@ -498,7 +508,6 @@ def test_duality_reports_coupling_violation_with_exit_two(monkeypatch, capsys):
         calls.append(rng)
         if len(calls) == 2:
             raise CouplingViolation("tau=1: planted")
-        return True
 
     monkeypatch.setattr(cli, "duality_check", flaky_check)
     code = main(["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "3"])

@@ -116,8 +116,8 @@ def test_probability_vector_validation():
     with pytest.raises(InvalidProbabilityVector):
         multinomial_pvals((-0.1, 1.1))
     # NaN fails no comparison and must still be rejected; so must +-inf,
-    # a 2-d input and an empty one
-    for bad in ((nan,), (nan, 1.0), (inf,), (-inf, 1.0), ((0.5, 0.5),), ()):
+    # a 2-d input, an empty one and a scalar
+    for bad in ((nan,), (nan, 1.0), (inf,), (-inf, 1.0), ((0.5, 0.5),), (), 1.0):
         with pytest.raises(InvalidProbabilityVector):
             multinomial_pvals(bad)
 
@@ -132,6 +132,18 @@ def test_multinomial_pvals_match_clip_then_normalize():
         for alpha in (x, x * (1.0 + x - float(np.dot(x, x)))):
             clipped = np.clip(alpha, 0.0, None)
             assert multinomial_pvals(alpha).tolist() == (clipped / clipped.sum()).tolist()
+
+
+def test_multinomial_pvals_rows_ignore_memory_layout():
+    # numpy's row sum rounds by memory layout, so a Fortran-ordered block
+    # must give the pvals bits of the same values in C order
+    gen = np.random.default_rng(4)
+    for k in (3, 8, 20, 100):
+        block = gen.random((64, k))
+        block /= block.sum(axis=1, keepdims=True)
+        c_order = multinomial_pvals(block, rows=True)
+        f_order = multinomial_pvals(np.asfortranarray(block), rows=True)
+        assert c_order.tobytes() == f_order.tobytes(), k
 
 
 def test_stop_condition_validation():

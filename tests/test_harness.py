@@ -7,10 +7,10 @@ import pytest
 
 from consensuslab import harness, rules
 from consensuslab.core import StopCondition, canonicalize
+from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import (
     CouplingViolation,
     ExperimentSpec,
-    biased_configuration,
     initial_counts,
     run_coupled_dominating_process,
     run_experiment,
@@ -68,11 +68,33 @@ def test_initial_condition_validation():
         ExperimentSpec(rules=(), n=10, initial="ncolor", stop=StopCondition(), trials=1, seed=0)
 
 
-def test_biased_configuration_mass_and_bias():
-    c = biased_configuration(100, 4, 8)
-    assert c.sum() == 100
-    assert len(c) == 4
-    assert c[0] - c[1] >= 8
+def test_biased_start_has_the_gap_it_spells():
+    # c2 = ceil((n - bias)/k), c1 = c2 + bias, the other k - 2 colours even
+    assert initial_counts("biased:4:8", 100).tolist() == [31, 23, 23, 23]
+    assert initial_counts("biased:10:40", 1000).tolist() == [136] + [96] * 9
+    assert initial_counts("biased:3:2", 9).tolist() == [5, 3, 1]
+    assert initial_counts("biased:5:3", 20).tolist() == [7, 4, 3, 3, 3]
+    assert initial_counts("biased:5:2", 20).tolist() == [6, 4, 4, 3, 3]
+    assert initial_counts("biased:2:0", 4).tolist() == [2, 2]
+    # no 2-part start of 4 has gap 1, nor a 3-part one gap 0
+    for text, n in (("biased:2:1", 4), ("biased:3:0", 4), ("biased:3:-4", 10),
+                    ("biased:1:0", 4), ("biased:2:9", 8)):
+        with pytest.raises(ValueError, match="^biased: "):
+            initial_counts(text, n)
+
+
+def test_biased_start_exists_exactly_where_a_partition_has_the_gap():
+    for n in range(1, 31):
+        gaps = {(len(c), int(c[0] - c[1])) for c in enumerate_configurations(n) if len(c) > 1}
+        for k in range(n + 2):
+            for bias in range(-1, n + 1):
+                text = f"biased:{k}:{bias}"
+                if (k, bias) in gaps:
+                    c = initial_counts(text, n)
+                    assert (c.sum(), len(c), c[0] - c[1]) == (n, k, bias), text
+                else:
+                    with pytest.raises(ValueError, match="^biased: "):
+                        initial_counts(text, n)
 
 
 def _run_trials(spec):
@@ -318,7 +340,7 @@ def test_coupled_process_dominates_tracked_color():
     lp, t0 = slow_start_window(500, 2, 4.0)
     for seed in range(5):
         pairs = run_coupled_dominating_process(
-            initial, 4.0, color=0, rounds=t0, rng=RngStream(seed, ("cpl",))
+            initial, 4.0, rounds=t0, rng=RngStream(seed, ("cpl",))
         )
         assert pairs[0] == (2, 2)
         for c_col, p_val in pairs:
@@ -329,7 +351,7 @@ def test_coupled_process_dominates_tracked_color():
 
 def test_coupled_process_monotone_dominating_side():
     initial = canonicalize([1] * 300)
-    pairs = run_coupled_dominating_process(initial, 4.0, color=0, rounds=10, rng=RngStream(1))
+    pairs = run_coupled_dominating_process(initial, 4.0, rounds=10, rng=RngStream(1))
     ps = [p for _, p in pairs]
     assert ps == sorted(ps)
 

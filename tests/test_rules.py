@@ -803,7 +803,7 @@ def test_entry_points_reject_non_canonical_counts():
         lambda c: expected_fraction_after_step(two_choices_rule(), c),
         lambda c: step_reference(voter_rule(), c, RngStream(0)),
         lambda c: run_lower_bound_experiment(c, 4.0, 1, RngStream(0)),
-        lambda c: run_coupled_dominating_process(c, 4.0, 0, 1, RngStream(0)),
+        lambda c: run_coupled_dominating_process(c, 4.0, 1, RngStream(0)),
     )
     bad = (
         np.array([5, 0]),

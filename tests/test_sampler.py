@@ -34,6 +34,15 @@ def test_child_stream_is_stable_across_string_and_int_ids():
     assert np.array_equal(s1, s2)
 
 
+def test_rng_stream_rejects_seeds_outside_64_bits():
+    # a mask would alias -1 onto 2**64 - 1 and 2**64 onto 0
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ValueError, match=f"^seed {seed} outside"):
+            RngStream(seed)
+    for seed in (0, 2**64 - 1):
+        assert RngStream(seed).child("a").gen.integers(10) >= 0
+
+
 def test_multinomial_counts_sum_to_m():
     rng = RngStream(0)
     for sampler in (sample_multinomial, sample_multinomial_conditional):
