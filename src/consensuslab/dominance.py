@@ -243,8 +243,8 @@ def empirical_time_dominance(
     time_dominance_epsilon's, by default two_sample_critical_value at
     delta = 0.05. The report's delta is two_sample_tail at the epsilon used:
     the chance that two samples of one continuous law fail the check.
-    Censored trials are biased against the hypothesis: +inf for the slow
-    sample, max_rounds for the fast one.
+    A censored trial, on either side, has not stopped within max_rounds: it
+    counts as +inf, below no point of the grid of finite times.
     """
     trials = len(runs_fast)
     if len(runs_slow) != trials:
@@ -254,16 +254,15 @@ def empirical_time_dominance(
     # decimal epsilon such as 0.08 at T = 300 on its lattice point
     reach = math.ceil(eps * trials - 1e-9)
     censored_fast, censored_slow = runs_fast.count(None), runs_slow.count(None)
-    times_fast = [float(max_rounds) if t is None else float(t) for t in runs_fast]
-    times_slow = [math.inf if t is None else float(t) for t in runs_slow]
-    fast = np.sort(np.array(times_fast))
-    slow = np.sort(np.array(times_slow))
-    grid = np.unique(np.concatenate([fast, slow[np.isfinite(slow)]]))
-    # both samples' counts at or below every grid point; a censored slow
-    # time (+inf) is never <= t
+    times_fast, times_slow = ([math.inf if t is None else float(t) for t in runs]
+                              for runs in (runs_fast, runs_slow))
+    fast, slow = np.sort(times_fast), np.sort(times_slow)
+    grid = np.unique([t for t in times_fast + times_slow if t < math.inf])
+    # both samples' counts at or below every grid point
     at_fast = np.searchsorted(fast, grid, side="right")
     at_slow = np.searchsorted(slow, grid, side="right")
-    deficit = max(0.0, float((at_slow / trials - at_fast / trials).max()))
+    # every trial censored leaves no grid point: neither CDF leaves 0
+    deficit = float((at_slow / trials - at_fast / trials).max(initial=0.0))
     return TimeDominanceReport(
         trials=trials,
         times_fast=times_fast,
@@ -273,7 +272,7 @@ def empirical_time_dominance(
         delta=float(two_sample_tail(trials, reach)),
         # the verdict compares integer counts, so float rounding of the
         # deficit cannot decide a deficit that lands on epsilon
-        passed=int((at_slow - at_fast).max()) < reach,
+        passed=int((at_slow - at_fast).max(initial=0)) < reach,
         censored_fast=censored_fast,
         censored_slow=censored_slow,
     )

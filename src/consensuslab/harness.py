@@ -90,9 +90,10 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
-        # build the start once, so a bad spelling, n < 1 or an infeasible
-        # start fails here rather than in a trial
+        # build the start and the stream once, so a bad spelling, n < 1, an
+        # infeasible start or a seed outside 64 bits fails here, not in a trial
         initial_counts(self.initial, self.n)
+        RngStream(self.seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.rules:

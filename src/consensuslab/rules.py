@@ -291,31 +291,6 @@ def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
     return _round(rule, c, int(c.sum()), rng.gen)
 
 
-def _run_until(
-    rule: UpdateRule, c: np.ndarray, kappa: int, max_rounds: int, gen: np.random.Generator,
-    above: int,
-) -> tuple[Optional[int], np.ndarray, int]:
-    """The rounds of one trial, from canonical counts c until at most kappa
-    colors remain, max_rounds pass, or the largest support exceeds `above`
-    (no support exceeds n, so above = n never stops them). Each round has
-    step_rule's law; for an AC rule, and for 2-Choices from a start with
-    sum(c_i^2)/n > k, the draws are step_rule's. 2-Choices starts with the
-    mover-priced rounds and hands its counts to the closed-form round when
-    those stop being cheaper. Returns run_block's (t, c_t, peak) for c."""
-    n, t, peak = int(c.sum()), 0, int(c[0])
-    if rule.kind == TWO_CHOICES and len(c) > kappa:
-        t, c, peak = _two_choices_movers(c, n, kappa, max_rounds, gen, above)
-    if len(c) <= kappa or peak > above:
-        return t, c, peak
-    for t in range(t + 1, max_rounds + 1):
-        c = _round(rule, c, n, gen)
-        if c[0] > peak:
-            peak = int(c[0])
-        if len(c) <= kappa or peak > above:
-            return t, c, peak
-    return None, c, peak
-
-
 def block_rows(rule: UpdateRule, n: int) -> int:
     """Rows per block of n-node trials of `rule`: 1 for 2-Choices, whose
     trials do not step in lockstep, else min(64, max(1, 2^21 // n)). A
@@ -331,18 +306,9 @@ def run_block(
 ) -> list[tuple[Optional[int], np.ndarray, int]]:
     """Step `rule` from each start until at most stop.kappa colors remain or
     a support exceeds stop.above: the one round-and-stop driver, for every
-    rule.
-
-    AC trials step in lockstep. The live trials are the rows of one
-    zero-padded int64 array; a round draws every row at once with one
-    gen.multinomial(n, A), A holding each row's checked alpha. A padded
-    zero changes neither alpha nor the draw (numpy draws nothing for a
-    p = 0 category), so each row's rounds have step_rule's law, though not
-    a step_rule loop's draws. A row leaves the array at the round it stops.
-    Once the widest live row has shrunk by a quarter, the rows are sorted
-    non-increasing and trimmed to its width. 2-Choices rows, and a block of
-    one start, run one after another through _run_until on the block's
-    generator.
+    rule, on rng's one generator. AC trials run together through _rounds.
+    2-Choices trials run one after another, each through
+    _two_choices_movers' rounds, then _rounds from where those stop.
 
     Every start must be canonical counts of the same n. Returns, per start
     and in order, (t, c_t, peak): t is the first round with at most kappa
@@ -358,22 +324,48 @@ def run_block(
     n = int(starts[0].sum())
     if any(int(c.sum()) != n for c in starts):
         raise ValueError("run_block: every start must have the same n")
-    gen, kappa = rng.gen, stop.kappa
     # no support exceeds n, so a ceiling of n never stops a trial
     above = n if stop.above is None else stop.above
-    if not rule.is_ac or len(starts) == 1:
-        return [_run_until(rule, c, kappa, stop.max_rounds, gen, above) for c in starts]
-    k = np.array([len(c) for c in starts])
-    counts = np.zeros((len(starts), k.max()), dtype=np.int64)
-    for row, c in zip(counts, starts):
-        row[: len(c)] = c
-    peak = counts[:, 0].copy()
-    trial = np.arange(len(starts))  # the start each live row runs
-    out: list = [None] * len(starts)
-    t = 0
+    if rule.is_ac:
+        return _rounds(rule, starts, 0, [int(c[0]) for c in starts], n, stop, above, rng.gen)
+    out = []
+    for c in starts:
+        t, peak = 0, int(c[0])
+        if len(c) > stop.kappa:
+            t, c, peak = _two_choices_movers(c, n, stop.kappa, stop.max_rounds, rng.gen, above)
+        out += _rounds(rule, [c], t, [peak], n, stop, above, rng.gen)
+    return out
+
+
+def _rounds(
+    rule: UpdateRule, rows: Sequence[np.ndarray], t: int, peak: list[int], n: int,
+    stop: StopCondition, above: int, gen: np.random.Generator,
+) -> list[tuple[Optional[int], np.ndarray, int]]:
+    """run_block's round-and-stop loop from round t, where rows holds each
+    trial's canonical counts and peak its largest support of rounds 0..t.
+    Each round has step_rule's law. Live rows step in lockstep as the rows
+    of one zero-padded int64 array: one gen.multinomial(n, A) draws them
+    all, A holding each row's checked alpha. A padded zero changes neither
+    alpha nor the draw (numpy draws nothing for a p = 0 category). A row
+    leaves the array at the round it stops. Once the widest live row has
+    shrunk by a quarter, the rows are sorted non-increasing and trimmed to
+    its width. A lone live row (one start, a block's last, every 2-Choices
+    row) takes step_rule's round on its current row instead and is kept as
+    canonical counts, so a one-start run is a step_rule loop, draw for draw.
+    """
+    kappa, k = stop.kappa, np.array([len(c) for c in rows])
+    least = min(k.tolist())  # the fewest colors of any live row
+    counts = rows  # one start is a lone row from round t on
+    if len(rows) > 1:
+        counts = np.zeros((len(rows), k.max()), dtype=np.int64)
+        for row, c in zip(counts, rows):
+            row[: len(c)] = c
+    peak = np.array(peak)
+    trial = np.arange(len(rows))  # the start each live row runs
+    out: list = [None] * len(rows)
     while True:
         # on up to 64 rows Python's min and max are faster than numpy's
-        if min(k.tolist()) <= kappa or (above < n and max(peak.tolist()) > above):
+        if least <= kappa or (above < n and max(peak.tolist()) > above):
             done = (k <= kappa) | (peak > above)  # the rows that stop at round t
             for i in np.flatnonzero(done):
                 out[trial[i]] = (t, canonical_counts(counts[i].copy()), int(peak[i]))
@@ -383,12 +375,19 @@ def run_block(
             counts, peak, trial, k = counts[keep], peak[keep], trial[keep], k[keep]
         if t == stop.max_rounds:
             break
+        t += 1
+        if len(trial) == 1:  # step_rule's round; canonical counts from here on
+            c = _round(rule, counts[0], n, gen)
+            counts, k[0], least = [c], len(c), len(c)
+            if c[0] > peak[0]:
+                peak[0] = c[0]
+            continue
         width = max(k.tolist())
         if 4 * width <= 3 * counts.shape[1]:
             counts = np.sort(counts, axis=1)[:, : -width - 1 : -1]
-        t += 1
         counts = gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n), rows=True))
         k = (counts > 0).sum(axis=1)
+        least = min(k.tolist())
         np.maximum(peak, counts.max(axis=1), out=peak)
     for i, r in enumerate(trial):  # censored
         out[r] = (None, canonical_counts(counts[i].copy()), int(peak[i]))

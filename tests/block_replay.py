@@ -18,8 +18,9 @@ def replay_block(rule, starts, stop, rng):
     """Replay run_block round by round: the live rows in order, one
     gen.multinomial per row on that row's pvals, and the same trimming.
     numpy's 2-d multinomial draws its rows in this order from the same
-    generator, so the replay repeats a block's draws exactly. A single
-    start is sorted and trimmed every round, as _run_until's rounds are.
+    generator, so the replay repeats a block's draws exactly. A lone live
+    row (one start, or a block's last) is drawn 1-d on its current row
+    and then canonicalized: sorted non-increasing, zeros dropped.
 
     Returns, per start, (t, c_t, rounds): t and c_t as run_block gives
     them (c_t as a tuple) and the canonical counts of every round the row
@@ -40,12 +41,18 @@ def replay_block(rule, starts, stop, rng):
                 live.remove(r)
         if t == stop.max_rounds or not live:
             break
+        t += 1
+        if len(live) == 1:
+            (r,) = live
+            alpha = rules._alpha(rule, np.array(rows[r]) / n)
+            rows[r] = list(_colors(gen.multinomial(n, multinomial_pvals(alpha))))
+            rounds[r].append(tuple(rows[r]))
+            continue
         widest = max(len(rounds[r][-1]) for r in live)
-        if len(starts) == 1 or 4 * widest <= 3 * width:
+        if 4 * widest <= 3 * width:
             for r in live:
                 rows[r] = sorted(rows[r], reverse=True)[:widest]
             width = widest
-        t += 1
         alpha = rules._alpha(rule, np.array([rows[r] for r in live]) / n)
         for r, pvals in zip(live, multinomial_pvals(alpha, rows=True)):
             rows[r] = gen.multinomial(n, pvals).tolist()

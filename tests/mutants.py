@@ -90,9 +90,10 @@ MUTANTS = (
     Mutant(
         "run-until-no-peak",
         "rules.py",
-        "        if c[0] > peak:\n            peak = int(c[0])\n",
-        "",  # the peak stays at round 0's largest support
+        "            if c[0] > peak[0]:\n                peak[0] = c[0]\n",
+        "",  # a lone row's peak stays at the round it became lone
         (
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[voter-stops]",
             "tests/test_rules.py::test_run_until_matches_stepper_loop",
             "tests/test_harness.py::test_max_support_peak_covers_unrecorded_rounds",
         ),
@@ -100,8 +101,8 @@ MUTANTS = (
     Mutant(
         "run-until-strict-kappa",
         "rules.py",
-        "        if len(c) <= kappa or peak > above:\n            return t, c",
-        "        if len(c) < kappa or peak > above:\n            return t, c",
+        "if least <= kappa or",
+        "if least < kappa or",  # no row stops at exactly kappa colours
         (
             "tests/test_rules.py::test_run_until_matches_stepper_loop",
             "tests/test_rules.py::test_every_producer_returns_canonical_counts",
@@ -214,14 +215,31 @@ MUTANTS = (
     Mutant(
         "block-two-choices-rows-from-first-start",
         "rules.py",
-        "return [_run_until(rule, c, kappa, stop.max_rounds, gen, above) for c in starts]",
+        "    for c in starts:\n        t, peak = 0, int(c[0])\n",
         # every 2-Choices row runs from the block's first start
-        "return [_run_until(rule, c if rule.is_ac else starts[0], kappa, stop.max_rounds, gen,"
-        " above) for c in starts]",
+        "    for c in [starts[0]] * len(starts):\n        t, peak = 0, int(c[0])\n",
         (
             "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[stops]",
             "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[censored]",
         ),
+    ),
+    Mutant(
+        "lone-row-ascending",
+        "rules.py",
+        "c = _round(rule, counts[0], n, gen)",
+        "c = _round(rule, counts[0], n, gen)[::-1]",  # a lone row kept ascending, not canonical
+        (
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[voter-stops]",
+            "tests/test_rules.py::test_run_block_replays_a_per_row_loop[hmaj:3-stops]",
+            "tests/test_rules.py::test_run_until_matches_stepper_loop",
+        ),
+    ),
+    Mutant(
+        "two-choices-peak-restarts-after-movers",
+        "rules.py",
+        "out += _rounds(rule, [c], t, [peak], n, stop, above, rng.gen)",
+        "out += _rounds(rule, [c], t, [int(c[0])], n, stop, above, rng.gen)",
+        ("tests/test_rules.py::test_two_choices_peak_spans_the_mover_rounds",),
     ),
     Mutant(
         "block-rows-two-choices-as-ac",

@@ -417,6 +417,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     looped_graph.write_text("3 3\n0 0\n0 1\n1 2\n")
     seed_spec = tmp_path / "seed.json"
     seed_spec.write_text(json.dumps({**SPEC, "seed": -1}))
+    big_seed_spec = tmp_path / "big_seed.json"
+    big_seed_spec.write_text(json.dumps({**SPEC, "seed": 2**64}))
     # out-of-range numbers and malformed inputs: each error names its flag, parameter or line
     for argv, name in (
         (["lower-bound", "--gamma", "0"], "gamma"),
@@ -471,7 +473,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["compare", "--fast", "3maj", "--slow", "voter", "--seed", str(2**64)], f"seed {2**64}"),
         (["duality", "--seed", "-1"], "seed -1"),
         (["duality", "--seed", str(2**64)], f"seed {2**64}"),
-        (["simulate", "--spec", str(seed_spec)], "seed -1"),
+        (["simulate", "--spec", str(seed_spec)], "spec: seed -1"),
+        (["simulate", "--spec", str(big_seed_spec)], f"spec: seed {2**64}"),
     ):
         assert main(argv) == USAGE_ERROR, argv
         captured = capsys.readouterr()

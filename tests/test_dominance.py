@@ -61,6 +61,19 @@ def test_rule_dominates_itself():
     assert report.pairs_checked > 0
 
 
+def test_one_step_dominance_is_not_reflexive():
+    # c >= c~ need not give alpha(c) >= alpha(c~) for one rule: 3-Majority
+    # and hmaj:4 fail against themselves already at n = 4, at c = (2, 2) and
+    # c~ = (2, 1, 1); of the repo's rules only Voter's alpha is monotone
+    for rule, margin in ((h_majority_rule(3), 0.0625), (h_majority_rule(4), 0.09375)):
+        report = check_dominance(rule, rule, 4)
+        assert [(v.c, v.c_tilde, v.prefix, v.margin) for v in report.violations] == [
+            ((2, 2), (2, 1, 1), 1, margin)
+        ]
+    report = check_dominance(voter_rule(), voter_rule(), 12)
+    assert report.holds and report.pairs_checked == 2618
+
+
 def test_three_majority_dominates_voter_small_n():
     report = check_dominance(h_majority_rule(3), voter_rule(), 6)
     assert report.holds
@@ -316,23 +329,35 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop():
             [script[i, "slow"] for i in range(trials)],
             stop.max_rounds,
         )
-        fast = [float(stop.max_rounds) if script[i, "fast"] is None else float(script[i, "fast"])
-                for i in range(trials)]
-        slow = [math.inf if script[i, "slow"] is None else float(script[i, "slow"])
-                for i in range(trials)]
+        # a censored trial, fast or slow, has not stopped by any observed t
+        fast, slow = ([math.inf if script[i, side] is None else float(script[i, side])
+                       for i in range(trials)] for side in ("fast", "slow"))
         assert report.times_fast == fast and report.times_slow == slow
+        assert report.censored_fast == fast.count(math.inf)
         assert report.censored_slow == slow.count(math.inf)
         deficit = 0.0
-        for t in sorted(set(fast) | (set(slow) - {math.inf})):
+        for t in sorted((set(fast) | set(slow)) - {math.inf}):
             f_fast = sum(1 for x in fast if x <= t) / trials
             f_slow = sum(1 for x in slow if x <= t) / trials
             deficit = max(deficit, f_slow - f_fast)
         assert type(report.max_cdf_deficit) is float
         assert report.max_cdf_deficit.hex() == deficit.hex(), case
         deficits.append(deficit)
-        censored += report.censored_slow
-    # the cases span no deficit, a large one, and censored slow trials
+        censored += report.censored_fast > 0 < report.censored_slow
+    # the cases span no deficit, a large one, and censored trials on both sides
     assert min(deficits) == 0.0 and max(deficits) > 0.3 and censored > 0
+
+
+def test_empirical_time_dominance_counts_censored_fast_trials_as_unstopped():
+    # half the fast trials censored at the cap: the slow sample, all stopped
+    # at 100, leads by half at t = 100 whether the cap is 100 or 200
+    runs_slow = [100] * 100
+    for runs_fast, max_rounds in (([10] * 50 + [None] * 50, 100), ([10] * 50 + [101] * 50, 200)):
+        report = empirical_time_dominance(runs_fast, runs_slow, max_rounds)
+        assert not report.passed and report.max_cdf_deficit == 0.5, max_rounds
+    # no trial stopped on either side: no time to compare at
+    report = empirical_time_dominance([None] * 100, [None] * 100, 100)
+    assert report.passed and report.max_cdf_deficit == 0.0
 
 
 def test_empirical_time_dominance_checks_its_samples():

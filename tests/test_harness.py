@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from consensuslab import harness, rules
+from consensuslab import harness
 from consensuslab.core import StopCondition, canonicalize
 from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import (
@@ -257,8 +257,8 @@ def test_two_choices_records_come_from_one_stream_per_trial():
     records = run_experiment(spec)
     assert [r["trial"] for r in records] == list(range(5))
     for i, rec in enumerate(records):
-        gen = RngStream(spec.seed, ("sim", "2choices", "block", i)).gen
-        t, _, peak = rules._run_until(two_choices_rule(), c0, 1, 10**4, gen, spec.n)
+        rng = RngStream(spec.seed, ("sim", "2choices", "block", i))
+        (t, _, peak), = run_block(two_choices_rule(), [c0], spec.stop, rng)
         assert (rec["stop_time"], rec["max_support_peak"]) == (t, peak)
     assert len({r["stop_time"] for r in records}) > 1  # the trials draw independently
 

@@ -423,8 +423,8 @@ def test_two_choices_driver_invariants(monkeypatch, counts, kappa):
 
 
 def _first_support_above(above, max_rounds, stream):
-    c0 = initial_counts(NCOLOR, 200)
-    return rules._run_until(two_choices_rule(), c0, 1, max_rounds, RngStream(7, stream).gen, above)
+    c0, stop = initial_counts(NCOLOR, 200), StopCondition(max_rounds=max_rounds, above=above)
+    return run_block(two_choices_rule(), [c0], stop, RngStream(7, stream))[0]
 
 
 @pytest.mark.parametrize("above", [5, 150], ids=["mover-rounds", "closed-form-rounds"])
@@ -587,37 +587,30 @@ BLOCK_STARTS = ("ncolor", "balanced:20", "balanced:6", "biased:3:10", "explicit:
 @pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
 def test_run_block_replays_a_per_row_loop(label, max_rounds):
     rule, n = parse_rule(label), 40
-    starts = [initial_counts(init, n) for init in BLOCK_STARTS] * 3
     stop = StopCondition(kappa=2, max_rounds=max_rounds)
-    stream = ("block", label, max_rounds)
-    got = run_block(rule, starts, stop, RngStream(11, stream))
-    want = replay_block(rule, starts, stop, RngStream(11, stream))
-    assert len(got) == len(starts)
-    for (t, c, peak), (t_ref, c_ref, rounds) in zip(got, want):
-        _assert_canonical_counts(c, n)
-        assert t == t_ref and tuple(c.tolist()) == c_ref
-        assert type(peak) is int and peak == max(counts[0] for counts in rounds)
-        assert len(rounds) == (max_rounds if t is None else t) + 1
-    stops = [t for t, _, _ in got]
-    assert stops.count(0) == 9 and (None in stops) == (max_rounds == 4)
-
-
-@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
-def test_run_block_runs_one_start_as_run_until(label):
-    # one start takes _run_until's draws, and the replay's sort-every-round
-    # loop repeats them
-    rule, n = parse_rule(label), 40
-    for i, init in enumerate(BLOCK_STARTS[2:]):
-        c0 = initial_counts(init, n)
-        for stop in (StopCondition(kappa=2), StopCondition(kappa=1, max_rounds=3)):
-            stream = ("one", label, i, stop.kappa)
-            (t, c, peak), = run_block(rule, [c0], stop, RngStream(13, stream))
-            gen = RngStream(13, stream).gen
-            t_ref, c_ref, peak_ref = rules._run_until(rule, c0, stop.kappa, stop.max_rounds, gen, n)
-            assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref)
-            (t_rep, c_rep, rounds), = replay_block(rule, [c0], stop, RngStream(13, stream))
-            assert t_rep == t and c_rep == tuple(c.tolist())
-            assert peak == max(counts[0] for counts in rounds)
+    # 21 rows in lockstep; one start, a lone row from round 0; and a block
+    # whose last row, from ncolor, runs alone once the other stops
+    blocks = {("block", label, max_rounds): [initial_counts(init, n) for init in BLOCK_STARTS] * 3}
+    for init in BLOCK_STARTS:
+        blocks["one", label, max_rounds, init] = [initial_counts(init, n)]
+    blocks["tail", label, max_rounds] = [initial_counts(i, n) for i in ("explicit:30,5,5", NCOLOR)]
+    runs = []
+    for stream, starts in blocks.items():
+        got = run_block(rule, starts, stop, RngStream(11, stream))
+        runs.append([t for t, _, _ in got])
+        want = replay_block(rule, starts, stop, RngStream(11, stream))
+        assert len(got) == len(starts)
+        for (t, c, peak), (t_ref, c_ref, rounds) in zip(got, want):
+            _assert_canonical_counts(c, n)
+            assert t == t_ref and tuple(c.tolist()) == c_ref, stream
+            assert type(peak) is int and peak == max(counts[0] for counts in rounds)
+            assert len(rounds) == (max_rounds if t is None else t) + 1
+        if len(starts) == 1:  # a one-start run is a step_rule loop
+            t_ref, c_ref, _ = _stepper_loop(rule, starts[0], stop, RngStream(11, stream))
+            assert (got[0][0], got[0][1].tolist()) == (t_ref, c_ref.tolist())
+    assert runs[0].count(0) == 9 and (None in runs[0]) == (max_rounds == 4)
+    if max_rounds > 4:  # the tail block's last row ran alone for many rounds
+        assert runs[-1][1] - runs[-1][0] >= 10, runs[-1]
 
 
 @pytest.mark.parametrize(
@@ -643,22 +636,50 @@ def test_run_block_matches_run_until_in_law(label, init, n):
         assert pv > 1e-3, (label, what, pv)
 
 
+def _two_choices_rows(starts, stop, gen):
+    """run_block's 2-Choices rows written out: each start in turn on one
+    generator takes the mover rounds, then step_rule's round until it stops."""
+    n, out = int(starts[0].sum()), []
+    for c in starts:
+        t, peak = 0, int(c[0])
+        if len(c) > stop.kappa:
+            t, c, peak = rules._two_choices_movers(c, n, stop.kappa, stop.max_rounds, gen, n)
+        while len(c) > stop.kappa and t < stop.max_rounds:
+            t, c = t + 1, rules._round(two_choices_rule(), c, n, gen)
+            peak = max(peak, int(c[0]))
+        out.append((t if len(c) <= stop.kappa else None, c, peak))
+    return out
+
+
 @pytest.mark.parametrize("max_rounds", [10**4, 3], ids=["stops", "censored"])
 def test_run_block_runs_two_choices_rows_one_after_another(max_rounds):
-    # 2-Choices rows do not step in lockstep: each runs _run_until in turn on
-    # the block's generator. From ncolor the first row runs mover-priced
-    # rounds, from balanced:4 closed-form ones; the last start is at kappa
+    # 2-Choices rows do not step in lockstep: each runs in turn on the
+    # block's generator. From ncolor the first row runs mover-priced rounds,
+    # from balanced:4 closed-form ones; the last start is at kappa
     n = 40
     starts = [initial_counts(init, n) for init in ("ncolor", "balanced:4", "explicit:39,1")]
     stop = StopCondition(kappa=1, max_rounds=max_rounds)
     got = run_block(two_choices_rule(), starts, stop, RngStream(14, ("2ch-block", max_rounds)))
-    gen = RngStream(14, ("2ch-block", max_rounds)).gen
-    want = [rules._run_until(two_choices_rule(), c, 1, max_rounds, gen, n) for c in starts]
+    want = _two_choices_rows(starts, stop, RngStream(14, ("2ch-block", max_rounds)).gen)
     assert len(got) == len(starts)
     for (t, c, peak), (t_ref, c_ref, peak_ref) in zip(got, want):
         _assert_canonical_counts(c, n)
         assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref)
     assert (None in [t for t, _, _ in got]) == (max_rounds == 3)
+
+
+def test_two_choices_peak_spans_the_mover_rounds():
+    # a run censored in its mover rounds reports the largest support of
+    # every round, round 0 included: in some runs the colour of 10 nodes
+    # shrinks, so the peak lies before the round the run stops at
+    c0, stop, earlier = canonicalize([10] + [1] * 190), StopCondition(max_rounds=3), 0
+    for seed in range(100):
+        stream = ("peak", seed)
+        (t, c, peak), = run_block(two_choices_rule(), [c0], stop, RngStream(18, stream))
+        ((t_ref, c_ref, peak_ref),) = _two_choices_rows([c0], stop, RngStream(18, stream).gen)
+        assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), peak_ref), seed
+        earlier += peak > c[0]
+    assert earlier > 0
 
 
 @pytest.mark.parametrize("rows", [1, 5])
