@@ -588,11 +588,9 @@ BLOCK_STARTS = ("ncolor", "balanced:20", "balanced:6", "biased:3:10", "explicit:
 def test_run_block_replays_a_per_row_loop(label, max_rounds):
     rule, n = parse_rule(label), 40
     stop = StopCondition(kappa=2, max_rounds=max_rounds)
-    # 21 rows in lockstep; one start, a lone row from round 0; and a block
-    # whose last row, from ncolor, runs alone once the other stops
+    # 21 rows in lockstep, and a block whose last row, from ncolor, runs
+    # alone once the other stops
     blocks = {("block", label, max_rounds): [initial_counts(init, n) for init in BLOCK_STARTS] * 3}
-    for init in BLOCK_STARTS:
-        blocks["one", label, max_rounds, init] = [initial_counts(init, n)]
     blocks["tail", label, max_rounds] = [initial_counts(i, n) for i in ("explicit:30,5,5", NCOLOR)]
     runs = []
     for stream, starts in blocks.items():
@@ -605,12 +603,26 @@ def test_run_block_replays_a_per_row_loop(label, max_rounds):
             assert t == t_ref and tuple(c.tolist()) == c_ref, stream
             assert type(peak) is int and peak == max(counts[0] for counts in rounds)
             assert len(rounds) == (max_rounds if t is None else t) + 1
-        if len(starts) == 1:  # a one-start run is a step_rule loop
-            t_ref, c_ref, _ = _stepper_loop(rule, starts[0], stop, RngStream(11, stream))
-            assert (got[0][0], got[0][1].tolist()) == (t_ref, c_ref.tolist())
     assert runs[0].count(0) == 9 and (None in runs[0]) == (max_rounds == 4)
     if max_rounds > 4:  # the tail block's last row ran alone for many rounds
         assert runs[-1][1] - runs[-1][0] >= 10, runs[-1]
+
+
+@pytest.mark.parametrize("label", ["voter", "hmaj:3", "hmaj:4"])
+def test_run_block_runs_one_start_as_run_until(label):
+    # one start is a lone row from round 0: it takes a step_rule loop's
+    # draws, and the replay's sort-every-round loop repeats them
+    rule, n = parse_rule(label), 40
+    for i, init in enumerate(BLOCK_STARTS[2:]):
+        c0 = initial_counts(init, n)
+        for stop in (StopCondition(kappa=2), StopCondition(kappa=1, max_rounds=3)):
+            stream = ("one", label, i, stop.kappa)
+            (t, c, peak), = run_block(rule, [c0], stop, RngStream(13, stream))
+            t_ref, c_ref, seen = _stepper_loop(rule, c0, stop, RngStream(13, stream))
+            assert (t, c.tolist(), peak) == (t_ref, c_ref.tolist(), max(s[0] for s in seen))
+            (t_rep, c_rep, rounds), = replay_block(rule, [c0], stop, RngStream(13, stream))
+            assert t_rep == t and c_rep == tuple(c.tolist())
+            assert peak == max(counts[0] for counts in rounds)
 
 
 @pytest.mark.parametrize(
