@@ -31,8 +31,8 @@ from .coalescing import (
 from .core import StopCondition
 from .dominance import check_dominance, empirical_time_dominance, time_dominance_epsilon
 from .drift import (
+    DriftFunction,
     additive_drift_bound,
-    power_law,
     variable_drift_bound_generalized,
     variable_drift_bound_lw14,
 )
@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
     rng = RngStream(args.seed, ("compare",))
     fast = [t for t, _ in run_trials(rule_fast, c0, args.trials, stop, rng.child("fast"))]
     slow = [t for t, _ in run_trials(rule_slow, c0, args.trials, stop, rng.child("slow"))]
-    report = empirical_time_dominance(fast, slow, stop.max_rounds, epsilon)
+    report = empirical_time_dominance(fast, slow, epsilon)
     out = {
         "rule_fast": rule_fast.label(),
         "rule_slow": rule_slow.label(),
@@ -268,18 +268,14 @@ def cmd_drift_bound(args) -> int:
     if args.form == "additive":
         res = additive_drift_bound(v["m"], v["k_prime"], v["c"])
     else:
-        h = power_law(v["a"], v["b"], v["x_min"], v["x_max"])
+        h = DriftFunction(v["a"], v["b"], v["x_min"], v["x_max"])
         if args.form == "lw14":
             res = variable_drift_bound_lw14(h, v["x0"])
         else:
             res = variable_drift_bound_generalized(h, v["m"], v["k_prime"])
-    if not math.isfinite(res.bound):  # the bound includes the error estimate
+    if not math.isfinite(res.bound):
         raise UsageError("drift-bound: the bound overflows a float")
-    out = {
-        "form": res.form_used,
-        "bound": res.bound,
-        "integral_error_estimate": res.integral_error_estimate,
-    }
+    out = {"form": res.form_used, "bound": res.bound}
     _report(out, args)
     return 0
 

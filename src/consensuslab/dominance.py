@@ -26,6 +26,8 @@ from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function
 from .sampler import RngStream
 
 MAX_ENUM_N = 40
+# the level of the stopping-time check's default epsilon
+DELTA = 0.05
 
 
 class EnumerationBudgetExceeded(ValueError):
@@ -202,15 +204,13 @@ def two_sample_tail(trials: int, m: int) -> Fraction:
     return tail
 
 
-def two_sample_critical_value(trials: int, delta: float = 0.05) -> float:
-    """The exact one-sided two-sample critical value at level delta: the
-    least m/T with two_sample_tail(T, m) <= delta. Two T-samples of one
-    continuous law reach a deficit of it with probability at most delta;
+def two_sample_critical_value(trials: int) -> float:
+    """The exact one-sided two-sample critical value at level DELTA: the
+    least m/T with two_sample_tail(T, m) <= DELTA. Two T-samples of one
+    continuous law reach a deficit of it with probability at most DELTA;
     ties, as between integer stopping times, only make that rarer."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     m, tail = 0, Fraction(1)  # tail = two_sample_tail(trials, m)
-    while tail > delta:
+    while tail > DELTA:
         tail *= Fraction(trials - m, trials + 1 + m)
         m += 1
     return m / trials
@@ -232,18 +232,17 @@ def time_dominance_epsilon(trials: int, epsilon: Optional[float] = None) -> floa
 def empirical_time_dominance(
     runs_fast: Sequence[Optional[int]],
     runs_slow: Sequence[Optional[int]],
-    max_rounds: int,
     epsilon: Optional[float] = None,
 ) -> TimeDominanceReport:
     """Empirical CDF comparison of two independent, equal-size samples of
-    stopping times (None for a trial censored at max_rounds).
+    stopping times (None for a trial censored at the round cap).
 
     Dominance verdict: the slow sample's empirical CDF must exceed the fast
     one's by less than epsilon at every t; epsilon is
     time_dominance_epsilon's, by default two_sample_critical_value at
-    delta = 0.05. The report's delta is two_sample_tail at the epsilon used:
+    DELTA. The report's delta is two_sample_tail at the epsilon used:
     the chance that two samples of one continuous law fail the check.
-    A censored trial, on either side, has not stopped within max_rounds: it
+    A censored trial, on either side, has not stopped within the cap: it
     counts as +inf, below no point of the grid of finite times.
     """
     trials = len(runs_fast)

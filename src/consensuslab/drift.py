@@ -3,10 +3,8 @@ empirical validator.
 
 Three forms: the additive lemma E[T] <= (m - k')/c, the LW14 variable form
 x_min/h(x_min) + integral of 1/h, and the generalized variable form
-integral from k' to m of 1/h. Power-law drift functions integrate in closed
-form; tabulated ones go through composite trapezoid quadrature whose error
-estimate is added to the reported bound (the theorems only need an upper
-bound).
+integral from k' to m of 1/h. The drift is a power law h(x) = a * x**b,
+whose 1/h integrates in closed form over any interval inside its domain.
 """
 
 from __future__ import annotations
@@ -34,51 +32,29 @@ class HypothesisFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class DriftFunction:
-    """Positive non-decreasing drift h on [x_min, x_max].
+    """The positive non-decreasing drift h(x) = a * x**b on [x_min, x_max]."""
 
-    Either a power law h(x) = a * x**b or a tabulated monotone grid.
-    """
-
+    a: float
+    b: float
     x_min: float
     x_max: float
-    a: Optional[float] = None
-    b: Optional[float] = None
-    grid_x: Optional[tuple[float, ...]] = None
-    grid_h: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         # every check is a `not (...)` comparison, so a NaN fails it
-        if not self.x_min < self.x_max:
-            raise DriftDomainError("need x_min < x_max")
-        if self.is_power_law:
-            if not self.a > 0:
-                raise ValueError(f"power-law coefficient must be positive, got a = {self.a}")
-            if not self.b >= 0:
-                raise ValueError(
-                    f"power-law exponent must be non-negative (h non-decreasing), got b = {self.b}"
-                )
-        else:
-            if self.grid_x is None or self.grid_h is None:
-                raise ValueError("need either (a, b) or a tabulated grid")
-            gx, gh = np.asarray(self.grid_x), np.asarray(self.grid_h)
-            if len(gx) < 2 or len(gx) != len(gh):
-                raise ValueError("grid needs >= 2 aligned points")
-            if not np.all(np.diff(gx) > 0):
-                raise ValueError("grid abscissae must be strictly increasing")
-            if not np.all(gh > 0):
-                raise ValueError("h must be positive")
-            if not np.all(np.diff(gh) >= 0):
-                raise ValueError("h must be non-decreasing")
-
-    @property
-    def is_power_law(self) -> bool:
-        return self.a is not None
+        if not 0 <= self.x_min < self.x_max:  # x**b of a negative x is no real drift
+            raise DriftDomainError(
+                f"need 0 <= x_min < x_max, got x_min = {self.x_min}, x_max = {self.x_max}"
+            )
+        if not self.a > 0:
+            raise ValueError(f"power-law coefficient must be positive, got a = {self.a}")
+        if not self.b >= 0:
+            raise ValueError(
+                f"power-law exponent must be non-negative (h non-decreasing), got b = {self.b}"
+            )
 
     def __call__(self, x: float) -> float:
         if not (self.x_min - 1e-12 <= x <= self.x_max + 1e-12):
             raise DriftDomainError(f"x = {x} outside [{self.x_min}, {self.x_max}]")
-        if not self.is_power_law:
-            return float(np.interp(x, self.grid_x, self.grid_h))
         try:
             value = self.a * x**self.b
         except OverflowError:
@@ -88,58 +64,28 @@ class DriftFunction:
         return value
 
 
-def power_law(a: float, b: float, x_min: float, x_max: float) -> DriftFunction:
-    return DriftFunction(x_min=x_min, x_max=x_max, a=a, b=b)
-
-
-def tabulated(grid_x, grid_h) -> DriftFunction:
-    """A drift tabulated on a grid, defined from its first abscissa to its last."""
-    gx = tuple(float(v) for v in grid_x)
-    return DriftFunction(
-        x_min=gx[0],
-        x_max=gx[-1],
-        grid_x=gx,
-        grid_h=tuple(float(v) for v in grid_h),
-    )
-
-
 @dataclass
 class DriftBoundResult:
     bound: float
     form_used: str
-    integral_error_estimate: float = 0.0
 
 
-def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> tuple[float, float]:
-    """(integral of 1/h over [lo, hi], quadrature error estimate)."""
-    if hi < lo:
-        raise DriftDomainError("integration bounds reversed")
+def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> float:
+    """The integral of 1/h over [lo, hi], which must lie inside h's domain."""
+    if not h.x_min <= lo <= hi <= h.x_max:  # a NaN fails it too
+        raise DriftDomainError(
+            f"1/h is integrated over [{lo}, {hi}], which is not an interval "
+            f"inside h's domain [{h.x_min}, {h.x_max}]"
+        )
     if hi == lo:
-        return 0.0, 0.0
-    if h.is_power_law:
-        a, b = h.a, h.b
-        if b == 1.0:
-            return math.log(hi / lo) / a, 0.0
-        try:
-            val = (hi ** (1.0 - b) - lo ** (1.0 - b)) / (a * (1.0 - b))
-        except ArithmeticError:  # y**(1 - b) overflows, or a * (1 - b) underflows to 0
-            raise DriftDomainError(f"the bound overflows a float: 1/h over [{lo}, {hi}]") from None
-        return val, 0.0
-    # composite trapezoid on the grid restricted to [lo, hi], with the
-    # standard (b-a) h_step^2 / 12 * max|f''| estimate via divided differences
-    xs = np.array(h.grid_x)
-    inside = xs[(xs > lo) & (xs < hi)]
-    nodes = np.concatenate([[lo], inside, [hi]])
-    f = 1.0 / np.interp(nodes, h.grid_x, h.grid_h)
-    val = float(np.trapezoid(f, nodes))
-    if len(nodes) >= 3:
-        d2 = np.abs(np.diff(f, 2) / (np.diff(nodes)[:-1] * np.diff(nodes)[1:]))
-        max_f2 = float(d2.max()) * 2.0
-    else:
-        max_f2 = 0.0
-    step = float(np.diff(nodes).max())
-    err = (hi - lo) * step**2 / 12.0 * max_f2
-    return val, err
+        return 0.0
+    a, b = h.a, h.b
+    if b == 1.0:
+        return math.log(hi / lo) / a
+    try:
+        return (hi ** (1.0 - b) - lo ** (1.0 - b)) / (a * (1.0 - b))
+    except ArithmeticError:  # y**(1 - b) overflows, or a * (1 - b) underflows to 0
+        raise DriftDomainError(f"the bound overflows a float: 1/h over [{lo}, {hi}]") from None
 
 
 def additive_drift_bound(m: float, k_prime: float, c: float) -> DriftBoundResult:
@@ -156,13 +102,9 @@ def variable_drift_bound_lw14(h: DriftFunction, x0: float) -> DriftBoundResult:
     """E[T] <= x_min/h(x_min) + integral_{x_min}^{x0} dy/h(y)."""
     if not h.x_min > 0:
         raise DriftDomainError(f"the LW14 form divides by x_min, got x_min = {h.x_min}")
-    if not (h.x_min <= x0 <= h.x_max):
-        raise DriftDomainError(f"x0 = {x0} outside drift domain")
     head = h.x_min / h(h.x_min)
-    integral, err = _integral_inverse(h, h.x_min, x0)
-    return DriftBoundResult(
-        bound=head + integral + err, form_used="VariableLW14", integral_error_estimate=err
-    )
+    integral = _integral_inverse(h, h.x_min, x0)
+    return DriftBoundResult(bound=head + integral, form_used="VariableLW14")
 
 
 def variable_drift_bound_generalized(
@@ -171,19 +113,12 @@ def variable_drift_bound_generalized(
     """E[T] <= integral_{k'}^{m} du/h(u); k' = 0 routes through the 1/h(1) offset."""
     if not k_prime <= m:  # a NaN fails it
         raise DriftDomainError(f"need k' <= m, got k' = {k_prime}, m = {m}")
-    if k_prime == 0:
-        # state space {0} union [1, inf): g carries a 1/h(1) head term
-        lo = max(1.0, h.x_min)
-        head = 1.0 / h(lo)
-    else:
-        lo = k_prime
-        head = 0.0
-    integral, err = _integral_inverse(h, lo, m)
-    return DriftBoundResult(
-        bound=head + integral + err,
-        form_used="VariableGeneralized",
-        integral_error_estimate=err,
-    )
+    # k' = 0: the state space is {0} union [1, inf), and g carries a 1/h(1)
+    # head term, so h must be defined from 1 on
+    lo = 1.0 if k_prime == 0 else k_prime
+    integral = _integral_inverse(h, lo, m)
+    head = 1.0 / h(lo) if k_prime == 0 else 0.0
+    return DriftBoundResult(bound=head + integral, form_used="VariableGeneralized")
 
 
 def step_moments(

@@ -395,6 +395,26 @@ MUTANTS = (
         ("tests/test_drift.py::test_validate_bound_fails_a_censored_chain",),
     ),
     Mutant(
+        "drift-integral-outside-domain",
+        "drift.py",
+        "if not h.x_min <= lo <= hi <= h.x_max:",
+        "if not lo <= hi:",  # 1/h integrated wherever the closed form evaluates
+        (
+            "tests/test_drift.py::test_generalized_bound_integrates_only_inside_the_domain",
+            "tests/test_cli.py::test_drift_bound_generalized_stays_inside_the_domain",
+        ),
+    ),
+    Mutant(
+        "drift-generalized-head-at-x-min",
+        "drift.py",
+        "lo = 1.0 if k_prime == 0 else k_prime",
+        "lo = max(1.0, h.x_min) if k_prime == 0 else k_prime",  # 1/h(x_min) for 1/h(1)
+        (
+            "tests/test_drift.py::test_generalized_zero_floor_reads_h_at_one",
+            "tests/test_cli.py::test_drift_bound_generalized_stays_inside_the_domain",
+        ),
+    ),
+    Mutant(
         "complete-graph-self-loops",
         "coalescing.py",
         "return np.where(r >= nodes, r + 1, r)",

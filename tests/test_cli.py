@@ -318,9 +318,33 @@ def test_drift_bound_subcommand():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert abs(rec["bound"] - 1990.0) < 1e-9
+    assert set(rec) == {"form", "bound", "metadata", "subcommand"}
     proc = run_cli("drift-bound", "--form", "additive", "--m", "100", "--k-prime", "0", "--c", "2")
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rec["bound"] == 50.0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # k' = 0 reads h(1), outside [10, 1000]; reading h(10) would give
+        # 91.0 for a chain whose mean hitting time is 100
+        ["--a", "1", "--b", "0", "--x-min", "10", "--x-max", "1000", "--m", "100",
+         "--k-prime", "0"],
+        # 1/h over [5, 1000] on a domain of [10, 20]
+        ["--a", "1", "--b", "2", "--x-min", "10", "--x-max", "20", "--m", "1000",
+         "--k-prime", "5"],
+        # k' = -1 < x_min, where the closed form would take the complex (-1)**0.5
+        ["--a", "1", "--b", "0.5", "--x-min", "1", "--x-max", "20", "--m", "5",
+         "--k-prime", "-1"],
+    ],
+    ids=["head-below-domain", "integral-beyond-domain", "negative-floor"],
+)
+def test_drift_bound_generalized_stays_inside_the_domain(flags):
+    proc = run_cli("drift-bound", "--form", "generalized", *flags)
+    assert proc.returncode == USAGE_ERROR
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert "domain" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -251,7 +251,7 @@ def test_empirical_stochastic_majorization_requires_majorization():
 
 def test_two_sample_critical_value_matches_the_closed_form():
     # P(D+ >= m/T) = C(2T, T - m) / C(2T, T); the critical value is the
-    # least m/T whose tail is at most delta = 0.05
+    # least m/T whose tail is at most DELTA = 0.05
     for trials, m in ((100, 18), (300, 30)):
         assert two_sample_critical_value(trials) == m / trials
         assert two_sample_tail(trials, m) == Fraction(math.comb(2 * trials, trials - m),
@@ -279,7 +279,7 @@ def test_empirical_time_dominance_fails_equal_laws_at_rate_delta():
         rng = RngStream(seed, ("size",))
         fast = _stop_times(h_majority_rule(2), c0, 100, stop, rng.child("fast"))
         slow = _stop_times(voter_rule(), c0, 100, stop, rng.child("slow"))
-        reports.append(empirical_time_dominance(fast, slow, stop.max_rounds))
+        reports.append(empirical_time_dominance(fast, slow))
     failed = sum(1 for report in reports if not report.passed)
     pv = stats.binomtest(failed, seeds, delta).pvalue
     assert pv > 1e-3, (failed, seeds, delta, pv)
@@ -292,7 +292,7 @@ def test_empirical_time_dominance_same_rule_passes():
     stop = StopCondition(kappa=1, max_rounds=1_300)
     fast = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("fast"))
     slow = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("slow"))
-    report = empirical_time_dominance(fast, slow, stop.max_rounds)
+    report = empirical_time_dominance(fast, slow)
     assert report.passed
     assert report.max_cdf_deficit <= report.epsilon
     assert len(report.times_fast) == 100
@@ -306,7 +306,7 @@ def test_empirical_time_dominance_detects_clear_gap():
     stop = StopCondition(kappa=1, max_rounds=1_400)  # longest run 331 rounds
     fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(8).child("fast"))
     slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(8).child("slow"))
-    report = empirical_time_dominance(fast, slow, stop.max_rounds)
+    report = empirical_time_dominance(fast, slow)
     assert report.passed
 
 
@@ -327,7 +327,6 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop():
         report = empirical_time_dominance(
             [script[i, "fast"] for i in range(trials)],
             [script[i, "slow"] for i in range(trials)],
-            stop.max_rounds,
         )
         # a censored trial, fast or slow, has not stopped by any observed t
         fast, slow = ([math.inf if script[i, side] is None else float(script[i, side])
@@ -349,25 +348,26 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop():
 
 
 def test_empirical_time_dominance_counts_censored_fast_trials_as_unstopped():
-    # half the fast trials censored at the cap: the slow sample, all stopped
-    # at 100, leads by half at t = 100 whether the cap is 100 or 200
+    # half the fast trials censored at a cap of 100: the slow sample, all
+    # stopped at 100, leads by half at t = 100, as when those trials stop at
+    # 101 under a cap of 200
     runs_slow = [100] * 100
-    for runs_fast, max_rounds in (([10] * 50 + [None] * 50, 100), ([10] * 50 + [101] * 50, 200)):
-        report = empirical_time_dominance(runs_fast, runs_slow, max_rounds)
-        assert not report.passed and report.max_cdf_deficit == 0.5, max_rounds
+    for runs_fast in ([10] * 50 + [None] * 50, [10] * 50 + [101] * 50):
+        report = empirical_time_dominance(runs_fast, runs_slow)
+        assert not report.passed and report.max_cdf_deficit == 0.5, runs_fast[-1]
     # no trial stopped on either side: no time to compare at
-    report = empirical_time_dominance([None] * 100, [None] * 100, 100)
+    report = empirical_time_dominance([None] * 100, [None] * 100)
     assert report.passed and report.max_cdf_deficit == 0.0
 
 
 def test_empirical_time_dominance_checks_its_samples():
     with pytest.raises(ValueError, match="samples differ in size: 100 fast, 99 slow"):
-        empirical_time_dominance([1] * 100, [1] * 99, 10)
+        empirical_time_dominance([1] * 100, [1] * 99)
     with pytest.raises(ValueError, match="need at least 100 trials, got 50"):
-        empirical_time_dominance([1] * 50, [1] * 50, 10)
+        empirical_time_dominance([1] * 50, [1] * 50)
     for epsilon in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon must be > 0 and finite"):
-            empirical_time_dominance([1] * 100, [1] * 100, 10, epsilon=epsilon)
+            empirical_time_dominance([1] * 100, [1] * 100, epsilon=epsilon)
 
 
 def test_empirical_time_dominance_flags_reversed_order():
@@ -378,6 +378,6 @@ def test_empirical_time_dominance_flags_reversed_order():
     stop = StopCondition(kappa=1, max_rounds=900)  # longest run 382 rounds
     fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(9).child("fast"))
     slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(9).child("slow"))
-    report = empirical_time_dominance(fast, slow, stop.max_rounds, epsilon=0.2)
+    report = empirical_time_dominance(fast, slow, epsilon=0.2)
     assert not report.passed
     assert report.max_cdf_deficit > 0.2

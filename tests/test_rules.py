@@ -12,6 +12,7 @@ from consensuslab.core import (
     InvalidProbabilityVector,
     StopCondition,
     canonicalize,
+    multinomial_pvals,
 )
 from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import (
@@ -230,6 +231,34 @@ def test_h_majority_alpha_matches_per_node_simulation():
     freq = tally / draws
     sigma = np.sqrt(alpha * (1 - alpha) / draws)
     assert np.all(np.abs(freq - alpha) <= 5 * sigma + 1e-9)
+
+
+def _same_law_pvalue(a, b):
+    """Chi-square p-value that two integer samples share one law, over the
+    values seen at least 10 times in both together."""
+    values, where = np.unique(np.concatenate([a, b]), return_inverse=True)
+    table = np.stack([np.bincount(side, minlength=len(values))
+                      for side in (where[: len(a)], where[len(a) :])])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) >= 10]).pvalue
+
+
+@pytest.mark.parametrize("init", ["ncolor", "biased:128:20"])
+def test_plurality_alpha_matches_the_literal_round_at_many_colors(init):
+    # one round of hmaj:5 at n = 256 from 256 or 128 colours: Mult(n, alpha)
+    # with the DP's alpha against node_round's literal samples and ties.
+    # From ncolor symmetry makes every colour's alpha 1/256; the biased
+    # start, largest colour 22, is where the DP's shape shows
+    rule, n, draws = h_majority_rule(5), 256, 4_000
+    c = initial_counts(init, n)
+    rng = RngStream(31, ("literal", init))
+    rows = rng.child("dp").gen.multinomial(n, multinomial_pvals(process_function(rule, c)),
+                                           size=draws)
+    ref = [step_reference(rule, c, rng.child("ref", t)) for t in range(draws)]
+    for dp_stat, ref_stat in (
+        (rows.max(axis=1), [r[0] for r in ref]),  # the largest support
+        ((rows > 0).sum(axis=1), [len(r) for r in ref]),  # the colour count
+    ):
+        assert _same_law_pvalue(dp_stat, ref_stat) > 1e-3
 
 
 def test_ac_only_entry_points_reject_two_choices():
