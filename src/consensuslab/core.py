@@ -168,21 +168,16 @@ def prefix_sums(x: VectorLike, d: int) -> np.ndarray:
 def majorizes(a: VectorLike, b: VectorLike) -> bool:
     """True iff every prefix sum of sorted(a) covers that of sorted(b).
 
-    Requires equal total mass: exact for integer vectors, within MASS_TOL
-    otherwise. Vectors of different lengths are compared as if zero-padded.
+    Requires equal total mass, within MASS_TOL. Vectors of different lengths
+    are compared as if zero-padded. Integer vectors give integral float
+    sums, whose order no slack below 1 can change.
     """
     sa, sb = _sorted_values(a), _sorted_values(b)
-    exact = all(np.issubdtype(np.asarray(x).dtype, np.integer) for x in (a, b))
     ta, tb = sa.sum(), sb.sum()
-    if exact:
-        if int(round(ta)) != int(round(tb)):
-            raise MassMismatch(f"total mass {ta} != {tb}")
-        slack = 0.0
-    else:
-        if abs(ta - tb) > MASS_TOL:
-            raise MassMismatch(f"total mass {ta} != {tb}")
-        # the padded tail compares the two totals, which may differ by
-        # up to MASS_TOL; that gap must not decide the answer
-        slack = PREFIX_SLACK + abs(ta - tb)
+    if abs(ta - tb) > MASS_TOL:
+        raise MassMismatch(f"total mass {ta} != {tb}")
+    # the padded tail compares the two totals, which may differ by
+    # up to MASS_TOL; that gap must not decide the answer
+    slack = PREFIX_SLACK + abs(ta - tb)
     d = max(len(sa), len(sb))
     return bool(np.all(prefix_sums(sa, d) >= prefix_sums(sb, d) - slack))

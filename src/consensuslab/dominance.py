@@ -39,20 +39,13 @@ class NotMajorized(ValueError):
 
 
 @dataclass
-class Violation:
-    c: tuple[int, ...]
-    c_tilde: tuple[int, ...]
-    prefix: int
-    margin: float
-
-
-@dataclass
 class DominanceReport:
     n: int
     rule_p: UpdateRule
     rule_q: UpdateRule
     pairs_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    # each {"c", "c_tilde", "prefix", "margin"}, as the record lists it
+    violations: list[dict] = field(default_factory=list)
 
     @property
     def holds(self) -> bool:
@@ -64,10 +57,7 @@ class DominanceReport:
             "rule_p": self.rule_p.label(),
             "rule_q": self.rule_q.label(),
             "pairs_checked": self.pairs_checked,
-            "violations": [
-                {"c": list(v.c), "c_tilde": list(v.c_tilde), "prefix": v.prefix, "margin": v.margin}
-                for v in self.violations
-            ],
+            "violations": self.violations,
         }
 
 
@@ -112,21 +102,9 @@ def check_dominance(rule_p: UpdateRule, rule_q: UpdateRule, n: int) -> Dominance
         worst = deficit.argmax(axis=1)
         margin = deficit.max(axis=1)
         for j in np.flatnonzero(margin > PREFIX_SLACK):
-            c_tilde = tuple(configs[below[j]].tolist())
-            report.violations.append(
-                Violation(tuple(c.tolist()), c_tilde, int(worst[j]) + 1, float(margin[j]))
-            )
+            report.violations.append({"c": c.tolist(), "c_tilde": configs[below[j]].tolist(),
+                                      "prefix": int(worst[j]) + 1, "margin": float(margin[j])})
     return report
-
-
-@dataclass
-class StochasticMajorizationReport:
-    m: int
-    draws: int
-    mean_low: list[float]
-    mean_high: list[float]
-    sigma: list[float]
-    passed: bool
 
 
 def empirical_stochastic_majorization(
@@ -135,12 +113,13 @@ def empirical_stochastic_majorization(
     m: int,
     draws: int,
     rng: RngStream,
-) -> StochasticMajorizationReport:
+) -> dict:
     """Monte-Carlo check that Mult(m, theta1) <=st Mult(m, theta2).
 
     Estimates E[phi_j] for every prefix functional phi_j; passes iff the
     theta1 mean is below the theta2 mean plus 3 standard errors for all j.
     Both thetas are probability vectors (array-likes), checked on entry.
+    Returns {"mean_low", "mean_high", "sigma", "passed"}, the lists by j.
     """
     p1, p2 = multinomial_pvals(theta1), multinomial_pvals(theta2)
     if not majorizes(theta2, theta1):
@@ -155,15 +134,12 @@ def empirical_stochastic_majorization(
     mean1 = phi1.mean(axis=0)
     mean2 = phi2.mean(axis=0)
     sigma = np.sqrt(phi1.var(axis=0) / draws + phi2.var(axis=0) / draws)
-    passed = bool(np.all(mean1 <= mean2 + 3 * sigma))
-    return StochasticMajorizationReport(
-        m=m,
-        draws=draws,
-        mean_low=mean1.tolist(),
-        mean_high=mean2.tolist(),
-        sigma=sigma.tolist(),
-        passed=passed,
-    )
+    return {
+        "mean_low": mean1.tolist(),
+        "mean_high": mean2.tolist(),
+        "sigma": sigma.tolist(),
+        "passed": bool(np.all(mean1 <= mean2 + 3 * sigma)),
+    }
 
 
 def exact_prefix_expectations(theta, m: int) -> np.ndarray:
@@ -178,19 +154,6 @@ def exact_prefix_expectations(theta, m: int) -> np.ndarray:
     for counts in _compositions(m, k):
         out += _multinomial_pmf(counts, arr) * prefix_sums(counts, k)
     return out
-
-
-@dataclass
-class TimeDominanceReport:
-    trials: int
-    times_fast: list[float]
-    times_slow: list[float]
-    max_cdf_deficit: float
-    epsilon: float
-    delta: float
-    passed: bool
-    censored_fast: int = 0
-    censored_slow: int = 0
 
 
 def two_sample_tail(trials: int, m: int) -> Fraction:
@@ -233,17 +196,18 @@ def empirical_time_dominance(
     runs_fast: Sequence[Optional[int]],
     runs_slow: Sequence[Optional[int]],
     epsilon: Optional[float] = None,
-) -> TimeDominanceReport:
+) -> dict:
     """Empirical CDF comparison of two independent, equal-size samples of
     stopping times (None for a trial censored at the round cap).
 
     Dominance verdict: the slow sample's empirical CDF must exceed the fast
     one's by less than epsilon at every t; epsilon is
     time_dominance_epsilon's, by default two_sample_critical_value at
-    DELTA. The report's delta is two_sample_tail at the epsilon used:
+    DELTA. The verdict's delta is two_sample_tail at the epsilon used:
     the chance that two samples of one continuous law fail the check.
     A censored trial, on either side, has not stopped within the cap: it
-    counts as +inf, below no point of the grid of finite times.
+    counts as +inf, below no point of the grid of finite times. Returns
+    max_cdf_deficit, epsilon, delta, passed and each side's censored count.
     """
     trials = len(runs_fast)
     if len(runs_slow) != trials:
@@ -252,7 +216,6 @@ def empirical_time_dominance(
     # the least count gap whose deficit reaches eps; the tolerance keeps a
     # decimal epsilon such as 0.08 at T = 300 on its lattice point
     reach = math.ceil(eps * trials - 1e-9)
-    censored_fast, censored_slow = runs_fast.count(None), runs_slow.count(None)
     times_fast, times_slow = ([math.inf if t is None else float(t) for t in runs]
                               for runs in (runs_fast, runs_slow))
     fast, slow = np.sort(times_fast), np.sort(times_slow)
@@ -262,16 +225,13 @@ def empirical_time_dominance(
     at_slow = np.searchsorted(slow, grid, side="right")
     # every trial censored leaves no grid point: neither CDF leaves 0
     deficit = float((at_slow / trials - at_fast / trials).max(initial=0.0))
-    return TimeDominanceReport(
-        trials=trials,
-        times_fast=times_fast,
-        times_slow=times_slow,
-        max_cdf_deficit=deficit,
-        epsilon=eps,
-        delta=float(two_sample_tail(trials, reach)),
+    return {
+        "max_cdf_deficit": deficit,
+        "epsilon": eps,
+        "delta": float(two_sample_tail(trials, reach)),
         # the verdict compares integer counts, so float rounding of the
         # deficit cannot decide a deficit that lands on epsilon
-        passed=int((at_slow - at_fast).max(initial=0)) < reach,
-        censored_fast=censored_fast,
-        censored_slow=censored_slow,
-    )
+        "passed": int((at_slow - at_fast).max(initial=0)) < reach,
+        "censored_fast": runs_fast.count(None),
+        "censored_slow": runs_slow.count(None),
+    }

@@ -5,6 +5,7 @@ Three forms: the additive lemma E[T] <= (m - k')/c, the LW14 variable form
 x_min/h(x_min) + integral of 1/h, and the generalized variable form
 integral from k' to m of 1/h. The drift is a power law h(x) = a * x**b,
 whose 1/h integrates in closed form over any interval inside its domain.
+Each calculator returns {"form", "bound"}, the record drift-bound prints.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class DriftFunction:
             )
 
     def __call__(self, x: float) -> float:
-        if not (self.x_min - 1e-12 <= x <= self.x_max + 1e-12):
+        if not self.x_min <= x <= self.x_max:
             raise DriftDomainError(f"x = {x} outside [{self.x_min}, {self.x_max}]")
         try:
             value = self.a * x**self.b
@@ -62,12 +63,6 @@ class DriftFunction:
         if not 0 < value < math.inf:  # the bounds divide by h
             raise DriftDomainError(f"the bound overflows a float: h({x}) is out of range")
         return value
-
-
-@dataclass
-class DriftBoundResult:
-    bound: float
-    form_used: str
 
 
 def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> float:
@@ -88,28 +83,28 @@ def _integral_inverse(h: DriftFunction, lo: float, hi: float) -> float:
         raise DriftDomainError(f"the bound overflows a float: 1/h over [{lo}, {hi}]") from None
 
 
-def additive_drift_bound(m: float, k_prime: float, c: float) -> DriftBoundResult:
+def additive_drift_bound(m: float, k_prime: float, c: float) -> dict:
     """E[T] <= (m - k') / c for per-step drift at least c."""
     # `not (...)`, so that a NaN fails the check
     if not c > 0:
         raise NoDrift(f"per-step drift must be positive, got c = {c}")
     if not m >= k_prime >= 0:
         raise DriftDomainError(f"need m >= k' >= 0, got m = {m}, k' = {k_prime}")
-    return DriftBoundResult(bound=(m - k_prime) / c, form_used="AdditiveLemma")
+    return {"form": "AdditiveLemma", "bound": (m - k_prime) / c}
 
 
-def variable_drift_bound_lw14(h: DriftFunction, x0: float) -> DriftBoundResult:
+def variable_drift_bound_lw14(h: DriftFunction, x0: float) -> dict:
     """E[T] <= x_min/h(x_min) + integral_{x_min}^{x0} dy/h(y)."""
     if not h.x_min > 0:
         raise DriftDomainError(f"the LW14 form divides by x_min, got x_min = {h.x_min}")
     head = h.x_min / h(h.x_min)
     integral = _integral_inverse(h, h.x_min, x0)
-    return DriftBoundResult(bound=head + integral, form_used="VariableLW14")
+    return {"form": "VariableLW14", "bound": head + integral}
 
 
 def variable_drift_bound_generalized(
     h: DriftFunction, m: float, k_prime: float
-) -> DriftBoundResult:
+) -> dict:
     """E[T] <= integral_{k'}^{m} du/h(u); k' = 0 routes through the 1/h(1) offset."""
     if not k_prime <= m:  # a NaN fails it
         raise DriftDomainError(f"need k' <= m, got k' = {k_prime}, m = {m}")
@@ -118,7 +113,7 @@ def variable_drift_bound_generalized(
     lo = 1.0 if k_prime == 0 else k_prime
     integral = _integral_inverse(h, lo, m)
     head = 1.0 / h(lo) if k_prime == 0 else 0.0
-    return DriftBoundResult(bound=head + integral, form_used="VariableGeneralized")
+    return {"form": "VariableGeneralized", "bound": head + integral}
 
 
 def step_moments(
@@ -133,16 +128,6 @@ def step_moments(
     return float(nxt.mean()), float(nxt.std(ddof=1) / math.sqrt(samples))
 
 
-@dataclass
-class BoundValidationReport:
-    drift_points: list[tuple[float, float, float]]  # (x, empirical drop, required h(x))
-    bound: float
-    empirical_mean_time: float  # inf once a trial is censored
-    mean_time_sigma: float
-    bound_ok: bool
-    censored: int  # trials still above k after max_rounds steps
-
-
 def validate_bound(
     chain: Callable[[float, np.random.Generator], float],
     x0: float,
@@ -152,21 +137,29 @@ def validate_bound(
     rng: RngStream,
     drift_samples: int = 2000,
     max_rounds: int = 10**6,
-) -> BoundValidationReport:
+) -> dict:
     """Check the drift hypothesis and the concluded bound on a supplied chain.
 
-    chain(x, gen) draws the next state from x. (a) estimates
-    E[X_t - X_{t+1} | X_t = x] at a few states, state i from
+    chain(x, gen) draws the next state from x. The LW14 bound on h cut to
+    [max(k, x_min), x_max] comes first, so an x0 outside h's domain raises
+    before any draw. (a) estimates E[X_t - X_{t+1} | X_t = x] at up to 5
+    integers x in [max(k + 1, x_min), min(x0, x_max)], state i from
     rng.child("drift", i), and raises HypothesisFailed unless it reaches
     h(x) within 3 standard errors at each; (b) runs trial j from
     rng.child("time", j) until X <= k and requires the mean hitting time to
-    stay below the computed bound + 3 sigma. A trial still above k after
-    max_rounds steps is censored: its time is unknown, so the bound fails.
+    stay below the bound + 3 sigma. A trial still above k after max_rounds
+    steps is censored: its time is unknown, so the bound fails. Returns
+    drift_points ((x, empirical drop, h(x)) per state), bound,
+    empirical_mean_time (inf once a trial is censored), mean_time_sigma,
+    bound_ok and censored, the number of censored trials.
     """
+    bound = variable_drift_bound_lw14(replace(h, x_min=max(k, h.x_min)), x0)["bound"]
+
     # (a) drift hypothesis at sampled states
-    xs = np.unique(
-        np.clip(np.linspace(max(k + 1, h.x_min), min(x0, h.x_max), 5).round(), k + 1, x0)
-    )
+    lo, hi = max(k + 1, h.x_min), min(x0, h.x_max)
+    if math.ceil(lo) > math.floor(hi):
+        raise DriftDomainError(f"no integer state in [{lo}, {hi}] to sample the drift at")
+    xs = np.unique(np.linspace(math.ceil(lo), math.floor(hi), 5).round())
     drift_points = []
     failed = False
     for i, x in enumerate(xs):
@@ -179,7 +172,6 @@ def validate_bound(
         raise HypothesisFailed(f"empirical drift below h at {drift_points}")
 
     # (b) hitting-time bound
-    bound = variable_drift_bound_lw14(replace(h, x_min=max(k, h.x_min)), x0).bound
     times: list[Optional[int]] = []
     for trial in range(trials):
         gen = rng.child("time", trial).gen
@@ -194,11 +186,11 @@ def validate_bound(
     if not censored:
         mean_time = float(np.mean(times))
         sigma_t = float(np.std(times, ddof=1) / math.sqrt(trials))
-    return BoundValidationReport(
-        drift_points=drift_points,
-        bound=bound,
-        empirical_mean_time=mean_time,
-        mean_time_sigma=sigma_t,
-        bound_ok=not censored and mean_time <= bound + 3 * sigma_t,
-        censored=censored,
-    )
+    return {
+        "drift_points": drift_points,
+        "bound": bound,
+        "empirical_mean_time": mean_time,
+        "mean_time_sigma": sigma_t,
+        "bound_ok": not censored and mean_time <= bound + 3 * sigma_t,
+        "censored": censored,
+    }

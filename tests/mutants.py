@@ -395,6 +395,14 @@ MUTANTS = (
         ("tests/test_drift.py::test_validate_bound_fails_a_censored_chain",),
     ),
     Mutant(
+        "validate-bound-rounds-domain-ends",
+        "drift.py",
+        "np.linspace(math.ceil(lo), math.floor(hi), 5).round()",
+        # the grid's ends rounded: round(2.4) = 2 samples h outside [2.4, x_max]
+        "np.clip(np.linspace(lo, hi, 5).round(), k + 1, x0)",
+        ("tests/test_drift.py::test_validate_bound_samples_integer_states_inside_the_domain",),
+    ),
+    Mutant(
         "drift-integral-outside-domain",
         "drift.py",
         "if not h.x_min <= lo <= hi <= h.x_max:",

@@ -90,14 +90,14 @@ def test_03_four_majority_counterexample_at_n12():
     hit = [
         v
         for v in report.violations
-        if v.c == (6, 6) and v.c_tilde == (6, 2, 2, 2) and v.prefix == 1
+        if v["c"] == [6, 6] and v["c_tilde"] == [6, 2, 2, 2] and v["prefix"] == 1
     ]
-    ok = bool(hit) and abs(hit[0].margin - 1 / 12) < 1e-12
+    ok = bool(hit) and abs(hit[0]["margin"] - 1 / 12) < 1e-12
     _verdict(
         "03 dominance fails for 4-majority over 3-majority at n=12",
         ok,
         f"{len(report.violations)} violations, (6,6)/(6,2,2,2) margin "
-        f"{hit[0].margin if hit else 'missing'}",
+        f"{hit[0]['margin'] if hit else 'missing'}",
     )
 
 
@@ -151,11 +151,11 @@ def test_06_stopping_time_cdf_dominance():
     fast = [t for t, _ in run_trials(h_majority_rule(3), c0, 300, stop, rng.child("fast"))]
     slow = [t for t, _ in run_trials(voter_rule(), c0, 300, stop, rng.child("slow"))]
     report = empirical_time_dominance(fast, slow, epsilon=0.08)
-    ok = report.passed and report.censored_fast == 0 and report.censored_slow == 0
+    ok = report["passed"] and report["censored_fast"] == 0 and report["censored_slow"] == 0
     _verdict(
         "06 stopping-time CDF dominance, 3-majority vs voter at n=1024",
         ok,
-        f"max deficit {report.max_cdf_deficit:.4f} <= 0.08",
+        f"max deficit {report['max_cdf_deficit']:.4f} <= 0.08",
     )
 
 
@@ -198,11 +198,11 @@ def test_08_drift_bound_calculators():
     details = []
 
     h = DriftFunction(a=1.0 / 10000.0, b=2.0, x_min=10.0, x_max=1000.0)
-    lw = variable_drift_bound_lw14(h, 1000.0).bound
+    lw = variable_drift_bound_lw14(h, 1000.0)["bound"]
     ok = ok and abs(lw - 1990.0) < 1e-9 and lw <= 2000.0
     details.append(f"lw14 {lw:.9f}")
 
-    add = additive_drift_bound(100, 0, 2).bound
+    add = additive_drift_bound(100, 0, 2)["bound"]
     ok = ok and add == 50.0
     details.append(f"additive {add}")
 
@@ -216,9 +216,9 @@ def test_08_drift_bound_calculators():
         rng=RngStream(81),
         drift_samples=2000,
     )
-    ok = ok and report.bound_ok
+    ok = ok and report["bound_ok"]
     details.append(
-        f"chain E[T] {report.empirical_mean_time:.1f} <= {report.bound:.0f}"
+        f"chain E[T] {report['empirical_mean_time']:.1f} <= {report['bound']:.0f}"
     )
     _verdict("08 drift-theorem bound calculators", ok, "; ".join(details))
 
@@ -239,10 +239,10 @@ def test_09_stochastic_majorization_random_pairs():
         report = empirical_stochastic_majorization(
             theta1, theta2, m, draws=3000, rng=RngStream(91, ("sm", pair))
         )
-        ok = ok and report.passed
+        ok = ok and report["passed"]
         for j in range(k):
-            ok = ok and abs(report.mean_low[j] - e1[j]) <= 3 * report.sigma[j] + 1e-9
-            ok = ok and abs(report.mean_high[j] - e2[j]) <= 3 * report.sigma[j] + 1e-9
+            ok = ok and abs(report["mean_low"][j] - e1[j]) <= 3 * report["sigma"][j] + 1e-9
+            ok = ok and abs(report["mean_high"][j] - e2[j]) <= 3 * report["sigma"][j] + 1e-9
     _verdict("09 stochastic majorization on 10 random pairs, m=6", ok)
 
 

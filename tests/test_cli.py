@@ -264,6 +264,10 @@ def test_compare_subcommand():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rec["passed"] is True
+    assert set(rec) == {
+        "rule_fast", "rule_slow", "n", "kappa", "seed", "trials", "max_cdf_deficit", "epsilon",
+        "delta", "passed", "censored_fast", "censored_slow", "metadata", "subcommand",
+    }
     # 2-Choices on either side runs through the same block driver
     for fast, slow, n, init in (("hmaj:3", "2choices", "512", "ncolor"),
                                 ("2choices", "voter", "64", "balanced:3")):
@@ -287,6 +291,13 @@ def test_dominance_check_exit_codes():
     # without --expect-zero, reporting violations is not a failure
     tolerated = run_cli("dominance-check", "--p", "hmaj:4", "--q", "3maj", "--n", "12")
     assert tolerated.returncode == 0
+    rec = json.loads(tolerated.stdout.strip().splitlines()[-1])
+    assert set(rec) == {
+        "n", "rule_p", "rule_q", "pairs_checked", "violations", "metadata", "subcommand",
+    }
+    assert rec["violations"] and all(
+        set(v) == {"c", "c_tilde", "prefix", "margin"} for v in rec["violations"]
+    )
 
 
 def test_duality_subcommand():

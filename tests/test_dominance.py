@@ -67,8 +67,8 @@ def test_one_step_dominance_is_not_reflexive():
     # c~ = (2, 1, 1); of the repo's rules only Voter's alpha is monotone
     for rule, margin in ((h_majority_rule(3), 0.0625), (h_majority_rule(4), 0.09375)):
         report = check_dominance(rule, rule, 4)
-        assert [(v.c, v.c_tilde, v.prefix, v.margin) for v in report.violations] == [
-            ((2, 2), (2, 1, 1), 1, margin)
+        assert report.violations == [
+            {"c": [2, 2], "c_tilde": [2, 1, 1], "prefix": 1, "margin": margin}
         ]
     report = check_dominance(voter_rule(), voter_rule(), 12)
     assert report.holds and report.pairs_checked == 2618
@@ -83,10 +83,10 @@ def test_violation_records_prefix_and_margin():
     report = check_dominance(h_majority_rule(4), h_majority_rule(3), 12)
     assert not report.holds
     v = next(
-        v for v in report.violations if v.c == (6, 6) and v.c_tilde == (6, 2, 2, 2)
+        v for v in report.violations if v["c"] == [6, 6] and v["c_tilde"] == [6, 2, 2, 2]
     )
-    assert v.prefix == 1
-    assert v.margin > 0
+    assert v["prefix"] == 1
+    assert v["margin"] > 0
     d = report.to_dict()
     assert d["pairs_checked"] == report.pairs_checked
     assert len(d["violations"]) == len(report.violations)
@@ -98,7 +98,7 @@ def _padded_cumsum(p, d):
 
 
 def _dominance_oracle(rule_p, rule_q, n):
-    """Literal per-pair check: (pairs_checked, [(c, c_tilde, prefix, margin)])."""
+    """Literal per-pair check: (pairs_checked, [{c, c_tilde, prefix, margin}])."""
     configs = enumerate_configurations(n)
     pairs, violations = 0, []
     for c in configs:
@@ -111,9 +111,12 @@ def _dominance_oracle(rule_p, rule_q, n):
             deficit = _padded_cumsum(aq, d) - _padded_cumsum(ap, d)
             worst = int(np.argmax(deficit))
             if deficit[worst] > PREFIX_SLACK:
-                violations.append(
-                    (tuple(c.tolist()), tuple(ct.tolist()), worst + 1, float(deficit[worst]))
-                )
+                violations.append({
+                    "c": c.tolist(),
+                    "c_tilde": ct.tolist(),
+                    "prefix": worst + 1,
+                    "margin": float(deficit[worst]),
+                })
     return pairs, violations
 
 
@@ -182,8 +185,7 @@ def test_check_dominance_matches_per_pair_oracle(rule_p, rule_q):
         report = check_dominance(rule_p, rule_q, n)
         pairs, violations = _dominance_oracle(rule_p, rule_q, n)
         assert report.pairs_checked == pairs
-        got = [(v.c, v.c_tilde, v.prefix, v.margin) for v in report.violations]
-        assert got == violations
+        assert report.violations == violations
 
 
 def test_exact_prefix_expectations_simple_case():
@@ -207,13 +209,13 @@ def test_empirical_stochastic_majorization_agrees_with_exact():
     report = empirical_stochastic_majorization(
         theta1, theta2, m, draws=4000, rng=RngStream(13)
     )
-    assert report.passed
+    assert report["passed"]
     e1 = exact_prefix_expectations(theta1, m)
     e2 = exact_prefix_expectations(theta2, m)
     assert np.all(e1 <= e2 + 1e-12)
-    for j in range(len(report.mean_low)):
-        assert abs(report.mean_low[j] - e1[j]) <= 4 * report.sigma[j] + 1e-9
-        assert abs(report.mean_high[j] - e2[j]) <= 4 * report.sigma[j] + 1e-9
+    for j in range(len(report["mean_low"])):
+        assert abs(report["mean_low"][j] - e1[j]) <= 4 * report["sigma"][j] + 1e-9
+        assert abs(report["mean_high"][j] - e2[j]) <= 4 * report["sigma"][j] + 1e-9
 
 
 @pytest.mark.parametrize(
@@ -232,10 +234,10 @@ def test_stochastic_majorization_batched_draw_equals_the_draw_loop(theta1, theta
         phi.append(np.array([prefix_sums(gen.multinomial(m, pvals), d) for _ in range(draws)]))
     mean1, mean2 = phi[0].mean(axis=0), phi[1].mean(axis=0)
     sigma = np.sqrt(phi[0].var(axis=0) / draws + phi[1].var(axis=0) / draws)
-    assert report.mean_low == mean1.tolist()
-    assert report.mean_high == mean2.tolist()
-    assert report.sigma == sigma.tolist()
-    assert report.passed == bool(np.all(mean1 <= mean2 + 3 * sigma))
+    assert report["mean_low"] == mean1.tolist()
+    assert report["mean_high"] == mean2.tolist()
+    assert report["sigma"] == sigma.tolist()
+    assert report["passed"] == bool(np.all(mean1 <= mean2 + 3 * sigma))
 
 
 def test_empirical_stochastic_majorization_requires_majorization():
@@ -280,10 +282,10 @@ def test_empirical_time_dominance_fails_equal_laws_at_rate_delta():
         fast = _stop_times(h_majority_rule(2), c0, 100, stop, rng.child("fast"))
         slow = _stop_times(voter_rule(), c0, 100, stop, rng.child("slow"))
         reports.append(empirical_time_dominance(fast, slow))
-    failed = sum(1 for report in reports if not report.passed)
+    failed = sum(1 for report in reports if not report["passed"])
     pv = stats.binomtest(failed, seeds, delta).pvalue
     assert pv > 1e-3, (failed, seeds, delta, pv)
-    assert {(report.epsilon, report.delta) for report in reports} == {(0.18, delta)}
+    assert {(report["epsilon"], report["delta"]) for report in reports} == {(0.18, delta)}
 
 
 def test_empirical_time_dominance_same_rule_passes():
@@ -293,9 +295,8 @@ def test_empirical_time_dominance_same_rule_passes():
     fast = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("fast"))
     slow = _stop_times(voter_rule(), c0, 100, stop, RngStream(7).child("slow"))
     report = empirical_time_dominance(fast, slow)
-    assert report.passed
-    assert report.max_cdf_deficit <= report.epsilon
-    assert len(report.times_fast) == 100
+    assert report["passed"]
+    assert report["max_cdf_deficit"] <= report["epsilon"]
 
 
 def test_empirical_time_dominance_detects_clear_gap():
@@ -307,7 +308,7 @@ def test_empirical_time_dominance_detects_clear_gap():
     fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(8).child("fast"))
     slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(8).child("slow"))
     report = empirical_time_dominance(fast, slow)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_empirical_time_dominance_deficit_matches_per_t_loop():
@@ -331,18 +332,17 @@ def test_empirical_time_dominance_deficit_matches_per_t_loop():
         # a censored trial, fast or slow, has not stopped by any observed t
         fast, slow = ([math.inf if script[i, side] is None else float(script[i, side])
                        for i in range(trials)] for side in ("fast", "slow"))
-        assert report.times_fast == fast and report.times_slow == slow
-        assert report.censored_fast == fast.count(math.inf)
-        assert report.censored_slow == slow.count(math.inf)
+        assert report["censored_fast"] == fast.count(math.inf)
+        assert report["censored_slow"] == slow.count(math.inf)
         deficit = 0.0
         for t in sorted((set(fast) | set(slow)) - {math.inf}):
             f_fast = sum(1 for x in fast if x <= t) / trials
             f_slow = sum(1 for x in slow if x <= t) / trials
             deficit = max(deficit, f_slow - f_fast)
-        assert type(report.max_cdf_deficit) is float
-        assert report.max_cdf_deficit.hex() == deficit.hex(), case
+        assert type(report["max_cdf_deficit"]) is float
+        assert report["max_cdf_deficit"].hex() == deficit.hex(), case
         deficits.append(deficit)
-        censored += report.censored_fast > 0 < report.censored_slow
+        censored += report["censored_fast"] > 0 < report["censored_slow"]
     # the cases span no deficit, a large one, and censored trials on both sides
     assert min(deficits) == 0.0 and max(deficits) > 0.3 and censored > 0
 
@@ -354,10 +354,10 @@ def test_empirical_time_dominance_counts_censored_fast_trials_as_unstopped():
     runs_slow = [100] * 100
     for runs_fast in ([10] * 50 + [None] * 50, [10] * 50 + [101] * 50):
         report = empirical_time_dominance(runs_fast, runs_slow)
-        assert not report.passed and report.max_cdf_deficit == 0.5, runs_fast[-1]
+        assert not report["passed"] and report["max_cdf_deficit"] == 0.5, runs_fast[-1]
     # no trial stopped on either side: no time to compare at
     report = empirical_time_dominance([None] * 100, [None] * 100)
-    assert report.passed and report.max_cdf_deficit == 0.0
+    assert report["passed"] and report["max_cdf_deficit"] == 0.0
 
 
 def test_empirical_time_dominance_checks_its_samples():
@@ -379,5 +379,5 @@ def test_empirical_time_dominance_flags_reversed_order():
     fast = _stop_times(voter_rule(), c_fast, 100, stop, RngStream(9).child("fast"))
     slow = _stop_times(voter_rule(), c_slow, 100, stop, RngStream(9).child("slow"))
     report = empirical_time_dominance(fast, slow, epsilon=0.2)
-    assert not report.passed
-    assert report.max_cdf_deficit > 0.2
+    assert not report["passed"]
+    assert report["max_cdf_deficit"] > 0.2

@@ -18,8 +18,8 @@ from consensuslab.sampler import RngStream
 
 
 def test_additive_bound():
-    assert additive_drift_bound(100, 0, 2).bound == 50.0
-    assert additive_drift_bound(10, 4, 3).bound == 2.0
+    assert additive_drift_bound(100, 0, 2)["bound"] == 50.0
+    assert additive_drift_bound(10, 4, 3)["bound"] == 2.0
     with pytest.raises(NoDrift):
         additive_drift_bound(100, 0, 0)
     with pytest.raises(DriftDomainError):
@@ -30,7 +30,7 @@ def test_lw14_constant_drift_reduces_to_additive_shape():
     # h(x) = c: bound = x_min/c + (x0 - x_min)/c = x0/c
     h = DriftFunction(a=2.0, b=0.0, x_min=1.0, x_max=100.0)
     r = variable_drift_bound_lw14(h, 100.0)
-    assert np.isclose(r.bound, 50.0)
+    assert np.isclose(r["bound"], 50.0)
 
 
 def test_lw14_quadratic_drift_closed_form():
@@ -38,7 +38,7 @@ def test_lw14_quadratic_drift_closed_form():
     # 10/h(10) + 10n (1/10 - 1/1000) = 1000 + 990 = 1990
     h = DriftFunction(a=1.0 / 10000.0, b=2.0, x_min=10.0, x_max=1000.0)
     r = variable_drift_bound_lw14(h, 1000.0)
-    assert abs(r.bound - 1990.0) < 1e-9
+    assert abs(r["bound"] - 1990.0) < 1e-9
 
 
 def test_lw14_rejects_x0_outside_domain():
@@ -51,14 +51,14 @@ def test_generalized_bound_with_positive_floor():
     # integral of 1/x from 4 to 16 = ln 4
     h = DriftFunction(a=1.0, b=1.0, x_min=1.0, x_max=100.0)
     r = variable_drift_bound_generalized(h, m=16.0, k_prime=4.0)
-    assert np.isclose(r.bound, np.log(4.0))
+    assert np.isclose(r["bound"], np.log(4.0))
 
 
 def test_generalized_bound_zero_floor_adds_head_term():
     # k' = 0 routes through 1/h(1) + integral_1^m
     h = DriftFunction(a=2.0, b=0.0, x_min=1.0, x_max=100.0)
     r = variable_drift_bound_generalized(h, m=10.0, k_prime=0.0)
-    assert np.isclose(r.bound, 0.5 + 9.0 / 2.0)
+    assert np.isclose(r["bound"], 0.5 + 9.0 / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -93,8 +93,8 @@ def test_generalized_zero_floor_reads_h_at_one():
     report = validate_bound(
         chain, x0=100.0, k=0.0, h=h, trials=400, rng=RngStream(126), drift_samples=400,
     )
-    assert report.bound == variable_drift_bound_lw14(h, 100.0).bound == 100.0
-    assert report.bound_ok and report.empirical_mean_time - 3 * report.mean_time_sigma > 91.0
+    assert report["bound"] == variable_drift_bound_lw14(h, 100.0)["bound"] == 100.0
+    assert report["bound_ok"] and report["empirical_mean_time"] - 3 * report["mean_time_sigma"] > 91.0
     with pytest.raises(DriftDomainError, match=r"\[1.0, 100.0\].*domain \[10.0, 1000.0\]"):
         variable_drift_bound_generalized(h, m=100.0, k_prime=0.0)
 
@@ -129,8 +129,8 @@ def test_validate_bound_on_walk_count_chain():
         chain, x0=float(n), k=5.0, h=h, trials=60, rng=RngStream(123),
         drift_samples=800,
     )
-    assert report.bound_ok
-    assert report.empirical_mean_time <= report.bound + 3 * report.mean_time_sigma
+    assert report["bound_ok"]
+    assert report["empirical_mean_time"] <= report["bound"] + 3 * report["mean_time_sigma"]
 
 
 def test_validate_bound_rejects_false_hypothesis():
@@ -158,6 +158,38 @@ def test_validate_bound_fails_a_censored_chain():
         chain, x0=100.0, k=0.0, h=h, trials=20, rng=RngStream(125),
         drift_samples=10, max_rounds=50,
     )
-    assert report.bound == 100.0
-    assert report.censored == 20
-    assert report.bound_ok is False
+    assert report["bound"] == 100.0
+    assert report["censored"] == 20
+    assert report["bound_ok"] is False
+
+
+def test_validate_bound_samples_integer_states_inside_the_domain():
+    # rounding the grid's end x_min = 2.4 would sample h at 2, outside its
+    # domain: the states are spread over the integers 3..50 instead
+    def chain(x, gen):
+        return x - 1
+
+    h = DriftFunction(a=1.0, b=0.0, x_min=2.4, x_max=100.0)
+    report = validate_bound(
+        chain, x0=50.0, k=0.0, h=h, trials=5, rng=RngStream(127), drift_samples=10,
+    )
+    assert [x for x, _, _ in report["drift_points"]] == [3.0, 15.0, 26.0, 38.0, 50.0]
+    assert report["bound"] == 50.0 and report["bound_ok"]
+
+
+@pytest.mark.parametrize(
+    "h, x0, message",
+    [
+        # x0 = 20 lies outside [2, 10.6]: the bound names that interval
+        (DriftFunction(a=1.0, b=0.0, x_min=2.0, x_max=10.6), 20.0, r"over \[2.0, 20.0\], which"),
+        # [2.2, 2.8] holds no integer state to sample the drift at
+        (DriftFunction(a=1.0, b=0.0, x_min=2.2, x_max=2.8), 2.8, r"no integer state in \[2.2, 2.8\]"),
+    ],
+    ids=["x0-outside-domain", "no-integer-state"],
+)
+def test_validate_bound_checks_the_domain_before_any_draw(h, x0, message):
+    def chain(x, gen):
+        raise AssertionError(f"chain called at x = {x}")
+
+    with pytest.raises(DriftDomainError, match=message):
+        validate_bound(chain, x0=x0, k=0.0, h=h, trials=5, rng=RngStream(128))
