@@ -16,7 +16,7 @@ import sys
 
 # Before the first import that loads numpy: its bundled OpenBLAS otherwise
 # starts a worker thread per extra core, which burns CPU though the library
-# makes no BLAS call. A value the user sets wins; pool workers inherit the
+# makes no BLAS call. A value the user sets wins; forked workers inherit the
 # setting.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

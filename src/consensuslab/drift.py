@@ -142,7 +142,8 @@ def validate_bound(
 
     chain(x, gen) draws the next state from x. The LW14 bound on h cut to
     [max(k, x_min), x_max] comes first, so an x0 outside h's domain raises
-    before any draw. (a) estimates E[X_t - X_{t+1} | X_t = x] at up to 5
+    before any draw, as does x0 = x_max = inf, which leaves no last state to
+    sample. (a) estimates E[X_t - X_{t+1} | X_t = x] at up to 5
     integers x in [max(k + 1, x_min), min(x0, x_max)], state i from
     rng.child("drift", i), and raises HypothesisFailed unless it reaches
     h(x) within 3 standard errors at each; (b) runs trial j from
@@ -157,6 +158,10 @@ def validate_bound(
 
     # (a) drift hypothesis at sampled states
     lo, hi = max(k + 1, h.x_min), min(x0, h.x_max)
+    if hi == math.inf:  # x0 and x_max both infinite: no last state to sample
+        raise DriftDomainError(
+            f"no finite state to end the drift samples at: x0 = {x0}, x_max = {h.x_max}"
+        )
     if math.ceil(lo) > math.floor(hi):
         raise DriftDomainError(f"no integer state in [{lo}, {hi}] to sample the drift at")
     xs = np.unique(np.linspace(math.ceil(lo), math.floor(hi), 5).round())

@@ -5,8 +5,9 @@ timing check, and JSON-lines/CSV output.
 The stopping-time runs go through _blocks, which lays the trials of one
 rule out in blocks of rules.block_rows(rule, n) (one trial for 2-Choices)
 and puts block b on its purpose's stream child ("block", b); so results are
-independent of worker count and scheduling. _run runs the blocks, in a
-process pool when asked; run_trials runs one rule's trials in this process.
+independent of worker count and scheduling. _run runs the blocks, in
+forked worker processes when asked; run_trials runs one rule's trials in
+this process.
 Logs use natural log throughout (the CLI records this in its output
 metadata).
 """
@@ -16,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Optional
+from typing import BinaryIO, NoReturn, Optional
 
 import numpy as np
 
@@ -122,17 +125,66 @@ def _stops(job) -> list[tuple[Optional[int], int]]:
 def _run(jobs: list[tuple], workers: int) -> list[tuple[Optional[int], int]]:
     """(stopping time or None, peak) of every trial of `jobs`, in order
     whatever the scheduling; peak is the largest support over every round,
-    round 0 included. No process pool starts for fewer than two jobs, nor
-    more workers than jobs."""
+    round 0 included. With W = min(workers, len(jobs)) > 1, W forked
+    workers run the jobs, worker w jobs w, w + W, w + 2W, ..., and this
+    process runs none; W <= 1 runs every job here."""
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [out for job in jobs for out in _stops(job)]
-    # imported here, where a pool starts: a process that starts none skips its cost
-    from concurrent.futures import ProcessPoolExecutor
+    chunks: list = [None] * len(jobs)
+    live: dict[int, BinaryIO] = {}  # worker pid -> read end of its pipe
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _work(jobs[w::workers], write_fd)
+            os.close(write_fd)
+            live[pid] = open(read_fd, "rb")
+        for w, pid in enumerate(list(live)):
+            data = live[pid].read()
+            _, status = os.waitpid(pid, 0)
+            live.pop(pid).close()
+            if status != 0 or not data:
+                raise RuntimeError(f"worker {w} ended without a result (wait status {status})")
+            kind, value = pickle.loads(data)
+            if kind == "err":
+                raise value
+            chunks[w::workers] = value
+    finally:
+        if live:
+            # an interrupt or a failed worker: stop and reap every worker left.
+            # signal is imported here, so a run that never stops one skips its cost
+            from signal import SIGKILL
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_stops, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
-        return [out for chunk in chunks for out in chunk]
+            for pid, reader in live.items():
+                reader.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return [out for chunk in chunks for out in chunk]
+
+
+def _work(jobs: list[tuple], fd: int) -> NoReturn:
+    """A forked worker's life: its jobs through _stops, written to fd as one
+    pickle, ("ok", per-job results) or ("err", the exception raised). It
+    leaves only through os._exit, so it runs no atexit handler, test
+    teardown or stdio flush of the process it was forked from."""
+    code = 1
+    try:
+        try:
+            out = ("ok", [_stops(job) for job in jobs])
+        except Exception as exc:
+            out = ("err", exc)
+        with open(fd, "wb") as fh:
+            pickle.dump(out, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_trials(
@@ -146,8 +198,8 @@ def run_trials(
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """Run every trial of every rule, one job per block, rule r's blocks on
-    ("sim", r). Records come in (rule, trial) order; all rules share one
-    pool of up to `workers` processes."""
+    ("sim", r). Records come in (rule, trial) order; all rules share up to
+    `workers` forked worker processes."""
     start, rng = initial_counts(spec.initial, spec.n), RngStream(spec.seed, ("sim",))
     jobs = [
         job

@@ -370,6 +370,23 @@ MUTANTS = (
         ("tests/test_harness.py::test_run_trials_lays_out_blocks_and_streams",),
     ),
     Mutant(
+        "fork-results-wrong-stride",
+        "harness.py",
+        "chunks[w::workers] = value",
+        "chunks[w * len(value) : (w + 1) * len(value)] = value",  # worker w's jobs as a run
+        (
+            "tests/test_harness.py::test_run_puts_worker_results_in_job_order",
+            "tests/test_harness.py::test_run_experiment_blocks_are_worker_count_invariant",
+        ),
+    ),
+    Mutant(
+        "fork-error-read-as-empty",
+        "harness.py",
+        "            raise value\n",
+        "            value = [[] for _ in jobs[w::workers]]\n",  # a failed worker's jobs give no trials
+        ("tests/test_harness.py::test_run_raises_a_workers_exception",),
+    ),
+    Mutant(
         "lower-bound-vacuous-window-strict",
         "harness.py",
         "if lp < n and t0 >= 1:",

@@ -1,7 +1,9 @@
-import concurrent.futures
 import csv
 import json
 import math
+import os
+import pickle
+import time
 
 import pytest
 
@@ -205,11 +207,9 @@ def test_run_experiment_worker_count_invariance():
 
 
 def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
-    # 64 AC trials of 32 nodes are one block, so one job: no pool at any
-    # worker count
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started")
-    )
+    # 64 AC trials of 32 nodes are one block, so one job: no worker forks at
+    # any worker count
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker forked"))
     spec = ExperimentSpec(
         rules=(voter_rule(),),
         n=32,
@@ -220,6 +220,79 @@ def test_run_experiment_starts_no_pool_for_one_job(monkeypatch):
     )
     records = run_experiment(spec, workers=4)
     assert [r["trial"] for r in records] == list(range(64))
+
+
+def _assert_no_child_left():
+    # every worker was reaped: this process has no child to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _scripted_stops(job):
+    # job j stands for a block of j % 3 trials, each (j, i); the job named
+    # "raise" fails in its worker, "exit" ends its worker with status 7,
+    # "sleep" runs for a minute
+    if job == "raise":
+        raise ValueError("scripted failure")
+    if job == "exit":
+        os._exit(7)
+    if job == "sleep":
+        time.sleep(60)
+    return [(job, i) for i in range(job % 3)]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 9])
+def test_run_puts_worker_results_in_job_order(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_stops", _scripted_stops)
+    jobs = list(range(9))
+    assert harness._run(jobs, workers) == [(j, i) for j in jobs for i in range(j % 3)]
+    _assert_no_child_left()
+
+
+def test_run_runs_no_job_in_the_calling_process(monkeypatch):
+    # each of the 3 workers runs 2 of the 6 jobs; the caller runs none
+    monkeypatch.setattr(harness, "_stops", lambda job: [(os.getpid(), job)])
+    out = harness._run(list(range(6)), 3)
+    assert [job for _, job in out] == list(range(6))
+    pids = {pid for pid, _ in out}
+    assert len(pids) == 3 and os.getpid() not in pids
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_run_raises_a_workers_exception(monkeypatch, failing):
+    # the parent reads worker 0 first: a failure there leaves worker 1 to be
+    # stopped, a failure in worker 1 comes after worker 0's results
+    monkeypatch.setattr(harness, "_stops", _scripted_stops)
+    jobs = [2, 4, 5, 7]
+    jobs[failing] = "raise"
+    with pytest.raises(ValueError, match="^scripted failure$") as info:
+        harness._run(jobs, 2)
+    assert info.type is ValueError
+    _assert_no_child_left()
+
+
+def test_run_names_a_worker_that_ends_without_a_result(monkeypatch):
+    monkeypatch.setattr(harness, "_stops", _scripted_stops)
+    with pytest.raises(RuntimeError, match=r"worker 1 ended without a result \(wait status 1792\)"):
+        harness._run([1, "exit", 2], 2)
+    _assert_no_child_left()
+
+
+def test_run_stops_its_workers_when_interrupted(monkeypatch):
+    # worker 0's result arrives, then the parent is interrupted while
+    # worker 1 still runs: it must stop and reap worker 1, not wait for it
+    monkeypatch.setattr(harness, "_stops", _scripted_stops)
+
+    def interrupt(data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pickle, "loads", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        harness._run([1, "sleep"], 2)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_run_experiment_blocks_are_worker_count_invariant():
