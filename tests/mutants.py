@@ -155,6 +155,21 @@ MUTANTS = (
         ("tests/test_rules.py::test_two_choices_driver_one_round_law",),
     ),
     Mutant(
+        "two-choices-movers-before-landings",
+        "rules.py",
+        "        landed = _landings(m, labels, counts, n, peak, sumsq, gen).tolist()\n"
+        "        movers = set()\n"
+        "        while len(movers) < m:  # the distinct values of uniform draws\n"
+        "            movers.update(gen.integers(0, n, size=m - len(movers)).tolist())\n",
+        # the two draws are independent, so the law is the same: only the
+        # fixed-seed output can tell
+        "        movers = set()\n"
+        "        while len(movers) < m:  # the distinct values of uniform draws\n"
+        "            movers.update(gen.integers(0, n, size=m - len(movers)).tolist())\n"
+        "        landed = _landings(m, labels, counts, n, peak, sumsq, gen).tolist()\n",
+        ("tests/test_golden.py::test_fixed_seed_outputs_match_the_golden_manifest",),
+    ),
+    Mutant(
         "two-choices-movers-ignore-above",
         "rules.py",
         "k > kappa and peak <= above and sumsq",
