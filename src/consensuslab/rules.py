@@ -404,8 +404,8 @@ def _two_choices_movers(
     color L with probability c_L^2 / sum(c_i^2). So a round's movers are a
     uniform M-subset of the nodes, M ~ Bin(n, s), each landing
     independently by the pre-round counts: the law of _two_choices_round.
-    Rounds without a mover, of probability (1 - s)^n <= 1/e, are skipped
-    with one geometric draw.
+    No round is skipped: E[M] = sum(c_i^2)/n >= 1, so a round without a
+    mover has probability (1 - s)^n <= 1/e.
 
     The movers move in a Python loop: from n colors most active rounds
     have at most 4 movers, too few to repay numpy's per-call cost.
@@ -426,14 +426,10 @@ def _two_choices_movers(
     labels = np.repeat(np.arange(k), c)  # node -> label
     t = 0
     while t < max_rounds and k > kappa and peak <= above and sumsq <= k * n:
-        s = sumsq / (n * n)
-        t += int(gen.geometric(-math.expm1(n * math.log1p(-s))))
-        if t > max_rounds:  # censored before the next mover: counts unchanged
-            t = max_rounds
-            break
-        m = 0
-        while m == 0:  # M ~ Bin(n, s) given M >= 1
-            m = int(gen.binomial(n, s))
+        t += 1
+        m = int(gen.binomial(n, sumsq / (n * n)))
+        if m == 0:
+            continue
         landed = _landings(m, labels, counts, n, peak, sumsq, gen).tolist()
         movers = set()
         while len(movers) < m:  # the distinct values of uniform draws

@@ -148,11 +148,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "two-choices-skip-past-the-cap",
+        "two-choices-movers-past-the-cap",
         "rules.py",
-        "if t > max_rounds:  # censored",
-        "if False:  # censored",  # a skip past max_rounds still runs its round
-        ("tests/test_rules.py::test_two_choices_driver_one_round_law",),
+        "while t < max_rounds and k > kappa",
+        "while t <= max_rounds and k > kappa",  # a censored run takes one round too many
+        (
+            "tests/test_rules.py::test_two_choices_driver_one_round_law",
+            "tests/test_rules.py::test_two_choices_driver_one_round_law_with_many_movers",
+            "tests/test_rules.py::test_two_choices_driver_invariants[k2-kappa1]",
+            "tests/test_rules.py::test_run_block_runs_two_choices_rows_one_after_another[censored]",
+        ),
     ),
     Mutant(
         "two-choices-movers-before-landings",
