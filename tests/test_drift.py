@@ -186,8 +186,10 @@ def test_validate_bound_samples_integer_states_inside_the_domain():
         (DriftFunction(a=1.0, b=0.0, x_min=2.2, x_max=2.8), 2.8, r"no integer state in \[2.2, 2.8\]"),
         # the LW14 bound is finite (2.0), but no finite state ends the samples
         (DriftFunction(a=1.0, b=2.0, x_min=1.0, x_max=math.inf), math.inf, "x0 = inf, x_max = inf"),
+        # 1e300 is finite but beyond 2**53, where floats are no longer exact integers
+        (DriftFunction(a=1.0, b=2.0, x_min=1.0, x_max=math.inf), 1e300, "x0 = 1e[+]300, x_max = inf"),
     ],
-    ids=["x0-outside-domain", "no-integer-state", "infinite-x0-and-x-max"],
+    ids=["x0-outside-domain", "no-integer-state", "infinite-x0-and-x-max", "x0-beyond-2-53"],
 )
 def test_validate_bound_checks_the_domain_before_any_draw(h, x0, message):
     def chain(x, gen):
