@@ -128,23 +128,10 @@ def run_coalescence(maps: np.ndarray) -> np.ndarray:
     return _distinct_per_row(pos)
 
 
-def run_voter_with_maps(maps: np.ndarray, tau: int) -> int:
-    """Opinion count after tau Voter rounds run through the reversed maps.
-
-    The literal per-tau oracle of `_voter_counts_all_horizons`. Every node
-    starts with its own color; round r pulls through map row Y_{tau-r}.
-    Returns the number of distinct surviving opinions.
-    """
-    if tau > len(maps):
-        raise ValueError("tau exceeds available map rounds")
-    opinions = np.arange(maps.shape[1])
-    for r in range(1, tau + 1):
-        opinions = opinions[maps[tau - r]]
-    return int(np.unique(opinions).size)
-
-
 def _voter_counts_all_horizons(maps: np.ndarray) -> np.ndarray:
-    """`run_voter_with_maps(maps, tau)` for every tau in 0..t_max at once.
+    """Opinion count after tau Voter rounds run through the reversed maps,
+    for every tau in 0..t_max at once. Every node starts with its own color;
+    round r of horizon tau pulls through map row Y_{tau-r}.
 
     Binary lifting: horizon tau pulls through one window of 2^j rounds per
     set bit j of tau, lowest bit first, so the windows run from round tau-1

@@ -275,14 +275,6 @@ def node_round(
     return s[key.argmax(axis=0), np.arange(n)], idx
 
 
-def step_reference(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
-    """step_rule's labelled oracle for every rule: one node_round on the
-    nodes of canonical counts c; returns canonical counts."""
-    check_canonical(c)
-    colors, _ = node_round(rule, np.repeat(np.arange(len(c)), c), rng.gen)
-    return canonical_counts(np.bincount(colors, minlength=len(c)))
-
-
 def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
     """One round of any rule from canonical counts c: Mult(n, alpha(c)) for
     an AC rule, the 2-Choices round otherwise; returns canonical counts.

@@ -46,7 +46,6 @@ from consensuslab.rules import (
     process_function,
     process_function_exact,
     run_block,
-    step_reference,
     two_choices_rule,
     voter_rule,
 )
@@ -54,6 +53,7 @@ from consensuslab.sampler import RngStream
 from scipy import stats
 
 from multinomial_oracle import sample_multinomial_conditional
+from step_oracle import step_reference
 
 
 def _verdict(label: str, ok: bool, detail: str = ""):

@@ -14,7 +14,6 @@ from consensuslab.coalescing import (
     duality_check,
     graph_from_edge_list,
     run_coalescence,
-    run_voter_with_maps,
     walk_count_chain,
 )
 from consensuslab.drift import step_moments
@@ -95,6 +94,19 @@ def test_run_coalescence_counts_never_increase():
     assert counts[0] == 32
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] >= 1
+
+
+def run_voter_with_maps(maps: np.ndarray, tau: int) -> int:
+    """The literal per-tau oracle of `coalescing._voter_counts_all_horizons`:
+    the opinion count after tau Voter rounds run through the reversed maps.
+    Every node starts with its own color; round r pulls through map row
+    Y_{tau-r}."""
+    if tau > len(maps):
+        raise ValueError("tau exceeds available map rounds")
+    opinions = np.arange(maps.shape[1])
+    for r in range(1, tau + 1):
+        opinions = opinions[maps[tau - r]]
+    return int(np.unique(opinions).size)
 
 
 def test_voter_with_maps_tau_zero_keeps_all_opinions():

@@ -31,7 +31,6 @@ from consensuslab.rules import (
     process_function_exact,
     node_round,
     run_block,
-    step_reference,
     step_rule,
     two_choices_rule,
     voter_rule,
@@ -39,6 +38,7 @@ from consensuslab.rules import (
 from consensuslab.sampler import RngStream
 
 from block_replay import replay_block
+from step_oracle import step_reference
 
 
 def test_rule_labels_and_flags():
