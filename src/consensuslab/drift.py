@@ -143,9 +143,10 @@ def validate_bound(
     chain(x, gen) draws the next state from x. The LW14 bound on h cut to
     [max(k, x_min), x_max] comes first, so an x0 outside h's domain raises
     before any draw, as does min(x0, x_max) above 2^53, where the float
-    states the chain takes are no longer exact integers. (a) estimates E[X_t - X_{t+1} | X_t = x] at up to 5
-    integers x in [max(k + 1, x_min), min(x0, x_max)], state i from
-    rng.child("drift", i), and raises HypothesisFailed unless it reaches
+    states the chain takes are no longer exact integers. (a) estimates
+    E[X_t - X_{t+1} | X_t = x] at up to 5 integers x in
+    [max(k + 1, x_min), min(x0, x_max)], state i from rng.child("drift", i),
+    and raises HypothesisFailed unless it reaches
     h(x) within 3 standard errors at each; (b) runs trial j from
     rng.child("time", j) until X <= k and requires the mean hitting time to
     stay below the bound + 3 sigma. A trial still above k after max_rounds
