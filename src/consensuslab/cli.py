@@ -13,42 +13,20 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-# Before the first import that loads numpy: its bundled OpenBLAS otherwise
-# starts a worker thread per extra core, which burns CPU though the library
-# makes no BLAS call. A value the user sets wins; forked workers inherit the
-# setting.
+# Set at import, before any subcommand loads numpy: its bundled OpenBLAS
+# otherwise starts a worker thread per extra core, which burns CPU though the
+# library makes no BLAS call. A value the user sets wins; forked workers
+# inherit the setting.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# The stdlib and __version__ only: each subcommand imports the modules it
+# runs, so --help and usage errors load no numpy.
 from . import __version__
-from .coalescing import (
-    CouplingViolation,
-    complete_graph,
-    cycle_graph,
-    duality_check,
-    graph_from_edge_list,
-)
-from .core import StopCondition
-from .dominance import check_dominance, empirical_time_dominance, time_dominance_epsilon
-from .drift import (
-    DriftFunction,
-    additive_drift_bound,
-    variable_drift_bound_generalized,
-    variable_drift_bound_lw14,
-)
-from .harness import (
-    ExperimentSpec,
-    initial_counts,
-    json_record,
-    run_experiment,
-    run_lower_bound_experiment,
-    run_trials,
-    run_two_phase_check,
-    write_csv_summary,
-    write_jsonl,
-)
-from .rules import parse_rule
-from .sampler import RngStream
+
+if TYPE_CHECKING:
+    from .harness import ExperimentSpec
 
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
@@ -82,6 +60,10 @@ DRIFT_FLAGS = {
 
 
 def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
+    from .core import StopCondition
+    from .harness import ExperimentSpec
+    from .rules import parse_rule
+
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -119,6 +101,10 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
 
 def _spec_from_args(args) -> ExperimentSpec:
     """simulate's spec from its run flags; an absent flag takes its default."""
+    from .core import StopCondition
+    from .harness import ExperimentSpec
+    from .rules import parse_rule
+
     v = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in RUN_DEFAULTS.items()}
     return ExperimentSpec(
         rules=(parse_rule(v["rule"]),),
@@ -130,8 +116,22 @@ def _spec_from_args(args) -> ExperimentSpec:
     )
 
 
+def json_record(rec: dict) -> str:
+    """One record as sorted JSON. NaN or an infinity raises ValueError, since
+    JSON has no token for them."""
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
+def write_jsonl(records: list[dict], path: str) -> None:
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json_record(rec) + "\n")
+
+
 def _emit(records: list[dict], args) -> None:
     """Stamp each simulate record like _report does, then print or write it."""
+    from .harness import write_csv_summary
+
     for rec in records:
         rec["subcommand"] = args.command
         rec["metadata"] = METADATA
@@ -158,6 +158,8 @@ def _flag(key: str) -> str:  # the command-line spelling of an argparse dest
 
 
 def cmd_simulate(args) -> int:
+    from .harness import run_experiment
+
     given = [key for key in RUN_DEFAULTS if getattr(args, key) is not None]
     if args.spec and given:
         raise UsageError(f"simulate: {_flag(given[0])} cannot be combined with --spec")
@@ -167,6 +169,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .core import StopCondition
+    from .dominance import empirical_time_dominance, time_dominance_epsilon
+    from .harness import initial_counts, run_trials
+    from .rules import parse_rule
+    from .sampler import RngStream
+
     rule_fast = parse_rule(args.fast)
     rule_slow = parse_rule(args.slow)
     c0 = initial_counts(args.init, args.n)
@@ -190,6 +198,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dominance_check(args) -> int:
+    from .dominance import check_dominance
+    from .rules import parse_rule
+
     report = check_dominance(parse_rule(args.p), parse_rule(args.q), args.n)
     print(f"{len(report.violations)} violations over {report.pairs_checked} pairs")
     _report(report.to_dict(), args)
@@ -215,6 +226,8 @@ def _int_at_least(lo: int):
 
 
 def _parse_graph(text: str):
+    from .coalescing import complete_graph, cycle_graph, graph_from_edge_list
+
     parts = text.strip().split(":")
     if parts[0] == "file" and len(parts) == 2:
         with open(parts[1]) as fh:
@@ -231,6 +244,10 @@ def _parse_graph(text: str):
 
 
 def cmd_duality(args) -> int:
+    from .coalescing import duality_check
+    from .core import CouplingViolation
+    from .sampler import RngStream
+
     g = _parse_graph(args.graph)
     violations = 0
     for run in range(args.runs):
@@ -251,6 +268,13 @@ def cmd_duality(args) -> int:
 
 
 def cmd_drift_bound(args) -> int:
+    from .drift import (
+        DriftFunction,
+        additive_drift_bound,
+        variable_drift_bound_generalized,
+        variable_drift_bound_lw14,
+    )
+
     reads = DRIFT_FLAGS[args.form]
     unread = [key for key in DRIFT_DEFAULTS if key not in reads and getattr(args, key) is not None]
     if unread:
@@ -274,6 +298,9 @@ def cmd_drift_bound(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
+    from .harness import initial_counts, run_lower_bound_experiment
+    from .sampler import RngStream
+
     c0 = initial_counts(args.init, args.n)
     report = run_lower_bound_experiment(
         c0, args.gamma, args.trials, RngStream(args.seed, ("lower-bound",))
@@ -283,6 +310,8 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_two_phase(args) -> int:
+    from .harness import run_two_phase_check
+
     report = run_two_phase_check(args.n, args.trials, k_split=args.k_split, seed=args.seed)
     _report(report, args)
     return 0

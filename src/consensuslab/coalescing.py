@@ -15,12 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import CouplingViolation
 from .sampler import RngStream
-
-
-class CouplingViolation(AssertionError):
-    """An exact coupling failed (the duality identity here, or the
-    dominating Binomial process in harness): an implementation bug."""
 
 
 @dataclass

@@ -37,6 +37,11 @@ class InvalidProbabilityVector(ValueError):
     outside [0, 1] (NaN and +-inf included) or a mass away from 1."""
 
 
+class CouplingViolation(AssertionError):
+    """An exact coupling failed (the duality identity in coalescing, or the
+    dominating Binomial process in harness): an implementation bug."""
+
+
 def multinomial_pvals(probs, rows: bool = False) -> np.ndarray:
     """The probability-vector check, then probs (any array-like) clipped at 0
     and rescaled to sum 1, for numpy's multinomial. With rows=True probs is

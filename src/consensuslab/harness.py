@@ -1,6 +1,6 @@
 """Experiment orchestration: stopping-time runs, the 2-Choices lower-bound
 experiment with its coupled dominating Binomial process, the two-phase
-timing check, and JSON-lines/CSV output.
+timing check, and the CSV summary of a simulate run.
 
 The stopping-time runs go through _blocks, which lays the trials of one
 rule out in blocks of rules.block_rows(rule, n) (one trial for 2-Choices)
@@ -15,7 +15,6 @@ metadata).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import pickle
@@ -24,8 +23,7 @@ from typing import BinaryIO, NoReturn, Optional
 
 import numpy as np
 
-from .coalescing import CouplingViolation
-from .core import StopCondition, canonical_counts, canonicalize, check_canonical
+from .core import CouplingViolation, StopCondition, canonical_counts, canonicalize, check_canonical
 from .rules import (
     UpdateRule,
     block_rows,
@@ -379,18 +377,6 @@ def run_two_phase_check(
 
 # ---------------------------------------------------------------------------
 # output
-
-
-def json_record(rec: dict) -> str:
-    """One record as sorted JSON. NaN or an infinity raises ValueError, since
-    JSON has no token for them."""
-    return json.dumps(rec, sort_keys=True, allow_nan=False)
-
-
-def write_jsonl(records: list[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json_record(rec) + "\n")
 
 
 def write_csv_summary(records: list[dict], path: str) -> None:

@@ -473,6 +473,13 @@ MUTANTS = (
         "",  # numpy's OpenBLAS starts its worker thread per extra core again
         ("tests/test_cli.py::test_cli_runs_blas_on_one_thread",),
     ),
+    Mutant(
+        "cli-eager-import",
+        "cli.py",
+        "from . import __version__\n",
+        "from . import __version__, harness\n",  # --help loads numpy, duality the harness
+        ("tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs",),
+    ),
 )
 
 

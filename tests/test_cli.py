@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import consensuslab
-from consensuslab import cli
+from consensuslab import cli, coalescing, harness
 from consensuslab.cli import (
     USAGE_ERROR,
     VALIDATION_FAILURE,
@@ -168,7 +168,7 @@ def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, messa
     ],
 )
 def test_simulate_spec_file_rejects_mistyped_values(tmp_path, capsys, monkeypatch, field, value):
-    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**SPEC, field: value}))
     assert main(["simulate", "--spec", str(path)]) == USAGE_ERROR
@@ -384,7 +384,7 @@ def test_drift_bound_rejects_infinite_inputs_and_bounds(capsys, flags, named):
 
 def test_reports_print_no_non_json_token(monkeypatch, capsys, tmp_path):
     # JSON has no NaN or Infinity: such a report is an error, neither printed nor written
-    monkeypatch.setattr(cli, "run_two_phase_check", lambda *a, **k: {"x": float("nan")})
+    monkeypatch.setattr(harness, "run_two_phase_check", lambda *a, **k: {"x": float("nan")})
     out = tmp_path / "out.jsonl"
     assert main(["two-phase", "--out", str(out)]) == USAGE_ERROR
     captured = capsys.readouterr()
@@ -393,13 +393,17 @@ def test_reports_print_no_non_json_token(monkeypatch, capsys, tmp_path):
 
 
 def _after_cli_import(openblas_threads):
-    """(Threads:, OPENBLAS_NUM_THREADS) of a fresh interpreter that has run
-    `import consensuslab.cli`, with the variable unset or given its value."""
+    """(Threads:, OPENBLAS_NUM_THREADS) of a fresh interpreter that has
+    imported consensuslab.cli and run a small dominance-check through
+    cli.main, which loads numpy, with the variable unset or given its value."""
     env = {k: v for k, v in CLI_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     code = (
-        "import os, consensuslab.cli\n"
+        "import contextlib, io, os\n"
+        "from consensuslab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['dominance-check', '--p', '3maj', '--q', 'voter', '--n', '4']) == 0\n"
         "status = dict(line.split(':', 1) for line in open('/proc/self/status'))\n"
         "print(status['Threads'].strip(), os.environ['OPENBLAS_NUM_THREADS'])"
     )
@@ -420,6 +424,48 @@ def test_cli_runs_blas_on_one_thread():
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_cli_keeps_a_given_blas_thread_count():
     assert _after_cli_import("2")[1] == "2"
+
+
+# numpy and every package module but cli: what --help and a usage error leave unloaded
+_ALL = {"numpy", "core", "sampler", "rules", "dominance", "coalescing", "drift", "harness"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads, skips",
+    [
+        (["--help"], 0, set(), _ALL),
+        (["simulate", "--trials", "0"], USAGE_ERROR, set(), _ALL),
+        (["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "1"], 0,
+         {"coalescing", "sampler"}, {"rules", "harness", "dominance", "drift"}),
+        (["dominance-check", "--p", "3maj", "--q", "voter", "--n", "4"], 0,
+         {"dominance", "rules"}, {"coalescing", "harness", "drift"}),
+        (["drift-bound", "--form", "additive", "--m", "10", "--c", "2"], 0,
+         {"drift"}, {"harness", "rules", "coalescing", "dominance"}),
+    ],
+    ids=["help", "usage-error", "duality", "dominance-check", "drift-bound"],
+)
+def test_cli_loads_only_what_its_subcommand_runs(argv, code, loads, skips):
+    # a fresh interpreter: this one has imported every module already
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from consensuslab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:  # --help\n"
+        "        code = exc.code\n"
+        "names = [m.removeprefix('consensuslab.') for m in sys.modules\n"
+        "         if m == 'numpy' or m.startswith('consensuslab.')]\n"
+        "print(json.dumps([code, names]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_code, names = json.loads(proc.stdout)
+    assert got_code == code
+    assert "cli" in names and loads <= set(names), names
+    assert not skips & set(names), names
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -521,7 +567,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     "flags, named", [(["--trials", "50"], "got 50"), (["--epsilon", "-1"], "epsilon must be > 0")]
 )
 def test_compare_checks_its_inputs_before_any_trial(monkeypatch, capsys, flags, named):
-    monkeypatch.setattr(cli, "run_trials", lambda *a, **k: pytest.fail("a trial ran"))
+    monkeypatch.setattr(harness, "run_trials", lambda *a, **k: pytest.fail("a trial ran"))
     assert main(["compare", "--fast", "3maj", "--slow", "voter", *flags]) == USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
@@ -537,7 +583,6 @@ def test_main_callable_in_process(capsys):
 
 
 def test_duality_reports_coupling_violation_with_exit_two(monkeypatch, capsys):
-    import consensuslab.cli as cli
     from consensuslab.coalescing import CouplingViolation
 
     calls = []
@@ -547,7 +592,7 @@ def test_duality_reports_coupling_violation_with_exit_two(monkeypatch, capsys):
         if len(calls) == 2:
             raise CouplingViolation("tau=1: planted")
 
-    monkeypatch.setattr(cli, "duality_check", flaky_check)
+    monkeypatch.setattr(coalescing, "duality_check", flaky_check)
     code = main(["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "3"])
     captured = capsys.readouterr()
     assert code == VALIDATION_FAILURE

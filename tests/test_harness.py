@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from consensuslab import harness
+from consensuslab import cli, harness
 from consensuslab.core import StopCondition, canonicalize
 from consensuslab.dominance import enumerate_configurations
 from consensuslab.harness import (
@@ -21,7 +21,6 @@ from consensuslab.harness import (
     run_two_phase_check,
     slow_start_window,
     write_csv_summary,
-    write_jsonl,
 )
 from consensuslab.rules import (
     block_rows,
@@ -474,7 +473,7 @@ def test_write_jsonl_and_csv(tmp_path):
     ]
     jpath = tmp_path / "out.jsonl"
     cpath = tmp_path / "summary.csv"
-    write_jsonl(records, str(jpath))
+    cli.write_jsonl(records, str(jpath))
     lines = jpath.read_text().strip().splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0])["rule"] == "voter"
