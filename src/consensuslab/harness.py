@@ -331,11 +331,13 @@ def run_two_phase_check(
     3-majority on to consensus from phase 1's last counts, on the stream of
     the block that ran phase 1. Both rules' trials are laid out by _blocks,
     on ("two-phase", rule); the two rules draw independently. Each phase is
-    capped at the default StopCondition's max_rounds.
+    capped at the default StopCondition's max_rounds. k_split must be below n.
     """
     if n < 256:
         raise ValueError("two-phase check needs n >= 256")
     k = k_split if k_split is not None else math.ceil(n**0.25)
+    if k >= n:  # the n-color start has at most k colors: phase 1 never runs
+        raise ValueError(f"two-phase check needs k_split < n, got k_split={k} for n={n}")
     hm3, voter = h_majority_rule(3), voter_rule()
     c0 = initial_counts("ncolor", n)
     split = StopCondition(kappa=k)

@@ -88,10 +88,14 @@ def parse_rule(text: str) -> UpdateRule:
 
 
 def _three_majority_alpha(x: np.ndarray) -> np.ndarray:
-    # alpha_i = x_i * (1 + x_i - ||x||_2^2) along the last axis; one einsum for
-    # every shape calls no BLAS kernel, and is exact on Fractions
+    # alpha_i = x_i * (1 + x_i - ||x||_2^2) along the last axis, built in one
+    # array by those IEEE operations; one einsum for every shape calls no
+    # BLAS kernel, and is exact on Fractions
     sq = np.expand_dims(np.einsum("...i,...i->...", x, x), -1)
-    return x * (1 + x - sq)
+    alpha = x + 1
+    alpha -= sq
+    alpha *= x
+    return alpha
 
 
 @functools.cache
@@ -198,7 +202,7 @@ def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
 
 def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
     """Unchecked alpha at fractions x (floats, or Fractions in an object array);
-    process_function, process_function_exact and the AC rounds share it. A
+    process_function, process_function_exact and _step share it. A
     2-d x holds one configuration per row, zero-padded, as in run_block."""
     if not rule.is_ac:
         raise NotAnACProcess("2-Choices is not an AC process")
@@ -229,30 +233,24 @@ def process_function_exact(rule: UpdateRule, c: np.ndarray) -> list[Fraction]:
     return _alpha(rule, np.array([Fraction(ci, n) for ci in counts], dtype=object)).tolist()
 
 
-def _two_choices_round(counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """One 2-Choices round: a node adopts color i iff both its samples show i.
+def _step(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One round of `rule` from the counts of n nodes, a 1-d row or each row
+    of a 2-d zero-padded block, returned in the same layout, not
+    canonicalized: the one round function of every rule.
 
-    That event has probability q_i = (c_i/n)^2 whatever the node's own
-    color. So each node leaves, independently, with probability
-    s = sum(q), and a leaver lands on i with probability q_i / s,
-    independently of the color it left (landing on its own color keeps
-    it). Hence left_j ~ Bin(c_j, s) per color, and the landing colors of
-    all leavers together are Mult(sum(left), q / s): the exact one-step
-    law in two draws, at O(k) cost.
+    An AC round is Mult(n, alpha(counts / n)). A 2-Choices node adopts
+    color i iff both its samples show i, with probability q_i = (c_i/n)^2
+    whatever its own color. So each node leaves, independently, with
+    probability s = sum(q), and a leaver lands on i with probability q_i / s
+    whatever color it left (landing on its own keeps it): left_j ~ Bin(c_j, s)
+    and the leavers land by Mult(sum(left), q / s), the exact law in two draws.
     """
-    q = (counts / n) ** 2
-    s = q.sum()
-    left = gen.binomial(counts, s)
-    arrived = gen.multinomial(left.sum(), q / s)
-    return canonical_counts(counts - left + arrived)
-
-
-def _round(rule: UpdateRule, counts: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """One synchronous round: the 2-Choices round, or for an AC process
-    Mult(n, alpha(counts / n))."""
     if rule.kind == TWO_CHOICES:
-        return _two_choices_round(counts, n, gen)
-    return canonical_counts(gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n))))
+        q = (counts / n) ** 2
+        s = q.sum(axis=-1, keepdims=True)
+        left = gen.binomial(counts, s)
+        return counts - left + gen.multinomial(left.sum(axis=-1), q / s)
+    return gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n), rows=counts.ndim == 2))
 
 
 def node_round(
@@ -276,11 +274,10 @@ def node_round(
 
 
 def step_rule(rule: UpdateRule, c: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One round of any rule from canonical counts c: Mult(n, alpha(c)) for
-    an AC rule, the 2-Choices round otherwise; returns canonical counts.
-    The one public single-round stepper."""
+    """_step's round from canonical counts c, returned as canonical counts:
+    the one public single-round stepper."""
     check_canonical(c)
-    return _round(rule, c, int(c.sum()), rng.gen)
+    return canonical_counts(_step(rule, c, int(c.sum()), rng.gen))
 
 
 def block_rows(rule: UpdateRule, n: int) -> int:
@@ -335,15 +332,14 @@ def _rounds(
 ) -> list[tuple[Optional[int], np.ndarray, int]]:
     """run_block's round-and-stop loop from round t, where rows holds each
     trial's canonical counts and peak its largest support of rounds 0..t.
-    Each round has step_rule's law. Live rows step in lockstep as the rows
-    of one zero-padded int64 array: one gen.multinomial(n, A) draws them
-    all, A holding each row's checked alpha. A padded zero changes neither
-    alpha nor the draw (numpy draws nothing for a p = 0 category). A row
-    leaves the array at the round it stops. Once the widest live row has
-    shrunk by a quarter, the rows are sorted non-increasing and trimmed to
-    its width. A lone live row (one start, a block's last, every 2-Choices
-    row) takes step_rule's round on its current row instead and is kept as
-    canonical counts, so a one-start run is a step_rule loop, draw for draw.
+    Live rows step in lockstep through one _step call on the rows of a
+    zero-padded int64 array; a padded zero changes neither alpha nor the
+    draw (numpy draws nothing for a p = 0 category). A row leaves the array
+    at the round it stops. Once the widest live row has shrunk by a
+    quarter, the rows are sorted non-increasing and trimmed to its width.
+    A lone live row (one start, a block's last, every 2-Choices row) steps
+    as its 1-d canonical row instead, so a one-start run is a step_rule
+    loop, draw for draw.
     """
     kappa, k = stop.kappa, np.array([len(c) for c in rows])
     least = min(k.tolist())  # the fewest colors of any live row
@@ -369,7 +365,7 @@ def _rounds(
             break
         t += 1
         if len(trial) == 1:  # step_rule's round; canonical counts from here on
-            c = _round(rule, counts[0], n, gen)
+            c = canonical_counts(_step(rule, counts[0], n, gen))
             counts, k[0], least = [c], len(c), len(c)
             if c[0] > peak[0]:
                 peak[0] = c[0]
@@ -377,7 +373,7 @@ def _rounds(
         width = max(k.tolist())
         if 4 * width <= 3 * counts.shape[1]:
             counts = np.sort(counts, axis=1)[:, : -width - 1 : -1]
-        counts = gen.multinomial(n, multinomial_pvals(_alpha(rule, counts / n), rows=True))
+        counts = _step(rule, counts, n, gen)
         k = (counts > 0).sum(axis=1)
         least = min(k.tolist())
         np.maximum(peak, counts.max(axis=1), out=peak)
@@ -395,7 +391,7 @@ def _two_choices_movers(
     probability s = sum(c_i^2) / n^2 whatever its own color, and then takes
     color L with probability c_L^2 / sum(c_i^2). So a round's movers are a
     uniform M-subset of the nodes, M ~ Bin(n, s), each landing
-    independently by the pre-round counts: the law of _two_choices_round.
+    independently by the pre-round counts: the law of _step's closed form.
     No round is skipped: E[M] = sum(c_i^2)/n >= 1, so a round without a
     mover has probability (1 - s)^n <= 1/e.
 

@@ -9,7 +9,6 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,8 @@ def _id_to_int(part) -> int:
     """Stable 64-bit integer for one stream-id component."""
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFFFFFFFFFF
+    import hashlib  # here, not at the top: the exact subcommands load no OpenSSL
+
     digest = hashlib.sha256(str(part).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 

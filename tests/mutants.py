@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "three-majority-alpha-sign",
         "rules.py",
-        "return x * (1 + x - sq)",
-        "return x * (1 - x + sq)",  # still sums to 1: only the values are wrong
+        "alpha = x + 1\n    alpha -= sq",
+        "alpha = 1 - x\n    alpha += sq",  # still sums to 1: only the values are wrong
         (
             "tests/test_rules.py::test_three_majority_closed_form_matches_enumeration",
             "tests/test_rules.py::test_three_majority_exact_value",
@@ -123,12 +123,19 @@ MUTANTS = (
     Mutant(
         "two-choices-landing-by-counts",
         "rules.py",
-        "arrived = gen.multinomial(left.sum(), q / s)",
-        "arrived = gen.multinomial(left.sum(), counts / n)",
+        "gen.multinomial(left.sum(axis=-1), q / s)",
+        "gen.multinomial(left.sum(axis=-1), counts / n)",
         (
             "tests/test_rules.py::test_two_choices_modes_agree_in_distribution",
             "tests/test_rules.py::test_two_choices_empirical_mean_matches_formula",
         ),
+    ),
+    Mutant(
+        "two-choices-block-pooled-leave-rate",
+        "rules.py",
+        "s = q.sum(axis=-1, keepdims=True)",
+        "s = q.sum()",  # the same on a row; a block's rows all leave at the block's rate
+        ("tests/test_rules.py::test_step_takes_two_choices_rows_of_a_padded_block",),
     ),
     Mutant(
         "two-choices-refill-uncounted",
@@ -246,8 +253,9 @@ MUTANTS = (
     Mutant(
         "lone-row-ascending",
         "rules.py",
-        "c = _round(rule, counts[0], n, gen)",
-        "c = _round(rule, counts[0], n, gen)[::-1]",  # a lone row kept ascending, not canonical
+        "c = canonical_counts(_step(rule, counts[0], n, gen))",
+        # a lone row kept ascending, not canonical
+        "c = canonical_counts(_step(rule, counts[0], n, gen))[::-1]",
         (
             "tests/test_rules.py::test_run_block_replays_a_per_row_loop[voter-stops]",
             "tests/test_rules.py::test_run_block_replays_a_per_row_loop[hmaj:3-stops]",
@@ -284,8 +292,10 @@ MUTANTS = (
     Mutant(
         "block-row-check-skipped",
         "rules.py",
-        "multinomial_pvals(_alpha(rule, counts / n), rows=True)",
-        "_alpha(rule, counts / n)",  # numpy draws from an unchecked alpha
+        "multinomial_pvals(_alpha(rule, counts / n), rows=counts.ndim == 2)",
+        # a block's rows draw from an unchecked alpha
+        "(multinomial_pvals(_alpha(rule, counts / n)) if counts.ndim == 1"
+        " else _alpha(rule, counts / n))",
         (
             "tests/test_rules.py::test_run_block_rejects_a_bad_alpha[nan]",
             "tests/test_rules.py::test_run_block_rejects_a_bad_alpha[below-slack]",
@@ -479,6 +489,16 @@ MUTANTS = (
         "from . import __version__\n",
         "from . import __version__, harness\n",  # --help loads numpy, duality the harness
         ("tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs",),
+    ),
+    Mutant(
+        "sampler-eager-hashlib",
+        "sampler.py",
+        "from dataclasses import dataclass, field\n",
+        "import hashlib\nfrom dataclasses import dataclass, field\n",  # OpenSSL for exact checks
+        (
+            "tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs[dominance-check]",
+            "tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs[drift-bound]",
+        ),
     ),
 )
 

@@ -428,6 +428,8 @@ def test_cli_keeps_a_given_blas_thread_count():
 
 # numpy and every package module but cli: what --help and a usage error leave unloaded
 _ALL = {"numpy", "core", "sampler", "rules", "dominance", "coalescing", "drift", "harness"}
+# what the exact subcommands, which build no random generator, leave unloaded
+_OPENSSL = {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize(
@@ -438,9 +440,9 @@ _ALL = {"numpy", "core", "sampler", "rules", "dominance", "coalescing", "drift",
         (["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "1"], 0,
          {"coalescing", "sampler"}, {"rules", "harness", "dominance", "drift"}),
         (["dominance-check", "--p", "3maj", "--q", "voter", "--n", "4"], 0,
-         {"dominance", "rules"}, {"coalescing", "harness", "drift"}),
+         {"dominance", "rules"}, {"coalescing", "harness", "drift", *_OPENSSL}),
         (["drift-bound", "--form", "additive", "--m", "10", "--c", "2"], 0,
-         {"drift"}, {"harness", "rules", "coalescing", "dominance"}),
+         {"drift"}, {"harness", "rules", "coalescing", "dominance", *_OPENSSL}),
     ],
     ids=["help", "usage-error", "duality", "dominance-check", "drift-bound"],
 )
@@ -455,7 +457,8 @@ def test_cli_loads_only_what_its_subcommand_runs(argv, code, loads, skips):
         "    except SystemExit as exc:  # --help\n"
         "        code = exc.code\n"
         "names = [m.removeprefix('consensuslab.') for m in sys.modules\n"
-        "         if m == 'numpy' or m.startswith('consensuslab.')]\n"
+        "         if m in ('numpy', 'hashlib', '_hashlib')\n"
+        "         or m.startswith('consensuslab.')]\n"
         "print(json.dumps([code, names]))\n"
     )
     proc = subprocess.run(
@@ -547,6 +550,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # two-phase has no --kappa: its split's error names --k-split
         (["two-phase", "--k-split", "0"], "--k-split"),
         (["two-phase", "--k-split", "-3"], "--k-split"),
+        # an ncolor start at n = 256 already has at most 300 colors: no phase 1
+        (["two-phase", "--n", "256", "--trials", "1", "--k-split", "300"], "k_split"),
         # a seed outside [0, 2**64) is not wrapped onto one inside it
         (["simulate", "--seed", "-1"], "seed -1"),
         (["simulate", "--seed", str(2**64)], f"seed {2**64}"),

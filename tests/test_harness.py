@@ -465,6 +465,14 @@ def test_two_phase_check_rejects_small_n():
         run_two_phase_check(100, trials=1)
 
 
+@pytest.mark.parametrize("k_split", [256, 300])
+def test_two_phase_check_rejects_a_split_of_n_or_more_colors(k_split):
+    # the n-color start already has at most k_split colors: phase 1 would
+    # end at round 0 for both rules and report zero-round timings
+    with pytest.raises(ValueError, match="k_split"):
+        run_two_phase_check(256, trials=1, k_split=k_split)
+
+
 def test_write_jsonl_and_csv(tmp_path):
     records = [
         {"rule": "voter", "stop_time": 10, "censored": False, "trial": 0},

@@ -11,6 +11,7 @@ from consensuslab.core import (
     InvalidConfiguration,
     InvalidProbabilityVector,
     StopCondition,
+    canonical_counts,
     canonicalize,
     multinomial_pvals,
 )
@@ -439,7 +440,7 @@ def test_two_choices_driver_invariants(monkeypatch, counts, kappa):
     def no_closed_form(*args):
         raise AssertionError("a closed-form round ran")
 
-    monkeypatch.setattr(rules, "_two_choices_round", no_closed_form)
+    monkeypatch.setattr(rules, "_step", no_closed_form)
     c0, stopped = canonicalize(counts), 0
     for seed in range(300):
         t, c, peak = run_block(
@@ -520,6 +521,20 @@ def test_two_choices_empirical_mean_matches_formula():
         out = step_rule(two_choices_rule(), c, rng.child(t))
         vals[t] = out[0] / c.sum()
     assert abs(vals.mean() - mu) < 0.005
+
+
+def test_step_takes_two_choices_rows_of_a_padded_block():
+    # _step on a 2-d block steps each row by its own closed form: n stays
+    # per row, a padded zero stays zero, and the mean is n times the row's
+    # 3-Majority alpha
+    rows = [[5, 3, 2, 0], [6, 4, 0, 0]]
+    block, gen, draws = np.array(rows), np.random.default_rng(18), 4000
+    out = np.array([rules._step(two_choices_rule(), block, 10, gen) for _ in range(draws)])
+    assert (out.sum(axis=2) == 10).all() and (out[:, 1, 2:] == 0).all() and (out[:, 0, 3] == 0).all()
+    for i, row in enumerate(rows):
+        c = canonicalize(row)
+        mean = 10 * expected_fraction_after_step(two_choices_rule(), c)
+        assert np.abs(out[:, i, : len(c)].mean(axis=0) - mean).max() < 0.15, (row, mean)
 
 
 def test_step_rule_dispatch():
@@ -679,14 +694,18 @@ def test_run_block_matches_run_until_in_law(label, init, n):
 
 def _two_choices_rows(starts, stop, gen):
     """run_block's 2-Choices rows written out: each start in turn on one
-    generator takes the mover rounds, then step_rule's round until it stops."""
+    generator takes the mover rounds, then the closed-form round, written
+    out here, until it stops."""
     n, out = int(starts[0].sum()), []
     for c in starts:
         t, peak = 0, int(c[0])
         if len(c) > stop.kappa:
             t, c, peak = rules._two_choices_movers(c, n, stop.kappa, stop.max_rounds, gen, n)
         while len(c) > stop.kappa and t < stop.max_rounds:
-            t, c = t + 1, rules._round(two_choices_rule(), c, n, gen)
+            q = (c / n) ** 2
+            s = q.sum()
+            left = gen.binomial(c, s)
+            t, c = t + 1, canonical_counts(c - left + gen.multinomial(left.sum(), q / s))
             peak = max(peak, int(c[0]))
         out.append((t if len(c) <= stop.kappa else None, c, peak))
     return out
@@ -800,8 +819,8 @@ def test_run_until_clips_an_entry_just_below_zero(monkeypatch):
     pvals = []
     real = rules.multinomial_pvals
 
-    def recording(a):
-        pvals.append(real(a))
+    def recording(a, rows=False):
+        pvals.append(real(a, rows=rows))
         return pvals[-1]
 
     monkeypatch.setattr(rules, "multinomial_pvals", recording)
