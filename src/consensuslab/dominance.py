@@ -22,7 +22,7 @@ from .core import (
     multinomial_pvals,
     prefix_sums,
 )
-from .rules import UpdateRule, _compositions, _multinomial_pmf, process_function
+from .rules import UpdateRule, process_function
 from .sampler import RngStream
 
 MAX_ENUM_N = 40
@@ -140,20 +140,6 @@ def empirical_stochastic_majorization(
         "sigma": sigma.tolist(),
         "passed": bool(np.all(mean1 <= mean2 + 3 * sigma)),
     }
-
-
-def exact_prefix_expectations(theta, m: int) -> np.ndarray:
-    """E[phi_j(Mult(m, theta))] for all j, by enumerating the full support.
-
-    Oracle for the Monte-Carlo path; feasible for small m and few categories.
-    theta is checked and rescaled by multinomial_pvals, as for numpy's draw.
-    """
-    arr = multinomial_pvals(theta)
-    k = len(arr)
-    out = np.zeros(k)
-    for counts in _compositions(m, k):
-        out += _multinomial_pmf(counts, arr) * prefix_sums(counts, k)
-    return out
 
 
 def two_sample_tail(trials: int, m: int) -> Fraction:

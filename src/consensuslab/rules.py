@@ -179,27 +179,6 @@ def plurality_alpha(x: np.ndarray, h: int) -> np.ndarray:
     return alpha.reshape(x.shape)
 
 
-def _compositions(total: int, parts: int):
-    """All non-negative integer vectors of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial_pmf(counts: tuple[int, ...], x: np.ndarray) -> float:
-    """P(Mult(sum(counts), x) = counts); 0 as soon as a sampled x_i is 0."""
-    p = math.factorial(sum(counts))
-    for c, xi in zip(counts, x):
-        if c:  # c == 0 contributes factor 1
-            if xi == 0.0:
-                return 0.0
-            p = p * xi**c / math.factorial(c)
-    return p
-
-
 def _alpha(rule: UpdateRule, x: np.ndarray) -> np.ndarray:
     """Unchecked alpha at fractions x (floats, or Fractions in an object array);
     process_function, process_function_exact and _step share it. A

@@ -27,7 +27,6 @@ from consensuslab.dominance import (
     check_dominance,
     empirical_stochastic_majorization,
     empirical_time_dominance,
-    exact_prefix_expectations,
 )
 from consensuslab.drift import (
     DriftFunction,
@@ -52,7 +51,11 @@ from consensuslab.rules import (
 from consensuslab.sampler import RngStream
 from scipy import stats
 
-from multinomial_oracle import sample_multinomial_conditional
+from multinomial_oracle import (
+    exact_prefix_expectations,
+    multinomial_law,
+    sample_multinomial_conditional,
+)
 from step_oracle import step_reference
 
 
@@ -250,17 +253,7 @@ def test_10_sampler_goodness_of_fit():
     # multinomial law at m=3 over 3 categories, full outcome enumeration
     theta = np.array([0.5, 0.3, 0.2])
     m = 3
-    outcomes = [
-        (i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)
-    ]
-    probs = np.array(
-        [
-            math.factorial(m)
-            / (math.factorial(a) * math.factorial(b) * math.factorial(c))
-            * theta[0] ** a * theta[1] ** b * theta[2] ** c
-            for a, b, c in outcomes
-        ]
-    )
+    outcomes, probs = zip(*multinomial_law(m, theta))
     draws = 30000
     rng = RngStream(100)
     tally = {o: 0 for o in outcomes}
@@ -268,7 +261,7 @@ def test_10_sampler_goodness_of_fit():
         x = tuple(int(v) for v in rng.child("m", t).gen.multinomial(m, multinomial_pvals(theta)))
         tally[x] += 1
     pv_mult = stats.chisquare(
-        [tally[o] for o in outcomes], probs * draws
+        [tally[o] for o in outcomes], np.array(probs) * draws
     ).pvalue
 
     # conditional-binomial stepper vs literal per-node stepper, 3-majority, n=6

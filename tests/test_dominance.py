@@ -28,13 +28,14 @@ from consensuslab.dominance import (
     empirical_stochastic_majorization,
     empirical_time_dominance,
     enumerate_configurations,
-    exact_prefix_expectations,
     two_sample_critical_value,
     two_sample_tail,
 )
 from consensuslab.harness import run_trials
 from consensuslab.rules import h_majority_rule, process_function, voter_rule
 from consensuslab.sampler import RngStream
+
+from multinomial_oracle import exact_prefix_expectations
 
 
 def test_enumerate_configurations_counts_partitions():

@@ -39,6 +39,7 @@ from consensuslab.rules import (
 from consensuslab.sampler import RngStream
 
 from block_replay import replay_block
+from multinomial_oracle import multinomial_law
 from step_oracle import step_reference
 
 
@@ -155,11 +156,10 @@ def test_plurality_alpha_from_many_colors():
 
 
 def _enumeration_loop(x, h):
-    """plurality_alpha as a Python loop over _compositions: its oracle,
+    """plurality_alpha as a Python loop over multinomial_law: its oracle,
     exact in Fractions."""
     alpha = np.zeros(len(x), dtype=x.dtype)
-    for counts in rules._compositions(h, len(x)):
-        p = rules._multinomial_pmf(counts, x)
+    for counts, p in multinomial_law(h, x):
         if p == 0.0:
             continue
         mx = max(counts)
@@ -303,31 +303,36 @@ def test_step_reference_agrees_in_distribution(label):
     assert pv > 1e-3
 
 
+def _sorted_law(law):
+    """A law over count vectors as the law of their canonical counts; the
+    probabilities are Fractions and must add up to 1."""
+    exact = {}
+    for state, p in law:
+        key = tuple(canonicalize(state).tolist())
+        exact[key] = exact.get(key, 0) + p
+    assert sum(exact.values()) == 1
+    return exact
+
+
 def _two_choices_exact_law(counts):
     """Exact law of the sorted counts after one 2-Choices round.
 
     Each node independently moves to color i != own with probability
-    (c_i/n)^2, else keeps its color; the nodes are convolved one by one
-    in Fractions.
+    (c_i/n)^2, else keeps its color: the c_j nodes of color j land by
+    Mult(c_j, move_j), and the colors' laws are convolved in Fractions.
     """
     n, k = sum(counts), len(counts)
     q = [Fraction(ci, n) ** 2 for ci in counts]
     law = {(0,) * k: Fraction(1)}
     for own, c_own in enumerate(counts):
         move = [q[i] if i != own else 1 - sum(q) + q[own] for i in range(k)]
-        for _ in range(c_own):
-            step = {}
-            for state, p in law.items():
-                for i, p_i in enumerate(move):
-                    nxt = state[:i] + (state[i] + 1,) + state[i + 1 :]
-                    step[nxt] = step.get(nxt, 0) + p * p_i
-            law = step
-    exact = {}
-    for state, p in law.items():
-        key = tuple(canonicalize(state).tolist())
-        exact[key] = exact.get(key, 0) + p
-    assert sum(exact.values()) == 1
-    return exact
+        step = {}
+        for state, p in law.items():
+            for landed, p_landed in multinomial_law(c_own, move):
+                nxt = tuple(a + b for a, b in zip(state, landed))
+                step[nxt] = step.get(nxt, 0) + p * p_landed
+        law = step
+    return _sorted_law(law.items())
 
 
 def _closed_form_round(c, rng):
@@ -340,19 +345,9 @@ def _per_node_round(c, rng):
 
 def _ac_exact_law(rule, counts):
     """Exact law of the sorted counts after one round of an AC rule:
-    Mult(n, alpha), alpha in Fractions, over every composition of n."""
+    Mult(n, alpha), alpha in Fractions."""
     alpha = process_function_exact(rule, canonicalize(counts))
-    n, k = sum(counts), len(counts)
-    exact = {}
-    for state in np.ndindex(*(n + 1,) * k):
-        if sum(state) == n:
-            p = Fraction(math.factorial(n))
-            for x, a in zip(state, alpha):
-                p *= a**x / math.factorial(x)
-            key = tuple(canonicalize(state).tolist())
-            exact[key] = exact.get(key, 0) + p
-    assert sum(exact.values()) == 1
-    return exact
+    return _sorted_law(multinomial_law(sum(counts), alpha))
 
 
 def _assert_law(round_fn, c, draws, rng, law=_two_choices_exact_law):

@@ -5,7 +5,7 @@ from scipy import stats
 from consensuslab.core import InvalidProbabilityVector, multinomial_pvals
 from consensuslab.sampler import RngStream
 
-from multinomial_oracle import sample_multinomial_conditional
+from multinomial_oracle import multinomial_law, sample_multinomial_conditional
 
 
 def sample_multinomial(m, theta, rng):
@@ -78,19 +78,16 @@ def _gof_pvalue(counts_by_outcome, probs_by_outcome, total):
     [sample_multinomial, sample_multinomial_conditional],
 )
 def test_multinomial_matches_enumerated_law(sampler):
-    # m=2 over 2 categories: outcomes (2,0),(1,1),(0,2) with probs p^2, 2pq, q^2
+    # m=2 over 2 categories: outcomes (0,2),(1,1),(2,0) with probs q^2, 2pq, p^2
     p, q = 0.3, 0.7
     rng = RngStream(11, (sampler.__name__,))
     draws = 20000
-    tallies = {(2, 0): 0, (1, 1): 0, (0, 2): 0}
+    law = dict(multinomial_law(2, [p, q]))
+    tallies = dict.fromkeys(law, 0)
     for t in range(draws):
         x = sampler(2, [p, q], rng.child(t))
         tallies[tuple(int(v) for v in x)] += 1
-    pv = _gof_pvalue(
-        [tallies[(2, 0)], tallies[(1, 1)], tallies[(0, 2)]],
-        [p * p, 2 * p * q, q * q],
-        draws,
-    )
+    pv = _gof_pvalue([tallies[o] for o in law], list(law.values()), draws)
     assert pv > 1e-3
 
 
