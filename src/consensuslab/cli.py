@@ -3,7 +3,7 @@
 Subcommands: simulate, compare, dominance-check, duality, drift-bound,
 lower-bound, two-phase. Results go to JSON-lines (one record per trial)
 plus an optional CSV summary. Exit codes: 0 success, 1 usage error,
-2 validation failure.
+2 validation failure, 141 stdout's reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
 METADATA = {"log_base": "e", "version": __version__}
 
 
@@ -59,11 +60,24 @@ DRIFT_FLAGS = {
 }
 
 
-def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
+def _spec(rules, n, initial, kappa, max_rounds, trials, seed) -> ExperimentSpec:
+    """The ExperimentSpec of rule labels and run values, as --spec and the
+    run flags give them."""
     from .core import StopCondition
     from .harness import ExperimentSpec
     from .rules import parse_rule
 
+    return ExperimentSpec(
+        rules=tuple(parse_rule(r) for r in rules),
+        n=n,
+        initial=initial,
+        stop=StopCondition(kappa=kappa, max_rounds=max_rounds),
+        trials=trials,
+        seed=seed,
+    )
+
+
+def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -84,14 +98,7 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
         if type(v[key]) is not int:  # a JSON integer: not a float, string, null or bool
             raise UsageError(f"spec: {key} must be an integer, got {json.dumps(v[key])}")
     try:
-        spec = ExperimentSpec(
-            rules=tuple(parse_rule(r) for r in rules),
-            n=v["n"],
-            initial=v["initial"],
-            stop=StopCondition(kappa=v["kappa"], max_rounds=v["max_rounds"]),
-            trials=v["trials"],
-            seed=v["seed"],
-        )
+        spec = _spec(rules, v["n"], v["initial"], v["kappa"], v["max_rounds"], v["trials"], v["seed"])
     except ValueError as exc:
         raise UsageError(f"spec: {exc}")
     if v["workers"] < 0:
@@ -101,19 +108,8 @@ def spec_from_json(path: str) -> tuple[ExperimentSpec, int]:
 
 def _spec_from_args(args) -> ExperimentSpec:
     """simulate's spec from its run flags; an absent flag takes its default."""
-    from .core import StopCondition
-    from .harness import ExperimentSpec
-    from .rules import parse_rule
-
     v = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in RUN_DEFAULTS.items()}
-    return ExperimentSpec(
-        rules=(parse_rule(v["rule"]),),
-        n=v["n"],
-        initial=v["init"],
-        stop=StopCondition(kappa=v["kappa"], max_rounds=v["max_rounds"]),
-        trials=v["trials"],
-        seed=v["seed"],
-    )
+    return _spec([v["rule"]], v["n"], v["init"], v["kappa"], v["max_rounds"], v["trials"], v["seed"])
 
 
 def json_record(rec: dict) -> str:
@@ -390,7 +386,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone: exit as SIGPIPE would, never 0, and send
+        # what is still buffered to /dev/null so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -491,6 +491,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs",),
     ),
     Mutant(
+        "coupling-counts-below-ell",
+        "harness.py",
+        "(idx < lp).all(axis=0)",
+        "(idx < initial[0]).all(axis=0)",  # P counts samples below ell, not ell'
+        ("tests/test_harness.py::test_coupled_process_dominates_a_color_that_grows",),
+    ),
+    Mutant(
         "sampler-eager-hashlib",
         "sampler.py",
         "from dataclasses import dataclass, field\n",

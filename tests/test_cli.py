@@ -10,6 +10,7 @@ import pytest
 import consensuslab
 from consensuslab import cli, coalescing, harness
 from consensuslab.cli import (
+    BROKEN_PIPE,
     USAGE_ERROR,
     VALIDATION_FAILURE,
     main,
@@ -139,6 +140,7 @@ SPEC = {"rules": ["voter"], "n": 32, "initial": "ncolor", "trials": 1, "seed": 0
         ([SPEC], "want a JSON object"),
         # the same range check as --workers, not a silent serial run
         ({**SPEC, "workers": -2}, "workers"),
+        ({k: v for k, v in SPEC.items() if k != "n"}, "spec: missing field 'n'"),
     ],
 )
 def test_simulate_spec_file_rejects_malformed_specs(tmp_path, capsys, raw, message):
@@ -604,3 +606,34 @@ def test_duality_reports_coupling_violation_with_exit_two(monkeypatch, capsys):
     assert len(calls) == 3  # the runs after the violation still ran
     assert json.loads(captured.out.strip())["violations"] == 1
     assert "run 1: tau=1: planted" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # about 400 kB of records, far more than a pipe holds: the reader
+        # closes after 10 bytes, and a later print meets the closed pipe
+        (["simulate", "--rule", "voter", "--n", "64", "--trials", "2000", "--max-rounds", "1"], 10),
+        # one short report, still buffered when main returns: its flush meets
+        # a pipe whose reader closed before the run began
+        (["dominance-check", "--p", "3maj", "--q", "voter", "--n", "4"], 0),
+    ],
+    ids=["reader-closes-early", "reader-closed-before-start"],
+)
+def test_closed_stdout_pipe_exits_141_without_a_message(argv, read):
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    # stdout block-buffered, as a shell pipe leaves it
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "consensuslab.cli", *argv],
+        stdout=writer, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(writer)
+    if read:
+        assert len(os.read(reader, read)) > 0
+        os.close(reader)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == BROKEN_PIPE == 141
+    assert err == b""

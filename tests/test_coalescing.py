@@ -282,3 +282,5 @@ def test_graph_validation():
         Graph(n=1, adjacency=None)
     with pytest.raises(ValueError):
         cycle_graph(2)
+    with pytest.raises(ValueError, match="^adjacency length must equal n$"):
+        Graph(n=3, adjacency=[np.array([1]), np.array([0])])

@@ -250,6 +250,14 @@ def test_empirical_stochastic_majorization_requires_majorization():
             draws=1000,
             rng=RngStream(0),
         )
+    with pytest.raises(ValueError, match="^need at least 1000 draws$"):
+        empirical_stochastic_majorization(
+            np.array((0.5, 0.5)),
+            np.array((0.6, 0.4)),
+            4,
+            draws=999,
+            rng=RngStream(0),
+        )
 
 
 def test_two_sample_critical_value_matches_the_closed_form():

@@ -119,6 +119,10 @@ def test_drift_function_domain_is_non_negative():
     for x_min, x_max in ((-1.0, 20.0), (5.0, 5.0), (math.nan, 1.0)):
         with pytest.raises(DriftDomainError, match="need 0 <= x_min < x_max"):
             DriftFunction(a=1.0, b=0.5, x_min=x_min, x_max=x_max)
+    h = DriftFunction(a=1.0, b=0.5, x_min=2.0, x_max=10.0)
+    for x in (1.0, 10.5):
+        with pytest.raises(DriftDomainError, match=rf"^x = {x} outside \[2.0, 10.0\]$"):
+            h(x)
 
 
 def test_validate_bound_on_walk_count_chain():

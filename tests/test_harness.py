@@ -67,6 +67,9 @@ def test_initial_condition_validation():
                        stop=StopCondition(), trials=1, seed=0)
     with pytest.raises(ValueError, match="at least one rule"):
         ExperimentSpec(rules=(), n=10, initial="ncolor", stop=StopCondition(), trials=1, seed=0)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        ExperimentSpec(rules=(voter_rule(),), n=10, initial="ncolor", stop=StopCondition(),
+                       trials=0, seed=0)
 
 
 def test_biased_start_has_the_gap_it_spells():
@@ -419,6 +422,26 @@ def test_coupled_process_dominates_tracked_color():
             if c_col > lp:
                 break
             assert c_col <= p_val
+
+
+def test_coupled_process_dominates_a_color_that_grows():
+    # from ell = ell'/2 with ell^2/n = 1 the tracked color grows within t0,
+    # and in some runs past ell': a P that counted samples below ell, not
+    # ell', would fall behind c_0, and the run would raise CouplingViolation
+    initial = canonicalize([20] + [1] * 380)
+    lp, t0 = slow_start_window(400, 20, 1.0)
+    assert (lp, t0) == (40, 10)
+    peaks = []
+    for seed in range(20):
+        pairs = run_coupled_dominating_process(
+            initial, 1.0, rounds=t0, rng=RngStream(seed, ("cpl-grow",))
+        )
+        for c_col, p_val in pairs:
+            if c_col > lp:
+                break
+            assert c_col <= p_val
+        peaks.append(max(c_col for c_col, _ in pairs))
+    assert min(peaks) > 20 and max(peaks) > lp
 
 
 def test_coupled_process_monotone_dominating_side():

@@ -871,6 +871,11 @@ def test_entry_points_reject_non_canonical_counts():
         run_block(voter_rule(), [np.array([5, 0])], StopCondition(), RngStream(0))
     with pytest.raises(InvalidConfiguration):
         process_function(h_majority_rule(3), np.array([1, 3]))
+    # no starts run nothing; starts of different n are no block
+    assert run_block(voter_rule(), [], StopCondition(), RngStream(0)) == []
+    with pytest.raises(ValueError, match="^run_block: every start must have the same n$"):
+        run_block(voter_rule(), [canonicalize([3, 1]), canonicalize([2, 1])], StopCondition(),
+                  RngStream(0))
     entries = (
         lambda c: step_rule(two_choices_rule(), c, RngStream(0)),
         lambda c: run_block(voter_rule(), [c], StopCondition(max_rounds=5), RngStream(0)),
