@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from importlib.util import find_spec
 from typing import TYPE_CHECKING
 
 # Set at import, before any subcommand loads numpy: its bundled OpenBLAS
@@ -20,6 +21,18 @@ from typing import TYPE_CHECKING
 # library makes no BLAS call. A value the user sets wins; forked workers
 # inherit the setting.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Set at import too: numpy.random imports hashlib (through secrets and hmac),
+# which would map OpenSSL's libcrypto, about 3.4 MB resident, though the
+# package only hashes short stream ids with SHA-256. A None entry makes
+# `import _hashlib` fail by the import system's documented rule, and hashlib
+# then serves every hash from Python's builtin modules, SHA-256 bit for bit
+# the same. Only where the build has every builtin module hashlib falls back
+# to, so no hash goes missing; forked workers inherit the entry.
+if all(map(find_spec, ("_md5", "_sha1", "_sha3", "_blake2"))) and (
+    find_spec("_sha2") or (find_spec("_sha256") and find_spec("_sha512"))  # _sha2 from 3.12
+):
+    sys.modules.setdefault("_hashlib", None)
 
 # The stdlib and __version__ only: each subcommand imports the modules it
 # runs, so --help and usage errors load no numpy.

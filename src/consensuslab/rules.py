@@ -312,8 +312,11 @@ def _rounds(
     """run_block's round-and-stop loop from round t, where rows holds each
     trial's canonical counts and peak its largest support of rounds 0..t.
     Live rows step in lockstep through one _step call on the rows of a
-    zero-padded int64 array; a padded zero changes neither alpha nor the
-    draw (numpy draws nothing for a p = 0 category). A row leaves the array
+    zero-padded int64 array. A padded zero keeps each row's law, not always
+    its bits: alpha's sums run over the padded width, so a padded 3-Majority
+    row's alpha may differ in the last place (by 2.2e-16 at c = (8,1,1,1,1)
+    padded to 12 columns), and numpy draws nothing for a p = 0 category, so
+    a padded column stays 0. A row leaves the array
     at the round it stops. Once the widest live row has shrunk by a
     quarter, the rows are sorted non-increasing and trimmed to its width.
     A lone live row (one start, a block's last, every 2-Choices row) steps

@@ -18,7 +18,9 @@ def _id_to_int(part) -> int:
     """Stable 64-bit integer for one stream-id component."""
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFFFFFFFFFF
-    import hashlib  # here, not at the top: the exact subcommands load no OpenSSL
+    # here, not at the top: the exact subcommands, which hash no id, load no
+    # hashlib; the CLI keeps OpenSSL out of hashlib (see cli.py)
+    import hashlib
 
     digest = hashlib.sha256(str(part).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -16,7 +16,8 @@ from consensuslab.sampler import RngStream
 def multinomial_law(m: int, theta) -> list[tuple[tuple[int, ...], object]]:
     """Every composition of m into len(theta) parts, in lexicographic order,
     with its probability under Mult(m, theta): m! prod theta_i^c_i / c_i!,
-    computed in theta's number type, so exact on Fractions."""
+    computed in theta's number type, so exact on Fractions. A part with
+    c_i = 0 is skipped: its factor theta_i^0 / 0! is exactly 1."""
     k = len(theta)
     law = []
     # stars and bars: k - 1 bars among m + k - 1 places cut m into k parts
@@ -24,7 +25,8 @@ def multinomial_law(m: int, theta) -> list[tuple[tuple[int, ...], object]]:
         counts = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, m + k - 1)))
         p = math.factorial(m)
         for c, x in zip(counts, theta):
-            p = p * x**c / math.factorial(c)
+            if c:
+                p = p * x**c / math.factorial(c)
         law.append((counts, p))
     return law
 

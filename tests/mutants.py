@@ -491,6 +491,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs",),
     ),
     Mutant(
+        "cli-openssl",
+        "cli.py",
+        '    sys.modules.setdefault("_hashlib", None)\n',
+        "    pass\n",  # numpy.random's hashlib maps OpenSSL's libcrypto again
+        (
+            "tests/test_cli.py::test_cli_draws_without_openssl",
+            "tests/test_cli.py::test_cli_loads_only_what_its_subcommand_runs[duality]",
+        ),
+    ),
+    Mutant(
         "coupling-counts-below-ell",
         "harness.py",
         "(idx < lp).all(axis=0)",

@@ -440,7 +440,7 @@ _OPENSSL = {"hashlib", "_hashlib"}
         (["--help"], 0, set(), _ALL),
         (["simulate", "--trials", "0"], USAGE_ERROR, set(), _ALL),
         (["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "1"], 0,
-         {"coalescing", "sampler"}, {"rules", "harness", "dominance", "drift"}),
+         {"coalescing", "sampler"}, {"rules", "harness", "dominance", "drift", "_hashlib"}),
         (["dominance-check", "--p", "3maj", "--q", "voter", "--n", "4"], 0,
          {"dominance", "rules"}, {"coalescing", "harness", "drift", *_OPENSSL}),
         (["drift-bound", "--form", "additive", "--m", "10", "--c", "2"], 0,
@@ -458,9 +458,10 @@ def test_cli_loads_only_what_its_subcommand_runs(argv, code, loads, skips):
         "        code = cli.main(sys.argv[1:])\n"
         "    except SystemExit as exc:  # --help\n"
         "        code = exc.code\n"
-        "names = [m.removeprefix('consensuslab.') for m in sys.modules\n"
-        "         if m in ('numpy', 'hashlib', '_hashlib')\n"
-        "         or m.startswith('consensuslab.')]\n"
+        # a None entry is a blocked import, not a loaded module
+        "names = [m.removeprefix('consensuslab.') for m, mod in sys.modules.items()\n"
+        "         if mod is not None and (m in ('numpy', 'hashlib', '_hashlib')\n"
+        "                                 or m.startswith('consensuslab.'))]\n"
         "print(json.dumps([code, names]))\n"
     )
     proc = subprocess.run(
@@ -471,6 +472,77 @@ def test_cli_loads_only_what_its_subcommand_runs(argv, code, loads, skips):
     assert got_code == code
     assert "cli" in names and loads <= set(names), names
     assert not skips & set(names), names
+
+
+# _id_to_int of every string stream id the package uses, from OpenSSL's
+# SHA-256: the builtin one the CLI falls back to must give the same words
+STREAM_ID_WORDS = {
+    "sim": 0xA845D1E38B9A7A50,
+    "compare": 0x2954CAB86E624112,
+    "fast": 0x9186BF6F60C35D11,
+    "slow": 0x3138FA1DBDF70C5E,
+    "block": 0x9FF2D8E480CA6A49,
+    "duality": 0xD32493098B9F41C5,
+    "lower-bound": 0x976A839696F979A6,
+    "two-phase": 0x69544E1432CE4CDA,
+    "drift": 0xE568BBEF1F467A0B,
+    "time": 0x9853C85F80746033,
+    "low": 0xC43DA7B39DF01F6C,
+    "high": 0x90D6CD5EB1C9F76E,
+    "voter": 0x787C0F0B033A6E56,
+    "2choices": 0x4487D10E668E21FD,
+    "hmaj:3": 0x9B600E9FE01D52B9,
+    "hmaj:4": 0x0D7ADE3AB6633E35,
+    "hmaj:5": 0x0D28FB9775D0B67E,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--graph", "cycle:8", "--t-max", "10", "--runs", "1"],
+        ["simulate", "--rule", "voter", "--n", "16", "--trials", "2", "--workers", "2"],
+    ],
+    ids=["duality", "simulate"],
+)
+def test_cli_draws_without_openssl(argv):
+    # a fresh interpreter: this one has loaded OpenSSL already
+    child = (
+        "import contextlib, io, json, os, sys\n"
+        "from consensuslab import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "from consensuslab.sampler import _id_to_int\n"
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+        "print(json.dumps([code, err.getvalue(), sys.modules.get('_hashlib', 0) is None,\n"
+        "                  'libcrypto' in maps, {i: _id_to_int(i) for i in %r}]))\n"
+    ) % list(STREAM_ID_WORDS)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    code, err, blocked, libcrypto, words = json.loads(proc.stdout)
+    assert (code, err) == (0, "")
+    assert blocked and not libcrypto  # no maps where /proc is absent: only the entry is checked
+    assert words == STREAM_ID_WORDS
+
+
+def test_cli_keeps_openssl_where_a_builtin_hash_is_missing():
+    # a build without _sha3: hashlib must keep OpenSSL, or it logs that
+    # sha3_* were not found and serves no SHA-3
+    child = (
+        "import sys\n"
+        "sys.modules['_sha3'] = None\n"
+        "from consensuslab import cli\n"
+        "import hashlib\n"
+        "print('_hashlib' in sys.modules and sys.modules['_hashlib'] is not None)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

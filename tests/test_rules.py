@@ -213,6 +213,23 @@ def test_plurality_alpha_rows_ignore_zeros(h, monkeypatch):
             assert np.array_equal(plurality_alpha(block, h), alpha)
 
 
+def test_three_majority_alpha_of_a_padded_row():
+    # a padded zero keeps a row's law, not always its bits: the sum of
+    # squares runs over the padded width, so alpha may move in the last
+    # place; a padded column's alpha is 0, and so is every draw there
+    rule, c, n = h_majority_rule(3), np.array([8, 1, 1, 1, 1]), 12
+    block = np.zeros((2, n), dtype=np.int64)
+    block[:, : len(c)] = c
+    alpha = rules._alpha(rule, block / n)
+    for row in alpha:
+        np.testing.assert_allclose(row[: len(c)], process_function(rule, c), rtol=1e-15, atol=0)
+    assert not alpha[:, len(c) :].any()
+    gen = np.random.default_rng(36)
+    for _ in range(200):
+        out = rules._step(rule, block, n, gen)
+        assert (out.sum(axis=1) == n).all() and not out[:, len(c) :].any()
+
+
 def test_h_majority_alpha_matches_per_node_simulation():
     # empirical adoption frequencies of the literal h-sample plurality rule
     c = canonicalize([3, 2, 1])
